@@ -32,7 +32,7 @@ print(f"T1: quasi-norm {rep1.quasi_norm:.4f}, tail {rep1.tail_fraction:.4f}, "
 print(f"T2: quasi-norm {rep2.quasi_norm:.4f}, tail {rep2.tail_fraction:.4f}")
 
 # Composition concentrates along the product map
-rep12, ratio = g.compose_check(T1, chi1, T2, chi2, sys, p)
+rep12, ratio, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
 print(f"\nT1 T2 vs chi1 chi2:    quasi-norm {rep12.quasi_norm:7.3f}, "
       f"decay exponent {rep12.decay_exponent:+.3f}")
 
@@ -42,7 +42,7 @@ print(f"T1 T2 vs identity map: quasi-norm {wrong.quasi_norm:7.3f}, "
       f"decay exponent {wrong.decay_exponent:+.3f} (flat: wrong map)")
 
 # Inversion concentrates along the inverse map
-Tinv, rep_inv = g.invert_fio(T1, chi1, sys, p)
+Tinv, rep_inv, _ = g.invert_fio(T1, chi1, sys, p)
 print(f"\nT1^-1 vs chi1^-1: tail {rep_inv.tail_fraction:.4f} "
       f"(forward was {rep1.tail_fraction:.4f})")
 

@@ -19,9 +19,15 @@ def centered_radius(N):
     return np.hypot(c[:, None], c[None, :])
 
 
+def radial_weight(axis, s):
+    """(n, n) array of (1 + |(a, b)|)**s over the points of axis x axis."""
+    a = np.asarray(axis, dtype=float)
+    return (1.0 + np.hypot(a[:, None], a[None, :])) ** s
+
+
 def lattice_weight(N, s):
     """(N, N) array of (1 + |mu|)**s on centered representatives."""
-    return (1.0 + centered_radius(N)) ** s
+    return radial_weight(centered(np.arange(N), N), s)
 
 
 def lattice_qnorm(values, q, s):

@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import fftconvolve
 
-from .errors import ToleranceError
+from ._lattice import radial_weight
+from .errors import BOUND_SLACK, ToleranceError
 from .seq_algebra import QParams
-
-_FP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,15 +82,10 @@ def cell_maxima(F: SampledField) -> np.ndarray:
     )
 
 
-def _cell_weights(R: int, s: float) -> np.ndarray:
-    lam = np.arange(-R, R, dtype=float)
-    return (1.0 + np.hypot(lam[:, None], lam[None, :])) ** s
-
-
 def amalgam_norm(F: SampledField, p: QParams) -> float:
     """Weighted lq sum of cell maxima; the sampled amalgam quasi-norm."""
     cm = cell_maxima(F)
-    w = _cell_weights(F.R, p.s)
+    w = radial_weight(np.arange(-F.R, F.R), p.s)
     return float(np.sum(cm**p.q * w**p.q) ** (1.0 / p.q))
 
 
@@ -118,10 +110,12 @@ def convolve_fields(F: SampledField, G: SampledField) -> SampledField:
     """
     if F.R != G.R or F.M != G.M:
         raise ValueError("fields live on different grids")
-    conv = fftconvolve(F.values, G.values) / F.M**2
-    side = 4 * F.R * F.M
-    out = np.zeros((side, side), dtype=conv.dtype)
-    out[: conv.shape[0], : conv.shape[1]] = conv
+    size = (2 * F.values.shape[0] - 1,) * 2  # linear, not cyclic, convolution
+    conv = np.fft.ifft2(np.fft.fft2(F.values, size) * np.fft.fft2(G.values, size))
+    if not (np.iscomplexobj(F.values) or np.iscomplexobj(G.values)):
+        conv = conv.real
+    out = np.zeros((size[0] + 1, size[1] + 1), dtype=conv.dtype)
+    out[:-1, :-1] = conv / F.M**2
     return SampledField(R=2 * F.R, M=F.M, values=out)
 
 
@@ -162,12 +156,9 @@ def gl_invariance_check(F: SampledField, Mmat, p: QParams) -> GlInvariance:
         raise ValueError("Mmat is singular")
 
     ax = F.axis()
-    interp = RegularGridInterpolator(
-        (ax, ax), F.values, method="linear", bounds_error=False, fill_value=0.0
-    )
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1) @ Mmat.T  # rows Mmat @ u
-    composed = SampledField(R=F.R, M=F.M, values=interp(pts).reshape(F.values.shape))
+    composed = SampledField(R=F.R, M=F.M, values=_bilinear(F, pts).reshape(F.values.shape))
 
     denom = amalgam_norm(F, p)
     if denom == 0.0:
@@ -176,11 +167,30 @@ def gl_invariance_check(F: SampledField, Mmat, p: QParams) -> GlInvariance:
 
     beta = _covering_multiplicity(pts, F.R, F.M)
     bound = 4.0 * beta  # 4^d |det A| beta with d = 1, A = I
-    if ratio**p.q > bound * (1.0 + _FP_SLACK):
+    if ratio**p.q > bound * (1.0 + BOUND_SLACK):
         raise ToleranceError(
             f"covering bound violated: ratio^q = {ratio**p.q:.4g} > {bound:.4g}"
         )
     return GlInvariance(ratio=float(ratio), beta=int(beta), bound=float(bound))
+
+
+def _bilinear(F: SampledField, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of F's samples at the rows (x, y) of pts.
+
+    Points outside [ax[0], ax[-1]] on either axis get 0.
+    """
+    ax = F.axis()
+    n = ax.shape[0]
+    u = (pts - ax[0]) * F.M  # fractional sample index per axis
+    i = np.clip(np.floor(u).astype(np.int64), 0, n - 2)
+    t = u - i
+    (i0, j0), (tx, ty) = i.T, t.T
+    v = F.values
+    out = (1 - tx) * ((1 - ty) * v[i0, j0] + ty * v[i0, j0 + 1]) + tx * (
+        (1 - ty) * v[i0 + 1, j0] + ty * v[i0 + 1, j0 + 1]
+    )
+    inside = np.all((pts >= ax[0]) & (pts <= ax[-1]), axis=1)
+    return np.where(inside, out, 0.0)
 
 
 def _covering_multiplicity(pts: np.ndarray, R: int, M: int) -> int:

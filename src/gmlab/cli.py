@@ -7,8 +7,7 @@ Usage:
 
 Commands: gabor-matrix, envelope, compose, invert, factorize, amalgam,
 seq-invert, verify.  Options can also be given through a JSON config file;
-command-line flags override it.  The environment variable GML_THREADS caps
-internal parallelism (used by `verify`).
+command-line flags override it.
 
 Exit codes: 0 success, 2 invalid config, 3 operator not invertible,
 4 vanishing Fourier series, 5 numerical tolerance failure.
@@ -70,7 +69,6 @@ class ExperimentConfig:
     symbol: str = "near-identity"
     out: str = "."
     seed: int = 0
-    threads: int = 1
     extra: dict = field(default_factory=dict)
 
     @property
@@ -91,7 +89,6 @@ class ExperimentConfig:
             "symbol": self.symbol,
             "out": self.out,
             "seed": self.seed,
-            "threads": self.threads,
             "extra": self.extra,
         }
 
@@ -113,7 +110,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {"N", "q", "s", "chi", "window", "symbol", "out", "seed", "threads"}
+        known = {"N", "q", "s", "chi", "window", "symbol", "out", "seed"}
         for key, value in raw.items():
             if key in known:
                 setattr(cfg, key, value)
@@ -125,15 +122,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             setattr(cfg, name, value)
     if args.chi is not None:
         cfg.chi = _parse_chi(args.chi)
-
-    env_threads = os.environ.get("GML_THREADS")
-    if env_threads is not None:
-        try:
-            cfg.threads = int(env_threads)
-        except ValueError as exc:
-            raise ConfigError(f"GML_THREADS must be an integer, got {env_threads!r}") from exc
-    if cfg.threads < 1:
-        raise ConfigError(f"thread cap must be >= 1, got {cfg.threads}")
 
     _validate(cfg)
     return cfg
@@ -163,6 +151,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             require_symplectic(cfg.chi_mat(), cfg.N)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _seeded_system(cfg: ExperimentConfig):
+    """The seeded generator and the Gabor system of the configured window;
+    a random window takes the generator's first draws."""
+    rng = np.random.default_rng(cfg.seed)
+    return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 
 def _resolve_operator(cfg: ExperimentConfig, rng) -> np.ndarray:
@@ -210,8 +205,7 @@ def _report_fields(rep: fio.FioReport) -> dict:
 
 
 def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    sys_ = gabor_system(resolve_window(cfg.window, cfg.N, rng))
+    rng, sys_ = _seeded_system(cfg)
     T = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng))
     M = gabor_matrix(T, sys_)
     datasets = [
@@ -227,8 +221,7 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
 
 
 def cmd_envelope(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    sys_ = gabor_system(resolve_window(cfg.window, cfg.N, rng))
+    rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
     env = fio.envelope(T, cfg.chi_mat(), sys_)
     rep = fio.fio_report(env, cfg.qparams)
@@ -241,8 +234,7 @@ def cmd_envelope(cfg: ExperimentConfig) -> int:
 
 
 def cmd_compose(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    sys_ = gabor_system(resolve_window(cfg.window, cfg.N, rng))
+    rng, sys_ = _seeded_system(cfg)
     chi1 = require_symplectic(cfg.chi_mat(), cfg.N)
     chi2 = require_symplectic(
         np.asarray(cfg.extra.get("chi2", [[1, 0], [0, 1]]), dtype=int), cfg.N
@@ -254,8 +246,7 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
     T2 = weyl_quantize(resolve_symbol(symbol2, cfg.N, rng)) @ metaplectic_operator(
         chi2, cfg.N
     )
-    rep, ratio = fio.compose_check(T1, chi1, T2, chi2, sys_, cfg.qparams)
-    env = fio.envelope(T1 @ T2, (chi1 @ chi2) % cfg.N, sys_)
+    rep, ratio, env = fio.compose_check(T1, chi1, T2, chi2, sys_, cfg.qparams)
     datasets = [
         ("composite_envelope", "composite_envelope.csv", ["mu_k", "mu_l", "value"],
          serialize.envelope_csv(env.values)),
@@ -265,15 +256,11 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_invert(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    sys_ = gabor_system(resolve_window(cfg.window, cfg.N, rng))
+    rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
     cond_tol = float(cfg.extra.get("cond_tol", 1e12))
-    Tinv, rep = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cond_tol)
+    _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi_mat(), sys_), cfg.qparams)
-    env = fio.envelope(
-        Tinv, fio.symp_inverse(cfg.chi_mat(), cfg.N), sys_
-    )
     datasets = [
         ("inverse_envelope", "inverse_envelope.csv", ["mu_k", "mu_l", "value"],
          serialize.envelope_csv(env.values)),
@@ -287,8 +274,7 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
 
 
 def cmd_factorize(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    sys_ = gabor_system(resolve_window(cfg.window, cfg.N, rng))
+    rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
     sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi_mat(), sys_)
     datasets = [
@@ -343,7 +329,7 @@ def cmd_seq_invert(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    results = verify_mod.run_all(cfg.N, cfg.qparams, cfg.seed, cfg.threads)
+    results = verify_mod.run_all(cfg.N, cfg.qparams, cfg.seed)
     all_passed = all(r.passed for r in results)
     emit_report(
         cfg,

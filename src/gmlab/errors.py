@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and floating-point tolerances shared across the package."""
+
+# Relative slack before a proven inequality counts as violated.
+BOUND_SLACK = 1e-9  # certified bounds that raise ToleranceError
+SUITE_SLACK = 1e-12  # worst excess a `verify` suite may report and still pass
 
 
 class GmlabError(Exception):

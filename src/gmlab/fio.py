@@ -124,19 +124,20 @@ def compose_check(
     chi2,
     sys: GaborSystem,
     p: QParams,
-) -> tuple[FioReport, float]:
-    """Envelope report of T1 T2 relative to chi1 chi2 and the quasi-norm ratio
-    ||h(T1 T2)|| / (||h(T1)|| ||h(T2)||)."""
+) -> tuple[FioReport, float, FioEnvelope]:
+    """Envelope report of T1 T2 relative to chi1 chi2, the quasi-norm ratio
+    ||h(T1 T2)|| / (||h(T1)|| ||h(T2)||), and the envelope of T1 T2."""
     N = sys.N
     chi1 = require_symplectic(chi1, N)
     chi2 = require_symplectic(chi2, N)
     prod_chi = (chi1 @ chi2) % N
     rep1 = fio_report(envelope(T1, chi1, sys), p)
     rep2 = fio_report(envelope(T2, chi2, sys), p)
-    rep12 = fio_report(envelope(np.asarray(T1) @ np.asarray(T2), prod_chi, sys), p)
+    env12 = envelope(np.asarray(T1) @ np.asarray(T2), prod_chi, sys)
+    rep12 = fio_report(env12, p)
     denom = rep1.quasi_norm * rep2.quasi_norm
     ratio = rep12.quasi_norm / denom if denom > 0 else math.inf
-    return rep12, float(ratio)
+    return rep12, float(ratio), env12
 
 
 def invert_fio(
@@ -145,8 +146,8 @@ def invert_fio(
     sys: GaborSystem,
     p: QParams,
     cond_tol: float = 1e12,
-) -> tuple[np.ndarray, FioReport]:
-    """Exact inverse of T with the envelope report relative to chi^-1.
+) -> tuple[np.ndarray, FioReport, FioEnvelope]:
+    """Exact inverse of T with its envelope report and envelope relative to chi^-1.
 
     Raises NotInvertibleError when the condition number reaches cond_tol.
     """
@@ -160,8 +161,8 @@ def invert_fio(
             f"condition number {cond:.3e} exceeds tolerance {cond_tol:.1e}"
         )
     Tinv = np.linalg.inv(T)
-    report = fio_report(envelope(Tinv, symp_inverse(chi, N), sys), p)
-    return Tinv, report
+    env = envelope(Tinv, symp_inverse(chi, N), sys)
+    return Tinv, fio_report(env, p), env
 
 
 def symbol_pullback(sigma: np.ndarray, chi, N: int) -> np.ndarray:

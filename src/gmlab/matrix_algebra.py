@@ -19,11 +19,9 @@ import math
 
 import numpy as np
 
-from ._lattice import lattice_qnorm, lattice_weight
-from .errors import ToleranceError
+from ._lattice import lattice_qnorm
+from .errors import BOUND_SLACK, ToleranceError
 from .seq_algebra import QParams
-
-_FP_SLACK = 1e-9
 
 
 def _lattice_side(A: np.ndarray) -> int:
@@ -109,11 +107,11 @@ def apply_to_sequence(A: np.ndarray, c: np.ndarray, p: QParams | None = None) ->
         bound = cb_norm(A, p)
         n2_in = float(np.linalg.norm(flat))
         n2_out = float(np.linalg.norm(out))
-        if n2_out > bound * n2_in * (1.0 + _FP_SLACK) + _FP_SLACK:
+        if n2_out > bound * n2_in * (1.0 + BOUND_SLACK) + BOUND_SLACK:
             raise ToleranceError("l2 action bound violated")
         nb_in = lattice_qnorm(np.abs(flat).reshape(N, N), p.q, p.s)
         nb_out = lattice_qnorm(np.abs(out).reshape(N, N), p.q, p.s)
-        if nb_out > bound * nb_in * (1.0 + _FP_SLACK) + _FP_SLACK:
+        if nb_out > bound * nb_in * (1.0 + BOUND_SLACK) + BOUND_SLACK:
             raise ToleranceError("weighted lq action bound violated")
     return out.reshape(c.shape)
 
@@ -139,14 +137,3 @@ def pseudo_inverse(A: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
         return np.zeros_like(A.conj().T)
     return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T
 
-
-def solidity_check(A: np.ndarray, A_dominating: np.ndarray, p: QParams) -> bool:
-    """True when |A| <= |A_dominating| entrywise implies the norm ordering."""
-    if np.any(np.abs(A) > np.abs(A_dominating) + _FP_SLACK):
-        raise ValueError("first matrix is not entrywise dominated by the second")
-    return cb_norm(A, p) <= cb_norm(A_dominating, p) * (1.0 + _FP_SLACK)
-
-
-def weight_field(N: int, s: float) -> np.ndarray:
-    """(1 + |mu|)^s on centered representatives; re-export for reports."""
-    return lattice_weight(N, s)

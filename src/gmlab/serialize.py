@@ -43,8 +43,14 @@ def signal_to_json(f: np.ndarray) -> list:
     return [[float(v.real), float(v.imag)] for v in f]
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite (no NaN or infinity)")
+    return values
+
+
 def signal_from_json(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj], dtype=complex)
+    return _finite(np.array([complex(re, im) for re, im in obj], dtype=complex))
 
 
 def field_to_json(field: np.ndarray) -> list:
@@ -53,8 +59,8 @@ def field_to_json(field: np.ndarray) -> list:
 
 
 def field_from_json(obj) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in obj], dtype=complex
+    return _finite(
+        np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
     )
 
 

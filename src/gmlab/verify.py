@@ -2,20 +2,18 @@
 
 Each suite draws its instances from an independently seeded generator,
 checks one family of inequalities or identities at fixed tolerances, and
-reports the number of checks with the worst violation seen.  Suites are
-independent, so they may run on a thread pool; results are sorted by name
-before reporting.
+reports the number of checks with the worst violation seen.  Suites run
+in order; results are sorted by name before reporting.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
-from .errors import VanishingFourierError
+from .errors import SUITE_SLACK, VanishingFourierError
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
 from .presets import delta_window, gaussian_bump_symbol
 from .seq_algebra import (
@@ -30,8 +28,6 @@ from .seq_algebra import (
     weight_eval,
 )
 from .weyl import duality_pairing, gabor_matrix, weyl_dequantize, weyl_quantize
-
-SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def suite_seq_young(N, p, seed) -> SuiteResult:
         worst = max(
             worst, _rel_excess(qnorm(convolve(a, b), p), qnorm(a, p) * qnorm(b, p))
         )
-    return SuiteResult("seq_young", worst <= SLACK, n, worst)
+    return SuiteResult("seq_young", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_seq_qtriangle(N, p, seed) -> SuiteResult:
@@ -108,7 +104,7 @@ def suite_seq_qtriangle(N, p, seed) -> SuiteResult:
             worst,
             _rel_excess(qnorm(a + b, p) ** p.q, qnorm(a, p) ** p.q + qnorm(b, p) ** p.q),
         )
-    return SuiteResult("seq_qtriangle", worst <= SLACK, n, worst)
+    return SuiteResult("seq_qtriangle", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_seq_hoelder(N, p, seed) -> SuiteResult:
@@ -123,7 +119,7 @@ def suite_seq_hoelder(N, p, seed) -> SuiteResult:
             qnorm_weighted(b, 2 * p.q, lambda k: 1.0 / weight_eval(k, p.s))
         )
         worst = max(worst, _rel_excess(lhs, rhs))
-    return SuiteResult("seq_hoelder", worst <= SLACK, n, worst)
+    return SuiteResult("seq_hoelder", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_seq_inclusion(N, p, seed) -> SuiteResult:
@@ -134,7 +130,7 @@ def suite_seq_inclusion(N, p, seed) -> SuiteResult:
         a = random_sparse(rng)
         worst = max(worst, _rel_excess(qnorm(a, QParams(1.0, p.s)), qnorm(a, p)))
         worst = max(worst, _rel_excess(qnorm(a, p), qnorm(a, QParams(p.q / 2, p.s))))
-    return SuiteResult("seq_inclusion", worst <= SLACK, n, worst)
+    return SuiteResult("seq_inclusion", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_seq_neumann(N, p, seed) -> SuiteResult:
@@ -151,7 +147,7 @@ def suite_seq_neumann(N, p, seed) -> SuiteResult:
         nx = qnorm(x, p)
         bound = nx**2 / (1.0 - nx**p.q) ** (1.0 / p.q)
         worst = max(worst, qnorm(inv - delta - x, p) - bound * (1 + 1e-9))
-    return SuiteResult("seq_neumann", worst <= SLACK, n, worst)
+    return SuiteResult("seq_neumann", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_seq_fourier(N, p, seed) -> SuiteResult:
@@ -175,7 +171,7 @@ def suite_seq_fourier(N, p, seed) -> SuiteResult:
         except VanishingFourierError:
             pass
         checks += 1
-    return SuiteResult("seq_fourier_inverse", worst <= SLACK, checks, worst)
+    return SuiteResult("seq_fourier_inverse", worst <= SUITE_SLACK, checks, worst)
 
 
 def suite_frame_tight(N, p, seed) -> SuiteResult:
@@ -256,7 +252,7 @@ def suite_cb_algebra(N, p, seed) -> SuiteResult:
         dAB = ma.diagonal_envelope(A @ B)
         conv = ma.envelope_convolve(ma.diagonal_envelope(A), ma.diagonal_envelope(B))
         worst = max(worst, float(np.max(dAB - conv)))
-    return SuiteResult("cb_algebra", worst <= SLACK, n, worst)
+    return SuiteResult("cb_algebra", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_cb_solidity(N, p, seed) -> SuiteResult:
@@ -267,7 +263,7 @@ def suite_cb_solidity(N, p, seed) -> SuiteResult:
         A = random_decaying_matrix(rng, N)
         Ap = A * rng.random(A.shape)  # entrywise dominated
         worst = max(worst, ma.cb_norm(Ap, p) - ma.cb_norm(A, p))
-    return SuiteResult("cb_solidity", worst <= SLACK, n, worst)
+    return SuiteResult("cb_solidity", worst <= SUITE_SLACK, n, worst)
 
 
 def suite_metaplectic(N, p, seed) -> SuiteResult:
@@ -346,7 +342,7 @@ def suite_amalgam(N, p, seed) -> SuiteResult:
     worst = max(
         worst, amalgam_norm(gauss, QParams(1.0, p.s)) - amalgam_norm(gauss, p)
     )
-    return SuiteResult("amalgam_basic", worst <= SLACK, 3, worst)
+    return SuiteResult("amalgam_basic", worst <= SUITE_SLACK, 3, worst)
 
 
 ALL_SUITES = [
@@ -369,11 +365,6 @@ ALL_SUITES = [
 ]
 
 
-def run_all(N: int, p: QParams, seed: int, threads: int = 1) -> list[SuiteResult]:
-    """Run every suite (optionally on a thread pool) and sort results by name."""
-    if threads <= 1:
-        results = [suite(N, p, seed) for suite in ALL_SUITES]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: s(N, p, seed), ALL_SUITES))
-    return sorted(results, key=lambda r: r.name)
+def run_all(N: int, p: QParams, seed: int) -> list[SuiteResult]:
+    """Run every suite and sort results by name."""
+    return sorted((suite(N, p, seed) for suite in ALL_SUITES), key=lambda r: r.name)

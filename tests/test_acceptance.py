@@ -219,7 +219,7 @@ def test_c09_inverse_closedness_witness(calibration):
     p = QParams(cal["q"], cal["s"])
     sys = g.gabor_system(g.gaussian_window(N))
     T = g.weyl_quantize(1.0 + 0.1 * gaussian_bump_symbol(N))
-    Tinv, rep = g.invert_fio(T, IDENTITY, sys, p)
+    Tinv, rep, _ = g.invert_fio(T, IDENTITY, sys, p)
     assert np.max(np.abs(T @ Tinv - np.eye(N))) < 1e-10
     assert rep.tail_fraction < cal["inverse_tail_threshold"]
     ident_rep = g.fio_report(g.envelope(np.eye(N), IDENTITY, sys), p)
@@ -252,10 +252,10 @@ def test_c10_fio_composition_and_inversion(calibration):
         T2 = g.weyl_quantize(s2) @ g.metaplectic_operator(chi2, N)
         t1 = g.fio_report(g.envelope(T1, chi1, sys), p).tail_fraction
         t2 = g.fio_report(g.envelope(T2, chi2, sys), p).tail_fraction
-        rep, ratio = g.compose_check(T1, chi1, T2, chi2, sys, p)
+        rep, ratio, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
         assert np.isfinite(ratio)
         assert rep.tail_fraction <= cal["compose_factor_threshold"] * max(t1, t2)
-        _, inv_rep = g.invert_fio(T1, chi1, sys, p)
+        _, inv_rep, _ = g.invert_fio(T1, chi1, sys, p)
         assert inv_rep.tail_fraction <= cal["invert_factor_threshold"] * t1
     report(10, "composite and inverse envelope tails within calibrated factors")
 

@@ -8,11 +8,13 @@ from gmlab import (
     bump_field,
     chirped_gaussian_field,
     conv_embedding_check,
+    convolve_fields,
     gaussian_field,
     gl_invariance_check,
     refinement_gap,
     sample_field,
 )
+from gmlab.amalgam import _bilinear
 
 P1 = QParams(1.0, 0.0)
 
@@ -120,7 +122,84 @@ def test_conv_embedding_grid_mismatch():
         conv_embedding_check(F, G, P1)
 
 
+def _direct_convolution(f, g, M):
+    """Linear convolution as a double sum of shifted copies of g, / M^2,
+    on the doubled grid with its trailing line zero."""
+    n = f.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=np.result_type(f, g))
+    for i in range(n):
+        for j in range(n):
+            out[i : i + n, j : j + n] += f[i, j] * g
+    return out / M**2
+
+
+@pytest.mark.parametrize("complex_fields", [False, True])
+def test_convolve_fields_matches_direct_sum(rng, complex_fields):
+    R, M = 1, 4
+    n = 2 * R * M
+    f, g = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    if complex_fields:
+        f = f + 1j * rng.standard_normal((n, n))
+        g = g - 1j * rng.standard_normal((n, n))
+    out = convolve_fields(SampledField(R, M, f), SampledField(R, M, g))
+    expected = _direct_convolution(f, g, M)
+    assert (out.R, out.M) == (2 * R, M)
+    assert out.values.dtype == expected.dtype
+    np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-13)
+    assert not np.any(out.values[-1]) and not np.any(out.values[:, -1])
+
+
 # ---------------------------------------------------------------- GL invariance
+
+
+def _grid_points(F):
+    X, Y = np.meshgrid(F.axis(), F.axis(), indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+
+def _pointwise_bilinear(F, x, y):
+    """Textbook bilinear formula on the cell holding (x, y); 0 off the grid."""
+    ax = F.axis()
+    if not (ax[0] <= x <= ax[-1] and ax[0] <= y <= ax[-1]):
+        return 0.0
+    i = min(int(np.searchsorted(ax, x, side="right")) - 1, ax.size - 2)
+    j = min(int(np.searchsorted(ax, y, side="right")) - 1, ax.size - 2)
+    x0, x1, y0, y1 = ax[i], ax[i + 1], ax[j], ax[j + 1]
+    v = F.values
+    return (
+        (x1 - x) * (y1 - y) * v[i, j]
+        + (x - x0) * (y1 - y) * v[i + 1, j]
+        + (x1 - x) * (y - y0) * v[i, j + 1]
+        + (x - x0) * (y - y0) * v[i + 1, j + 1]
+    ) / ((x1 - x0) * (y1 - y0))
+
+
+def test_bilinear_exact_at_grid_points(rng):
+    R, M = 2, 4
+    n = 2 * R * M
+    F = SampledField(R, M, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    pts = _grid_points(F)
+    np.testing.assert_array_equal(_bilinear(F, pts).reshape(n, n), F.values)
+    # rotation by pi/2: (x, y) -> (-y, x); -ax[j] = ax[n - j], and -ax[0] = R is off the grid
+    rotated = _bilinear(F, pts @ np.array([[0.0, -1.0], [1.0, 0.0]]).T).reshape(n, n)
+    expected = np.zeros_like(F.values)
+    for i in range(n):
+        for j in range(1, n):
+            expected[i, j] = F.values[n - j, i]
+    np.testing.assert_array_equal(rotated, expected)
+
+
+def test_bilinear_matches_pointwise_formula(rng):
+    F = sample_field(chirped_gaussian_field, R=2, M=4)
+    pts = rng.uniform(-F.R - 0.5, F.R + 0.5, size=(400, 2))
+    got = _bilinear(F, pts)
+    expected = np.array([_pointwise_bilinear(F, x, y) for x, y in pts])
+    outside = np.any((pts < F.axis()[0]) | (pts > F.axis()[-1]), axis=1)
+    assert 0 < outside.sum() < len(pts)
+    assert np.all(got[outside] == 0)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
 
 
 def test_gl_identity():

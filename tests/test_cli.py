@@ -1,9 +1,13 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gmlab
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
@@ -158,19 +162,26 @@ def test_config_flag_override(tmp_path):
     assert read_report(out)["config"]["N"] == 5
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GML_THREADS", "2")
-    out = str(tmp_path / "run")
-    code = main(["verify", "--N", "5", "--out", out, "--seed", "1"])
-    assert code == EXIT_OK
-    assert read_report(out)["config"]["threads"] == 2
-
-
-def test_threads_env_invalid(tmp_path, monkeypatch):
-    monkeypatch.setenv("GML_THREADS", "many")
-    code = main(["verify", "--N", "5", "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
-
-
 def test_unknown_command_is_config_error():
     assert main(["tabulate"]) == EXIT_CONFIG
+
+
+def test_nan_symbol_is_config_error(tmp_path, capsys):
+    symbol = tmp_path / "nan.json"
+    symbol.write_text(json.dumps([[[math.nan, 0.0]] * 7] * 7))
+    out = tmp_path / "o"
+    code = main(["envelope", "--N", "7", "--symbol", str(symbol), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(gmlab.__file__))
+    code = "import sys, gmlab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

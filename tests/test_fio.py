@@ -131,8 +131,9 @@ def test_compose_identity_pair():
     N = 5
     p = QParams(0.8, 1.0)
     sys = gabor_system(gaussian_window(N))
-    rep, ratio = compose_check(np.eye(N), IDENTITY, np.eye(N), IDENTITY, sys, p)
-    identity_norm = fio_report(envelope(np.eye(N), IDENTITY, sys), p).quasi_norm
+    rep, ratio, env = compose_check(np.eye(N), IDENTITY, np.eye(N), IDENTITY, sys, p)
+    assert np.array_equal(env.values, envelope(np.eye(N), IDENTITY, sys).values)
+    identity_norm = fio_report(env, p).quasi_norm
     assert rep.quasi_norm == pytest.approx(identity_norm, rel=1e-12)
     assert ratio == pytest.approx(1.0 / identity_norm, rel=1e-12)
 
@@ -143,7 +144,7 @@ def test_compose_metaplectic_cancellation():
     sys = gabor_system(gaussian_window(N))
     U = metaplectic_operator(J_MAT, N)
     Jinv = symp_inverse(J_MAT, N)
-    rep, _ = compose_check(U, J_MAT, np.linalg.inv(U), Jinv, sys, p)
+    rep, _, _ = compose_check(U, J_MAT, np.linalg.inv(U), Jinv, sys, p)
     identity_rep = fio_report(envelope(np.eye(N), IDENTITY, sys), p)
     assert rep.quasi_norm == pytest.approx(identity_rep.quasi_norm, rel=1e-10)
     assert rep.tail_fraction == pytest.approx(identity_rep.tail_fraction, abs=1e-12)
@@ -162,7 +163,7 @@ def test_compose_random_pairs_bounded(calibration, rng):
         T2 = weyl_quantize(s2) @ metaplectic_operator(chi2, N)
         t1 = fio_report(envelope(T1, chi1, sys), p).tail_fraction
         t2 = fio_report(envelope(T2, chi2, sys), p).tail_fraction
-        rep, ratio = compose_check(T1, chi1, T2, chi2, sys, p)
+        rep, ratio, _ = compose_check(T1, chi1, T2, chi2, sys, p)
         assert np.isfinite(ratio)
         assert rep.tail_fraction <= cal["compose_factor_threshold"] * max(t1, t2)
 
@@ -175,11 +176,12 @@ def test_invert_metaplectic_matches_adjoint_reflection():
     p = QParams(0.8, 1.0)
     sys = gabor_system(gaussian_window(N))
     U = metaplectic_operator(J_MAT, N)
-    Tinv, rep = invert_fio(U, J_MAT, sys, p)
+    Tinv, rep, env = invert_fio(U, J_MAT, sys, p)
     assert np.max(np.abs(Tinv - np.linalg.inv(U))) < 1e-12
     # envelope of the inverse is the reflected pullback of the forward one
     h_fwd = envelope(U, J_MAT, sys).values
     h_inv = envelope(Tinv, symp_inverse(J_MAT, N), sys).values
+    assert np.array_equal(env.values, h_inv)
     k = np.arange(N)[:, None]
     l = np.arange(N)[None, :]
     ck = (-(J_MAT[0, 0] * k + J_MAT[0, 1] * l)) % N
@@ -194,7 +196,7 @@ def test_invert_near_identity_tail(calibration):
     sys = gabor_system(gaussian_window(N))
     T = weyl_quantize(1.0 + 0.1 * gaussian_bump_symbol(N))
     fwd = fio_report(envelope(T, IDENTITY, sys), p)
-    _, rep = invert_fio(T, IDENTITY, sys, p)
+    _, rep, _ = invert_fio(T, IDENTITY, sys, p)
     assert rep.tail_fraction <= cal["invert_factor_threshold"] * fwd.tail_fraction
 
 

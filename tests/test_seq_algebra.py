@@ -20,18 +20,9 @@ from gmlab import (
     qnorm_weighted,
     weight_eval,
 )
+from gmlab.verify import random_sparse
 
 DELTA1 = SparseSeq.delta(1)
-
-
-def random_sparse(rng, dim=2, size=6, box=3, scale=1.0):
-    entries = {}
-    for _ in range(size):
-        idx = tuple(int(v) for v in rng.integers(-box, box + 1, size=dim))
-        entries[idx] = entries.get(idx, 0) + scale * complex(
-            rng.standard_normal(), rng.standard_normal()
-        )
-    return SparseSeq(dim, entries)
 
 
 # ---------------------------------------------------------------- weights

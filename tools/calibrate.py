@@ -32,7 +32,7 @@ def inverse_closedness(N=31):
     T = g.weyl_quantize(sigma)
     ident = np.eye(2, dtype=int)
     fwd = g.fio_report(g.envelope(T, ident, sys), p)
-    Tinv, inv_rep = g.invert_fio(T, ident, sys, p)
+    Tinv, inv_rep, _ = g.invert_fio(T, ident, sys, p)
     ident_rep = g.fio_report(g.envelope(np.eye(N), ident, sys), p)
     return {
         "N": N,
@@ -58,9 +58,9 @@ def fio_pairs(N=11, count=10):
         T2 = g.weyl_quantize(smooth_symbol(rng, N)) @ g.metaplectic_operator(chi2, N)
         tf1 = g.fio_report(g.envelope(T1, chi1, sys), p).tail_fraction
         tf2 = g.fio_report(g.envelope(T2, chi2, sys), p).tail_fraction
-        rep12, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
+        rep12, _, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
         compose_factors.append(rep12.tail_fraction / max(tf1, tf2))
-        _, inv_rep = g.invert_fio(T1, chi1, sys, p)
+        _, inv_rep, _ = g.invert_fio(T1, chi1, sys, p)
         invert_factors.append(inv_rep.tail_fraction / tf1)
     return {
         "N": N,
