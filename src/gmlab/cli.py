@@ -135,6 +135,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.seed = int(cfg.seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric option: {exc}") from exc
+    for key in ("window", "symbol", "out"):
+        if not isinstance(getattr(cfg, key), str):
+            raise ConfigError(f"{key} must be a string, got {getattr(cfg, key)!r}")
     if not 0.0 < cfg.q <= 1.0:
         raise ConfigError(f"q must lie in (0, 1], got {cfg.q}")
     if cfg.s < 0:
@@ -314,9 +317,9 @@ def cmd_amalgam(cfg: ExperimentConfig) -> int:
 
 def cmd_seq_invert(cfg: ExperimentConfig) -> int:
     a = resolve_sequence(cfg.extra.get("sequence", "geometric"))
-    grid = int(cfg.extra.get("grid", 4096))
+    grid = cfg.extra.get("grid")
     cutoff = float(cfg.extra.get("decay_cutoff", 1e-12))
-    result = invert_by_fourier(a, grid=grid, decay_cutoff=cutoff)
+    result = invert_by_fourier(a, grid if grid is None else int(grid), cutoff)
     datasets = []
     results = {
         "residual_l1": result.residual,

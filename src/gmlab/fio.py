@@ -23,10 +23,11 @@ import numpy as np
 
 from ._lattice import centered_radius, lattice_weight
 from .errors import NotInvertibleError
+from .matrix_algebra import diagonal_envelope
 from .metaplectic import (
-    factor_generators,
-    build_metaplectic,
+    metaplectic_operator,
     require_symplectic,
+    symp_apply,
     symp_inverse,
 )
 from .phase_space import GaborSystem
@@ -67,25 +68,10 @@ class FioReport:
 
 
 def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
-    """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|."""
-    N = sys.N
-    chi = require_symplectic(chi, N)
-    T = np.asarray(T, dtype=complex)
-    if T.shape != (N, N):
-        raise ValueError("operator and Gabor system moduli differ")
-    absM = np.abs(gabor_matrix(T, sys))  # rows w, columns z, flattened k*N + l
-
-    cols = np.arange(N * N)
-    zk, zl = cols // N, cols % N
-    ck = (chi[0, 0] * zk + chi[0, 1] * zl) % N
-    cl = (chi[1, 0] * zk + chi[1, 1] * zl) % N
-
-    mu = np.arange(N * N)
-    mk, ml = mu // N, mu % N
-    # row index of entry (chi z + mu, z) for every (mu, z) pair
-    rows = ((mk[:, None] + ck[None, :]) % N) * N + (ml[:, None] + cl[None, :]) % N
-    values = absM[rows, cols[None, :]].max(axis=1)
-    return FioEnvelope(chi=chi, values=values.reshape(N, N))
+    """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|:
+    the diagonal envelope of the Gabor matrix of T along the graph of chi."""
+    chi = require_symplectic(chi, sys.N)
+    return FioEnvelope(chi=chi, values=diagonal_envelope(gabor_matrix(T, sys), chi))
 
 
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
@@ -94,9 +80,12 @@ def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
     N = h.shape[0]
     radius = centered_radius(N)
     weight = lattice_weight(N, p.s)
-    mass = h**p.q * weight**p.q
-    total = float(mass.sum())
-    quasi_norm = float(total ** (1.0 / p.q)) if total > 0 else 0.0
+    with np.errstate(over="ignore"):  # overflow is rejected below
+        mass = h**p.q * weight**p.q
+        total = float(mass.sum())
+        quasi_norm = float(np.float64(total) ** (1.0 / p.q))
+    if not math.isfinite(quasi_norm):
+        raise ValueError("envelope quasi-norm is not finite (NaN or overflow)")
     tail = float(mass[radius > N / 4.0].sum() / total) if total > 0 else 0.0
     return FioReport(
         quasi_norm=quasi_norm,
@@ -168,11 +157,7 @@ def invert_fio(
 def symbol_pullback(sigma: np.ndarray, chi, N: int) -> np.ndarray:
     """(sigma o chi)(z) = sigma(chi z mod N) on the N x N phase space."""
     chi = require_symplectic(chi, N)
-    k = np.arange(N)[:, None]
-    l = np.arange(N)[None, :]
-    return np.asarray(sigma)[
-        (chi[0, 0] * k + chi[0, 1] * l) % N, (chi[1, 0] * k + chi[1, 1] * l) % N
-    ]
+    return np.asarray(sigma)[symp_apply(chi, (np.arange(N)[:, None], np.arange(N)), N)]
 
 
 def factorize_fio(
@@ -189,7 +174,7 @@ def factorize_fio(
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
-    U = build_metaplectic(factor_generators(chi, N), N)
+    U = metaplectic_operator(chi, N)
     Uinv = U.conj().T  # unitary by construction
     sigma1 = weyl_dequantize(T @ Uinv)
     sigma2 = weyl_dequantize(Uinv @ T)

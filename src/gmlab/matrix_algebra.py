@@ -6,7 +6,8 @@ summarized by its diagonal envelope
     d_A(mu) = sup_lambda |A[lambda, lambda - mu]|,
 
 the supremum of entry moduli along the mu-th diagonal (index arithmetic
-mod N per coordinate, mu read on centered representatives).  The envelope
+mod N per coordinate, mu read on centered representatives); taken along the
+graph of a lattice map chi it is the envelope of `fio`.  The envelope
 quasi-norm ||d_A||_{l^q_{v_s}} is submultiplicative under matrix products
 because d_{AB} <= d_A * d_B pointwise (cyclic convolution), so these
 matrices form a solid quasi-algebra that acts boundedly on l2 and on the
@@ -21,6 +22,7 @@ import numpy as np
 
 from ._lattice import lattice_qnorm
 from .errors import BOUND_SLACK, ToleranceError
+from .metaplectic import symp_apply
 from .seq_algebra import QParams
 
 
@@ -34,23 +36,22 @@ def _lattice_side(A: np.ndarray) -> int:
     return N
 
 
-def diagonal_envelope(A: np.ndarray) -> np.ndarray:
-    """Envelope d_A(mu) = sup_lambda |A[lambda, lambda - mu]| as an (N, N) field.
-
-    The output is indexed by mu mod N per coordinate; use centered
-    representatives when interpreting distances.
-    """
+def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
+    """Envelope d(mu) = max_z |A[chi z + mu, z]| as an (N, N) field indexed by
+    mu mod N per coordinate (read mu on centered representatives); chi=None
+    is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|."""
     N = _lattice_side(A)
-    absA = np.abs(np.asarray(A))
-    rows = np.arange(N * N)
-    rk, rl = rows // N, rows % N
-    # mu = row - col per coordinate, mod N
-    mu_k = (rk[:, None] - rk[None, :]) % N
-    mu_l = (rl[:, None] - rl[None, :]) % N
-    flat = (mu_k * N + mu_l).ravel()
-    d = np.zeros(N * N)
-    np.maximum.at(d, flat, absA.ravel())
-    return d.reshape(N, N)
+    blocks = np.asarray(A).reshape(N, N, N, N)  # row (k, l), column (k, l)
+    chi = np.eye(2, dtype=int) if chi is None else chi
+    t = np.arange(N)
+    d = np.zeros((N, N))
+    for zk in range(N):
+        # column block z = (zk, t); row tables [mu_k, t] and [mu_l, t] of chi z + mu
+        ck, cl = symp_apply(chi, (zk, t), N)
+        rk, rl = (t[:, None] + ck) % N, (t[:, None] + cl) % N
+        slab = np.abs(blocks[:, :, zk, :])[rk[:, None, :], rl[None, :, :], t]
+        np.maximum(d, slab.max(axis=2), out=d)
+    return d
 
 
 def cb_norm(A: np.ndarray, p: QParams) -> float:

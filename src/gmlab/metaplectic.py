@@ -50,10 +50,10 @@ def require_symplectic(chi, N: int) -> np.ndarray:
     return chi
 
 
-def symp_apply(chi, z, N: int) -> tuple[int, int]:
-    """chi . z mod N for a phase-space point z = (k, l)."""
+def symp_apply(chi, z, N: int) -> tuple:
+    """chi . z mod N for z = (k, l); k and l may be broadcasting index arrays."""
     chi = _as_sympmat(chi)
-    k, l = int(z[0]), int(z[1])
+    k, l = z
     return ((chi[0, 0] * k + chi[0, 1] * l) % N, (chi[1, 0] * k + chi[1, 1] * l) % N)
 
 

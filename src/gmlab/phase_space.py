@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import centered  # noqa: F401  (re-exported for convenience)
-
 
 def tf_shift(z, f: np.ndarray) -> np.ndarray:
     """Time-frequency shift pi(z) f(t) = exp(2 pi i l t / N) f(t - k mod N).

@@ -100,7 +100,7 @@ def resolve_field(spec: str, R: int, M: int) -> SampledField:
     """Field from a preset name (gaussian, bump, chirped-gaussian) or CSV path."""
     if spec in FIELD_PRESETS:
         return sample_field(FIELD_PRESETS[spec], R=R, M=M)
-    if os.path.exists(spec):
+    if isinstance(spec, str) and os.path.exists(spec):
         return load_field_csv(spec)
     raise ValueError(f"unknown field preset {spec!r}")
 

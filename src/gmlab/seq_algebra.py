@@ -249,21 +249,24 @@ class FourierInverse:
 
 def invert_by_fourier(
     a: SparseSeq,
-    grid: int = 4096,
+    grid: int | None = None,
     decay_cutoff: float = 1e-12,
     floor: float = 1e-8,
 ) -> FourierInverse:
     """Invert the convolution operator of `a` through its Fourier series.
 
-    Samples F a on the uniform grid (j/grid)^m, requires the minimum modulus
-    to exceed `floor` (otherwise the operator is declared non-invertible),
-    and returns the inverse discrete transform of 1/(F a) truncated at
-    magnitude `decay_cutoff`, together with the l1 residual of a * b - delta
-    and the fitted decay rate of |b(n)|.
+    Samples F a on the uniform grid (j/grid)^m, by default grid = 4096 for
+    m = 1 and 256 otherwise; requires the minimum modulus to exceed `floor`
+    (otherwise the operator is declared non-invertible), and returns the
+    inverse discrete transform of 1/(F a) truncated at magnitude
+    `decay_cutoff`, with the l1 residual of a * b - delta and the fitted
+    decay rate of |b(n)|.
     """
     if decay_cutoff <= 0:
         raise ValueError("decay_cutoff must be positive")
     m = a.dim
+    if grid is None:
+        grid = 4096 if m == 1 else 256
     if grid < 4:
         raise ValueError("grid must be at least 4")
     if grid**m > 2**24:

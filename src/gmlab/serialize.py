@@ -16,6 +16,8 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -31,11 +33,22 @@ def seq_to_json(a: SparseSeq) -> dict:
     return {"dim": a.dim, "entries": entries}
 
 
+def _finite_number(v) -> bool:
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return real and (isinstance(v, numbers.Integral) or math.isfinite(v))
+
+
 def seq_from_json(obj: dict) -> SparseSeq:
-    return SparseSeq(
-        int(obj["dim"]),
-        {tuple(idx): complex(re, im) for idx, re, im in obj["entries"]},
-    )
+    """Sequence from its wire format; rejects non-numeric or non-finite
+    entries and fractional indices."""
+    entries = {}
+    for idx, re, im in obj["entries"]:
+        if not all(_finite_number(v) for v in (*idx, re, im)):
+            raise ValueError(f"sequence entry {[idx, re, im]!r} is not a finite number")
+        if any(v != int(v) for v in idx):
+            raise ValueError(f"sequence index {idx!r} is not an integer")
+        entries[tuple(idx)] = complex(re, im)
+    return SparseSeq(int(obj["dim"]), entries)
 
 
 def signal_to_json(f: np.ndarray) -> list:

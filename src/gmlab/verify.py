@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
+from ._lattice import centered_radius
 from .errors import SUITE_SLACK, VanishingFourierError
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
 from .presets import delta_window, gaussian_bump_symbol
@@ -64,12 +65,7 @@ def random_sympmat(rng, N: int) -> np.ndarray:
 
 def random_decaying_matrix(rng, N: int, rate: float = 0.8) -> np.ndarray:
     """Lattice matrix with |entries| <= exp(-rate |mu|) along diagonal mu."""
-    from ._lattice import centered_radius
-
-    profile = np.exp(-rate * centered_radius(N))
-    rows = np.arange(N * N)
-    rk, rl = rows // N, rows % N
-    prof = profile[(rk[:, None] - rk[None, :]) % N, (rl[:, None] - rl[None, :]) % N]
+    prof = ma.convolution_matrix(np.exp(-rate * centered_radius(N)))
     phase = np.exp(2j * np.pi * rng.random((N * N, N * N)))
     mag = rng.random((N * N, N * N))
     return prof * mag * phase
@@ -304,11 +300,8 @@ def suite_fio_adjoint(N, p, seed) -> SuiteResult:
         chi = random_sympmat(rng, N)
         h_fwd = fio.envelope(T, chi, sys).values
         h_adj = fio.envelope(T.conj().T, mp.symp_inverse(chi, N), sys).values
-        k = np.arange(N)[:, None]
-        l = np.arange(N)[None, :]
-        ck = (-(chi[0, 0] * k + chi[0, 1] * l)) % N
-        cl = (-(chi[1, 0] * k + chi[1, 1] * l)) % N
-        worst = max(worst, float(np.max(np.abs(h_adj - h_fwd[ck, cl]))) - 1e-10)
+        h_back = fio.symbol_pullback(h_fwd, -chi, N)
+        worst = max(worst, float(np.max(np.abs(h_adj - h_back))) - 1e-10)
     return SuiteResult("fio_adjoint", worst <= 0.0, n, worst)
 
 

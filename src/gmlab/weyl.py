@@ -50,7 +50,10 @@ def weyl_quantize(sigma: np.ndarray) -> np.ndarray:
         raise ValueError("symbol must be a square field")
     h = half_inverse(N)
     # C[a, d] = (1/N) sum_xi sigma[a, xi] e^{2 pi i xi d / N}
-    C = np.fft.ifft(sigma, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+        C = np.fft.ifft(sigma, axis=1)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("symbol quantizes to a non-finite operator (overflow)")
     x = np.arange(N)[:, None]
     y = np.arange(N)[None, :]
     return C[(h * (x + y)) % N, (x - y) % N]

@@ -166,15 +166,82 @@ def test_unknown_command_is_config_error():
     assert main(["tabulate"]) == EXIT_CONFIG
 
 
-def test_nan_symbol_is_config_error(tmp_path, capsys):
-    symbol = tmp_path / "nan.json"
-    symbol.write_text(json.dumps([[[math.nan, 0.0]] * 7] * 7))
-    out = tmp_path / "o"
-    code = main(["envelope", "--N", "7", "--symbol", str(symbol), "--out", str(out)])
-    assert code == EXIT_CONFIG
+def config_error_detail(capsys) -> str:
+    """The detail of the single one-line JSON config diagnostic on stderr."""
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+    return json.loads(err[0])["detail"]
+
+
+# a NaN symbol is rejected at load; a huge finite one overflows in quantization
+@pytest.mark.parametrize("value", [math.nan, 1e308], ids=["nan", "huge"])
+@pytest.mark.parametrize(
+    "command", ["envelope", "compose", "invert", "factorize", "gabor-matrix"]
+)
+def test_nan_symbol_is_config_error(tmp_path, capsys, command, value):
+    symbol = tmp_path / "symbol.json"
+    symbol.write_text(json.dumps([[[value, 0.0]] * 7] * 7))
+    out = tmp_path / "o"
+    code = main([command, "--N", "7", "--symbol", str(symbol), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "finite" in config_error_detail(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[[0], "x", 0.0], [[0.5], 1, 0], [[0], math.nan, 0.0], [[0], 1.0, math.inf]],
+    ids=["non-numeric", "fractional-index", "nan", "inf"],
+)
+def test_bad_sequence_entry_is_config_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence": {"dim": 1, "entries": [[[0], 1.0, 0.0], entry]}}))
+    out = tmp_path / "o"
+    code = main(["seq-invert", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "sequence" in config_error_detail(capsys)
+    assert not out.exists()
+
+
+def test_seq_invert_two_dim_default_grid(tmp_path):
+    seq = {"dim": 2, "entries": [[[0, 0], 1.0, 0.0], [[1, 0], -0.3, 0.0], [[0, 1], -0.2, 0.0]]}
+    results = []
+    for name, extra in (("default", {}), ("g256", {"grid": 256})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"sequence": seq, **extra}))
+        out = str(tmp_path / name)
+        assert main(["seq-invert", "--config", str(cfg), "--out", out]) == EXIT_OK
+        results.append(read_report(out)["results"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "command, key, detail",
+    [
+        ("envelope", "window", "window must be a string, got 0"),
+        ("envelope", "symbol", "symbol must be a string, got 0"),
+        ("envelope", "out", "out must be a string, got 0"),
+        ("amalgam", "field", "unknown field preset 0"),
+    ],
+    ids=["window", "symbol", "out", "field"],
+)
+def test_non_string_preset_is_config_error(tmp_path, command, key, detail):
+    # fd 0 exists, so a numeric value must not be resolved as a path to stdin
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0}))
+    src = os.path.dirname(os.path.dirname(gmlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmlab.cli", command, "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    err = proc.stderr.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0]) == {"error": "config", "detail": detail}
 
 
 def test_cli_import_loads_no_scipy():

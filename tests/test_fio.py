@@ -59,12 +59,22 @@ def test_envelope_of_identity_is_window_autocorrelation():
     assert np.argmax(env.values) == 0
 
 
-def test_envelope_matches_brute_force(rng):
-    N = 5
+CHIS = {"I": IDENTITY, "J": J_MAT, "shear": [[1, 1], [0, 1]], "cat": [[2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("chi", list(CHIS.values()), ids=list(CHIS))
+@pytest.mark.parametrize("N", [5, 7])
+def test_envelope_matches_brute_force(rng, N, chi):
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    chi = np.array([[2, 1], [1, 1]])
     assert_allclose(envelope(T, chi, sys).values, brute_envelope(T, chi, sys), atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, 1e307])
+def test_fio_report_rejects_non_finite_envelope(value):
+    env = FioEnvelope(chi=IDENTITY, values=np.full((5, 5), value))
+    with pytest.raises(ValueError, match="not finite"):
+        fio_report(env, QParams(0.5, 1.0))
 
 
 def test_envelope_of_metaplectic_is_transformed_window_correlation(rng):

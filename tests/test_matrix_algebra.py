@@ -35,16 +35,24 @@ def test_envelope_of_convolution_matrix(rng):
     assert_allclose(diagonal_envelope(convolution_matrix(field)), np.abs(field))
 
 
-def test_envelope_matches_brute_force(rng):
+@pytest.mark.parametrize(
+    "chi",
+    [None, [[0, 1], [-1, 0]], [[1, 1], [0, 1]], [[2, 1], [1, 1]]],
+    ids=["I", "J", "shear", "cat"],
+)
+def test_envelope_matches_brute_force(rng, chi):
     N = 5
     A = rng.standard_normal((N * N, N * N)) + 1j * rng.standard_normal((N * N, N * N))
-    d = diagonal_envelope(A)
+    d = diagonal_envelope(A, chi)
+    (a, b), (c, e) = np.eye(2, dtype=int) if chi is None else chi
     brute = np.zeros((N, N))
-    for r in range(N * N):
-        for c in range(N * N):
-            mk = ((r // N) - (c // N)) % N
-            ml = ((r % N) - (c % N)) % N
-            brute[mk, ml] = max(brute[mk, ml], abs(A[r, c]))
+    for row in range(N * N):
+        for col in range(N * N):
+            zk, zl = col // N, col % N
+            # row = chi col + mu per coordinate, mod N
+            mk = (row // N - (a * zk + b * zl)) % N
+            ml = (row % N - (c * zk + e * zl)) % N
+            brute[mk, ml] = max(brute[mk, ml], abs(A[row, col]))
     assert_allclose(d, brute)
 
 
