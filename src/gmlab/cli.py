@@ -156,6 +156,16 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(str(exc)) from exc
 
 
+def _extra_number(cfg: ExperimentConfig, key: str, default, kind=float):
+    """The `extra` field `key` as a finite `kind`, or `default` when absent;
+    bools, strings, NaN, infinity and fractions for an int are rejected."""
+    value = cfg.extra.get(key, default)
+    finite = serialize._finite_number(value) and abs(value) <= sys.float_info.max
+    if key in cfg.extra and not (finite and kind(value) == value):
+        raise ConfigError(f"{key} must be a finite {kind.__name__}, got {value!r}")
+    return value if value is None else kind(value)
+
+
 def _seeded_system(cfg: ExperimentConfig):
     """The seeded generator and the Gabor system of the configured window;
     a random window takes the generator's first draws."""
@@ -259,9 +269,9 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_invert(cfg: ExperimentConfig) -> int:
+    cond_tol = _extra_number(cfg, "cond_tol", 1e12)
     rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
-    cond_tol = float(cfg.extra.get("cond_tol", 1e12))
     _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi_mat(), sys_), cfg.qparams)
     datasets = [
@@ -289,8 +299,8 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
 
 
 def cmd_amalgam(cfg: ExperimentConfig) -> int:
-    R = int(cfg.extra.get("R", 8))
-    M = int(cfg.extra.get("samples_per_cell", 32))
+    R = _extra_number(cfg, "R", 8, int)
+    M = _extra_number(cfg, "samples_per_cell", 32, int)
     F = resolve_field(cfg.extra.get("field", "gaussian"), R, M)
     G = resolve_field(cfg.extra.get("field2", "bump"), R, M)
     p = cfg.qparams
@@ -316,18 +326,17 @@ def cmd_amalgam(cfg: ExperimentConfig) -> int:
 
 
 def cmd_seq_invert(cfg: ExperimentConfig) -> int:
+    grid = _extra_number(cfg, "grid", None, int)
+    cutoff = _extra_number(cfg, "decay_cutoff", 1e-12)
     a = resolve_sequence(cfg.extra.get("sequence", "geometric"))
-    grid = cfg.extra.get("grid")
-    cutoff = float(cfg.extra.get("decay_cutoff", 1e-12))
-    result = invert_by_fourier(a, grid if grid is None else int(grid), cutoff)
-    datasets = []
+    result = invert_by_fourier(a, grid, cutoff)
     results = {
         "residual_l1": result.residual,
         "decay_rate": result.decay_rate,
         "support_size": len(result.seq),
         "inverse": serialize.seq_to_json(result.seq),
     }
-    emit_report(cfg, results, datasets)
+    emit_report(cfg, results, [])
     return EXIT_OK
 
 

@@ -11,6 +11,10 @@ truncation error has a closed-form geometric tail.  A second route to
 inverses goes through the Fourier series: a is invertible iff its Fourier
 series has no zeros, and the inverse coefficients are recovered by
 sampling 1/(F a) on a fine grid.
+
+A sequence is one complex ndarray over the index box of its support, of at
+most MAX_CELLS cells (like a Fourier grid; a larger box raises ValueError).
+Convolution adds one shifted copy of an operand per nonzero of the other.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError, VanishingFourierError
+
+# Most cells a sequence box or a Fourier grid may hold (256 MiB of complex).
+MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -50,40 +57,52 @@ def weight_eval(lam, s: float) -> float:
 
 
 def _key(index, dim: int) -> tuple:
-    if np.isscalar(index) or isinstance(index, (int, np.integer)):
-        index = (index,)
-    idx = tuple(int(v) for v in index)
+    idx = tuple(int(v) for v in np.atleast_1d(index))
     if len(idx) != dim:
         raise ValueError(f"index {idx} does not match dimension {dim}")
     return idx
 
 
+def _zeros(shape) -> np.ndarray:
+    shape = tuple(int(n) for n in shape)
+    if math.prod(shape) > MAX_CELLS:
+        raise ValueError(f"sequence box or grid {shape} holds more than {MAX_CELLS} cells")
+    return np.zeros(shape, dtype=complex)
+
+
+def _box(offset, shape) -> tuple:
+    return tuple(slice(o, o + n) for o, n in zip(offset, shape))
+
+
 class SparseSeq:
-    """Finitely supported complex sequence on Z^m, stored as an index -> value map.
+    """Finitely supported complex sequence on Z^m: values[j] is the entry at
+    lo + j, over a box trimmed to the support, so two sequences are equal iff
+    their corners and arrays are.  The object behaves as an immutable vector:
+    +, -, and scalar * return new sequences."""
 
-    Exact zeros are dropped on construction, so two sequences are equal iff
-    their stored maps are.  Values are plain Python complex numbers and the
-    object behaves as an immutable vector: +, -, and scalar * return new
-    sequences.
-    """
-
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "lo", "values")
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        data: dict[tuple, complex] = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for index, value in items:
-                k = _key(index, dim)
-                v = data.get(k, 0j) + complex(value)
-                if v == 0:
-                    data.pop(k, None)
-                else:
-                    data[k] = v
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", data)
+        items = list(entries.items() if isinstance(entries, dict) else entries or ())
+        try:
+            idx = np.array([_key(k, dim) for k, _ in items], np.int64).reshape(-1, dim)
+        except OverflowError as exc:
+            raise ValueError(f"sequence index out of range: {exc}") from exc
+        lo = idx.min(axis=0) if len(idx) else np.zeros(dim, np.int64)
+        values = _zeros(idx.max(axis=0) + 1 - lo if len(idx) else (0,) * dim)
+        np.add.at(values, tuple((idx - lo).T), [complex(v) for _, v in items])
+        self._store(dim, lo, values)
+
+    def _store(self, dim: int, lo, values: np.ndarray) -> "SparseSeq":
+        nz = np.argwhere(values)  # an empty sequence gets the corner 0 and an empty box
+        first, end = (nz.min(axis=0), nz.max(axis=0) + 1) if len(nz) else (-lo, -lo)
+        lo, values = lo + first, values[_box(first, end - first)]
+        values.flags.writeable = False
+        for name, v in (("dim", dim), ("lo", lo), ("values", values)):
+            object.__setattr__(self, name, v)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeq is immutable")
@@ -91,73 +110,79 @@ class SparseSeq:
     @classmethod
     def delta(cls, dim: int = 1) -> "SparseSeq":
         """Unit element: value 1 at the origin."""
-        return cls(dim, {(0,) * dim: 1.0})
+        return cls(dim, [((0,) * dim, 1.0)])
 
     @classmethod
     def unit(cls, index, value=1.0) -> "SparseSeq":
         """Single mass `value` at `index` (an int or a tuple of ints)."""
-        if np.isscalar(index) or isinstance(index, (int, np.integer)):
-            index = (int(index),)
-        return cls(len(index), {tuple(int(v) for v in index): value})
+        return cls(np.size(index), [(index, value)])
 
-    def support(self):
-        return set(self.entries)
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (nnz, m) and values (nnz,) of the support, lexicographically."""
+        nz = np.nonzero(self.values)
+        return np.stack(nz, axis=-1) + self.lo, self.values[nz]
+
+    def items(self) -> list:
+        """(index tuple, complex value) pairs of the support, lexicographically."""
+        idx, vals = self._nonzeros()
+        return list(zip(map(tuple, idx.tolist()), vals.tolist()))
 
     def __len__(self):
-        return len(self.entries)
+        return int(np.count_nonzero(self.values))
 
     def __getitem__(self, index) -> complex:
-        return self.entries.get(_key(index, self.dim), 0j)
+        j = np.subtract(_key(index, self.dim), self.lo)
+        inside = np.all(j >= 0) and np.all(j < self.values.shape)
+        return complex(self.values[tuple(j)]) if inside else 0j
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SparseSeq)
-            and self.dim == other.dim
-            and self.entries == other.entries
+        return isinstance(other, SparseSeq) and self.dim == other.dim and (
+            np.array_equal(self.lo, other.lo) and np.array_equal(self.values, other.values)
         )
 
     def __add__(self, other: "SparseSeq") -> "SparseSeq":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0j) + v
-        return SparseSeq(self.dim, out)
+        if not (self.values.size and other.values.size):
+            return self if self.values.size else other
+        lo = np.minimum(self.lo, other.lo)
+        out = _zeros(np.maximum(self.lo + self.values.shape, other.lo + other.values.shape) - lo)
+        for seq in (self, other):
+            out[_box(seq.lo - lo, seq.values.shape)] += seq.values
+        return _from_array(self.dim, lo, out)
 
     def __neg__(self) -> "SparseSeq":
-        return SparseSeq(self.dim, {k: -v for k, v in self.entries.items()})
+        return _from_array(self.dim, self.lo, -self.values)
 
     def __sub__(self, other: "SparseSeq") -> "SparseSeq":
         return self + (-other)
 
     def __mul__(self, scalar) -> "SparseSeq":
-        return SparseSeq(self.dim, {k: scalar * v for k, v in self.entries.items()})
+        return _from_array(self.dim, self.lo, scalar * self.values)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"SparseSeq(dim={self.dim}, nnz={len(self.entries)})"
+        return f"SparseSeq(dim={self.dim}, nnz={len(self)})"
+
+
+def _from_array(dim: int, lo, values: np.ndarray) -> SparseSeq:
+    """Sequence with values[j] at index lo + j."""
+    return object.__new__(SparseSeq)._store(dim, lo, values)
 
 
 def qnorm(a: SparseSeq, p: QParams) -> float:
     """Weighted quasi-norm (sum |a(n)|^q (1+|n|)^(s q))**(1/q); 0 iff a = 0."""
-    if not a.entries:
-        return 0.0
-    total = sum(
-        abs(v) ** p.q * weight_eval(k, p.s) ** p.q for k, v in a.entries.items()
-    )
+    idx, vals = a._nonzeros()
+    weight = (1.0 + np.sqrt(np.square(idx).sum(axis=1))) ** p.s
+    total = np.sum(np.abs(vals) ** p.q * weight**p.q)
     return float(total ** (1.0 / p.q))
 
 
 def qnorm_weighted(a: SparseSeq, q: float, weight) -> float:
-    """Quasi-norm with an arbitrary positive weight function on indices.
-
-    Used for checks that need reciprocal weights, which `weight_eval`
-    deliberately rejects.
-    """
-    if not a.entries:
-        return 0.0
-    total = sum(abs(v) ** q * weight(k) ** q for k, v in a.entries.items())
+    """Quasi-norm with an arbitrary positive weight function on indices, for
+    checks that need reciprocal weights, which `weight_eval` rejects."""
+    total = sum(abs(v) ** q * weight(k) ** q for k, v in a.items())
     return float(total ** (1.0 / q))
 
 
@@ -165,27 +190,27 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     """Entrywise product a(n) * b(n)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    return SparseSeq(
-        a.dim,
-        {k: v * big.entries[k] for k, v in small.entries.items() if k in big.entries},
-    )
+    lo = np.maximum(a.lo, b.lo)
+    shape = np.maximum(np.minimum(a.lo + a.values.shape, b.lo + b.values.shape) - lo, 0)
+    product = a.values[_box(lo - a.lo, shape)] * b.values[_box(lo - b.lo, shape)]
+    return _from_array(a.dim, lo, product)
 
 
 def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
-    """Exact discrete convolution (a * b)(n) = sum_k a(k) b(n-k).
-
-    Computed by the double sum over both supports, with no transform step,
-    so the only rounding is that of complex multiply-accumulate.
-    """
+    """Exact discrete convolution (a * b)(n) = sum_k a(k) b(n-k): one shifted
+    multiply-add of the operand with more nonzeros per nonzero of the other.
+    There is no transform step, so the only rounding is that of complex
+    multiply-accumulate."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out: dict[tuple, complex] = {}
-    for ka, va in a.entries.items():
-        for kb, vb in b.entries.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0j) + va * vb
-    return SparseSeq(a.dim, out)
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    if not small.values.size:
+        return small
+    out = _zeros(np.add(small.values.shape, big.values.shape) - 1)
+    nz = np.nonzero(small.values)
+    for offset, v in zip(np.stack(nz, axis=-1), small.values[nz]):
+        out[_box(offset, big.values.shape)] += v * big.values
+    return _from_array(a.dim, a.lo + b.lo, out)
 
 
 def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:
@@ -227,10 +252,8 @@ def fourier_series_eval(a: SparseSeq, xi) -> complex:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (a.dim,):
         raise ValueError(f"xi must have {a.dim} coordinates")
-    total = 0j
-    for n, v in a.entries.items():
-        total += v * complex(np.exp(2j * np.pi * float(np.dot(n, xi))))
-    return total
+    idx, vals = a._nonzeros()
+    return complex(np.sum(vals * np.exp(2j * np.pi * (idx @ xi))))
 
 
 @dataclass(frozen=True)
@@ -269,43 +292,29 @@ def invert_by_fourier(
         grid = 4096 if m == 1 else 256
     if grid < 4:
         raise ValueError("grid must be at least 4")
-    if grid**m > 2**24:
-        raise ValueError(f"grid {grid}^{m} is too large; reduce the resolution")
 
-    padded = np.zeros((grid,) * m, dtype=complex)
-    for n, v in a.entries.items():
-        padded[tuple(np.mod(n, grid))] += v
+    padded = _zeros((grid,) * m)
+    idx, vals = a._nonzeros()
+    np.add.at(padded, tuple(np.mod(idx, grid).T), vals)
     samples = np.fft.ifftn(padded) * grid**m  # F a on the grid
-    magnitude = np.abs(samples)
-    low = float(magnitude.min())
+    low = float(np.abs(samples).min())
     if low <= floor:
         raise VanishingFourierError(
             f"min |F a| = {low:.3e} on the {grid}^{m} grid (floor {floor:.1e}): "
             "convolution operator is not invertible"
         )
     coeff = np.fft.fftn(1.0 / samples) / grid**m
-    keep = np.argwhere(np.abs(coeff) > decay_cutoff)
-    entries = {}
-    half = grid // 2
-    for idx in keep:
-        n = tuple(int(((v + half) % grid) - half) for v in idx)
-        entries[n] = complex(coeff[tuple(idx)])
-    b = SparseSeq(m, entries)
+    coeff = np.where(np.abs(coeff) > decay_cutoff, coeff, 0)
+    # fftshift puts index n at n + grid // 2, so the corner is -(grid // 2)
+    b = _from_array(m, np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
 
-    ell1 = QParams(1.0, 0.0)
-    residual = qnorm(convolve(a, b) - SparseSeq.delta(m), ell1)
-    decay_rate = _fit_decay_rate(b)
-    return FourierInverse(seq=b, residual=residual, decay_rate=decay_rate)
+    residual = qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
+    return FourierInverse(seq=b, residual=residual, decay_rate=_fit_decay_rate(b))
 
 
 def _fit_decay_rate(b: SparseSeq) -> float:
-    radii, logs = [], []
-    for n, v in b.entries.items():
-        mag = abs(v)
-        if mag > 0.0:
-            radii.append(math.sqrt(sum(c * c for c in n)))
-            logs.append(math.log(mag))
-    if len(radii) < 2 or max(radii) == min(radii):
+    idx, vals = b._nonzeros()
+    radii = np.sqrt(np.square(idx).sum(axis=1))
+    if len(radii) < 2 or radii.max() == radii.min():
         return math.inf
-    slope = np.polyfit(np.asarray(radii), np.asarray(logs), 1)[0]
-    return float(-slope)
+    return float(-np.polyfit(radii, np.log(np.abs(vals)), 1)[0])

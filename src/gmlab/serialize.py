@@ -1,10 +1,10 @@
 """JSON and CSV wire formats.
 
-Sequences:      {"dim": m, "entries": [[[n1, ..., nm], re, im], ...]}
+Sequences:      {"dim": m, "entries": [[[n1, ..., nm], re, im], ...]}, m >= 1,
+                whose index box holds at most seq_algebra.MAX_CELLS cells
 Signals:        [[re, im], ...] of length N
 Fields:         row-major N x N array of [re, im] pairs
 Symplectic:     [[a, b], [c, d]]
-Generator word: [["J"], ["chirp", C], ["dilate", a]]
 Envelope CSV:   columns mu_k, mu_l, value (centered indices)
 Field CSV:      columns k, l, re, im
 Gabor CSV:      columns mu_k, mu_l, lam_k, lam_l, re, im
@@ -26,10 +26,7 @@ from .seq_algebra import SparseSeq
 
 
 def seq_to_json(a: SparseSeq) -> dict:
-    entries = [
-        [list(k), float(v.real), float(v.imag)]
-        for k, v in sorted(a.entries.items())
-    ]
+    entries = [[list(k), float(v.real), float(v.imag)] for k, v in a.items()]
     return {"dim": a.dim, "entries": entries}
 
 
@@ -38,22 +35,23 @@ def _finite_number(v) -> bool:
     return real and (isinstance(v, numbers.Integral) or math.isfinite(v))
 
 
-def seq_from_json(obj: dict) -> SparseSeq:
-    """Sequence from its wire format; rejects non-numeric or non-finite
-    entries and fractional indices."""
-    entries = {}
-    for idx, re, im in obj["entries"]:
-        if not all(_finite_number(v) for v in (*idx, re, im)):
-            raise ValueError(f"sequence entry {[idx, re, im]!r} is not a finite number")
-        if any(v != int(v) for v in idx):
-            raise ValueError(f"sequence index {idx!r} is not an integer")
-        entries[tuple(idx)] = complex(re, im)
-    return SparseSeq(int(obj["dim"]), entries)
-
-
-def signal_to_json(f: np.ndarray) -> list:
-    f = np.asarray(f, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in f]
+def seq_from_json(obj) -> SparseSeq:
+    """Sequence from its wire format; rejects a malformed object, non-numeric
+    or non-finite entries and fractional indices."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+        raise ValueError('a sequence must be an object with an "entries" list')
+    dim = obj.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"sequence dim must be an integer >= 1, got {dim!r}")
+    for entry in obj["entries"]:
+        index = entry[0] if isinstance(entry, list) and len(entry) == 3 else None
+        if not (isinstance(index, list) and len(index) == dim):
+            raise ValueError(f"sequence entry {entry!r} is not [[{dim} integers], re, im]")
+        if not all(_finite_number(v) for v in (*index, *entry[1:])):
+            raise ValueError(f"sequence entry {entry!r} is not a finite number")
+        if any(v != int(v) for v in index):
+            raise ValueError(f"sequence index {index!r} is not an integer")
+    return SparseSeq(dim, {tuple(idx): complex(re, im) for idx, re, im in obj["entries"]})
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -66,11 +64,6 @@ def signal_from_json(obj) -> np.ndarray:
     return _finite(np.array([complex(re, im) for re, im in obj], dtype=complex))
 
 
-def field_to_json(field: np.ndarray) -> list:
-    field = np.asarray(field, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in field]
-
-
 def field_from_json(obj) -> np.ndarray:
     return _finite(
         np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
@@ -80,18 +73,6 @@ def field_from_json(obj) -> np.ndarray:
 def sympmat_to_json(chi: np.ndarray) -> list:
     chi = np.asarray(chi, dtype=int)
     return [[int(chi[0, 0]), int(chi[0, 1])], [int(chi[1, 0]), int(chi[1, 1])]]
-
-
-def sympmat_from_json(obj) -> np.ndarray:
-    return np.asarray(obj, dtype=int)
-
-
-def word_to_json(word) -> list:
-    return [[token[0], *[int(v) for v in token[1:]]] for token in word]
-
-
-def word_from_json(obj) -> list:
-    return [tuple([item[0], *[int(v) for v in item[1:]]]) for item in obj]
 
 
 def _fmt(x: float) -> str:

@@ -188,18 +188,64 @@ def test_nan_symbol_is_config_error(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+def seq1(entry) -> dict:
+    return {"dim": 1, "entries": [[[0], 1.0, 0.0], entry]}
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [[[0], "x", 0.0], [[0.5], 1, 0], [[0], math.nan, 0.0], [[0], 1.0, math.inf]],
-    ids=["non-numeric", "fractional-index", "nan", "inf"],
+    "sequence",
+    [
+        seq1([[0], "x", 0.0]),
+        seq1([[0.5], 1, 0]),
+        seq1([[0], math.nan, 0.0]),
+        seq1([[0], 1.0, math.inf]),
+        {"entries": [[[0], 1.0, 0.0]]},
+        {"dim": 1},
+        {"dim": 1.5, "entries": [[[0], 1.0, 0.0]]},
+        {"dim": 0, "entries": []},
+        {"dim": True, "entries": [[[0], 1.0, 0.0]]},
+        {"dim": 1, "entries": {"0": 1.0}},
+        seq1([[0], 1.0]),
+        seq1([0, 1, 0]),
+        seq1([[0, 1], 1, 0]),
+        seq1([[100000000], 0.1, 0]),
+    ],
+    ids=[
+        "non-numeric", "fractional-index", "nan", "inf", "no-dim", "no-entries",
+        "fractional-dim", "zero-dim", "bool-dim", "entries-not-list", "short-entry",
+        "index-not-list", "index-length", "box-budget",
+    ],
 )
-def test_bad_sequence_entry_is_config_error(tmp_path, capsys, entry):
+def test_bad_sequence_entry_is_config_error(tmp_path, capsys, sequence):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sequence": {"dim": 1, "entries": [[[0], 1.0, 0.0], entry]}}))
+    cfg.write_text(json.dumps({"sequence": sequence}))
     out = tmp_path / "o"
     code = main(["seq-invert", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "sequence" in config_error_detail(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("seq-invert", "grid", [1]),
+        ("seq-invert", "grid", True),
+        ("seq-invert", "grid", 300.5),
+        ("seq-invert", "decay_cutoff", "1e-9"),
+        ("invert", "cond_tol", [1]),
+        ("invert", "cond_tol", math.inf),
+        ("amalgam", "R", None),
+        ("amalgam", "samples_per_cell", [2]),
+    ],
+)
+def test_non_numeric_extra_is_config_error(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "o"
+    code = main([command, "--N", "5", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert config_error_detail(capsys).startswith(f"{key} must be a finite")
     assert not out.exists()
 
 

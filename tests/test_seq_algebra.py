@@ -124,20 +124,68 @@ def test_convolve_dimension_mismatch():
         convolve(SparseSeq.delta(1), SparseSeq.delta(2))
 
 
-def test_convolve_against_dense_oracle():
+def dict_convolve(a, b) -> dict:
+    """Oracle: the plain double sum over both supports into a dict."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0j) + va * vb
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_convolve_against_dense_oracle(dim):
     rng = np.random.default_rng(1)
-    a = random_sparse(rng, dim=1, size=8, box=6)
-    b = random_sparse(rng, dim=1, size=8, box=6)
-    dense_a = np.zeros(13, complex)
-    dense_b = np.zeros(13, complex)
-    for (k,), v in a.entries.items():
-        dense_a[k + 6] = v
-    for (k,), v in b.entries.items():
-        dense_b[k + 6] = v
-    dense = np.convolve(dense_a, dense_b)
+    a = random_sparse(rng, dim=dim, size=8, box=6)
+    b = random_sparse(rng, dim=dim, size=8, box=6)
     out = convolve(a, b)
-    for i, v in enumerate(dense):
-        assert abs(out[(i - 12,)] - v) < 1e-12
+    expected = dict_convolve(a, b)
+    assert {k for k, _ in out.items()} <= set(expected)
+    for k, v in expected.items():
+        assert abs(out[k] - v) < 1e-12
+
+
+def test_convolve_cancels_to_exact_zero():
+    # (delta + e) * (delta - e) = delta - 2e: the middle coefficient is exactly 0
+    for e in [(1,), (0, 1), (1, 0, -1)]:
+        delta = SparseSeq.delta(len(e))
+        out = convolve(delta + SparseSeq.unit(e), delta - SparseSeq.unit(e))
+        e2 = tuple(2 * v for v in e)
+        assert out == SparseSeq(len(e), {e2: -1.0, (0,) * len(e): 1.0})
+        assert len(out) == 2 and out[e] == 0
+
+
+def test_convolve_with_empty_operand():
+    a = random_sparse(np.random.default_rng(2), dim=2)
+    empty = SparseSeq(2)
+    assert convolve(a, empty) == empty and convolve(empty, a) == empty
+    assert convolve(empty, empty) == empty and len(empty) == 0
+    assert a + empty == a and empty - a == -a
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("q,s", [(0.3, 0.0), (0.75, 1.5), (1.0, 2.0)])
+def test_qnorm_against_weight_eval_sum(dim, q, s):
+    a = random_sparse(np.random.default_rng(dim), dim=dim, size=10, box=5)
+    expected = sum(abs(v) ** q * weight_eval(k, s) ** q for k, v in a.items()) ** (1 / q)
+    assert qnorm(a, QParams(q, s)) == pytest.approx(expected, rel=1e-13)
+
+
+def test_duplicate_indices_add_and_zeros_leave_the_support():
+    a = SparseSeq(2, [((0, 0), 1.0), ((0, 0), -1.0), ((3, -1), 2.0), ((3, -1), 0.5j)])
+    assert a == SparseSeq.unit((3, -1), 2.0 + 0.5j)
+    assert len(a) == 1 and a.items() == [((3, -1), 2.0 + 0.5j)]
+    assert a[(0, 0)] == 0 and a[(100, 100)] == 0
+
+
+def test_box_budget():
+    with pytest.raises(ValueError, match="cells"):
+        SparseSeq(1, {(0,): 1.0, (10**8,): 0.1})
+    far = SparseSeq.unit(10**8)  # a one-cell box far from the origin is fine
+    assert len(far) == 1 and far[10**8] == 1.0
+    with pytest.raises(ValueError, match="cells"):
+        SparseSeq.delta(1) + far
 
 
 # ---------------------------------------------------------------- quasi-algebra inequalities
@@ -262,7 +310,7 @@ def test_fourier_series_values():
 def test_l1_norm_is_sup_of_fourier_of_modulus():
     rng = np.random.default_rng(5)
     a = random_sparse(rng, dim=1, size=5, box=4)
-    abs_a = SparseSeq(1, {k: abs(v) for k, v in a.entries.items()})
+    abs_a = SparseSeq(1, {k: abs(v) for k, v in a.items()})
     grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
     values = np.array([abs(fourier_series_eval(abs_a, x)) for x in grid])
     l1 = qnorm(a, QParams(1.0, 0.0))
