@@ -3,6 +3,8 @@
 # Relative slack before a proven inequality counts as violated.
 BOUND_SLACK = 1e-9  # certified bounds that raise ToleranceError
 SUITE_SLACK = 1e-12  # worst excess a `verify` suite may report and still pass
+# Largest l1 norm of a * b - delta a Fourier inverse b may leave (ToleranceError).
+INVERSE_RESIDUAL_TOL = 1e-6
 
 
 class GmlabError(Exception):

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._lattice import centered_radius, lattice_weight
 from .errors import NotInvertibleError
-from .matrix_algebra import diagonal_envelope
+from .matrix_algebra import _row_block_envelope
 from .metaplectic import (
     metaplectic_operator,
     require_symplectic,
@@ -32,7 +32,7 @@ from .metaplectic import (
 )
 from .phase_space import GaborSystem
 from .seq_algebra import QParams
-from .weyl import gabor_matrix, weyl_dequantize, weyl_quantize
+from .weyl import gabor_factors, weyl_dequantize, weyl_quantize
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,13 @@ class FioReport:
 
 def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|:
-    the diagonal envelope of the Gabor matrix of T along the graph of chi."""
-    chi = require_symplectic(chi, sys.N)
-    return FioEnvelope(chi=chi, values=diagonal_envelope(gabor_matrix(T, sys), chi))
+    the diagonal envelope of the Gabor matrix of T along the graph of chi, read
+    one (N, N^2) row block at a time so that matrix is never built."""
+    N = sys.N
+    chi = require_symplectic(chi, N)
+    Ph, TP = gabor_factors(T, sys)
+    values = _row_block_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
+    return FioEnvelope(chi=chi, values=values)
 
 
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:

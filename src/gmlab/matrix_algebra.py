@@ -22,7 +22,7 @@ import numpy as np
 
 from ._lattice import lattice_qnorm
 from .errors import BOUND_SLACK, ToleranceError
-from .metaplectic import symp_apply
+from .metaplectic import symp_apply, symp_inverse
 from .seq_algebra import QParams
 
 
@@ -41,15 +41,22 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
     mu mod N per coordinate (read mu on centered representatives); chi=None
     is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|."""
     N = _lattice_side(A)
-    blocks = np.asarray(A).reshape(N, N, N, N)  # row (k, l), column (k, l)
-    chi = np.eye(2, dtype=int) if chi is None else chi
+    A = np.asarray(A)
+    return _row_block_envelope(lambda rk: A[rk * N:(rk + 1) * N], N, chi)
+
+
+def _row_block_envelope(row_block, N: int, chi=None) -> np.ndarray:
+    """The envelope kernel: d(mu) = max_z |A[chi z + mu, z]| for a determinant-one
+    chi, reading A only through row_block(rk) = A[rk*N:(rk+1)*N], its (N, N^2)
+    rows (rk, .), so A itself is never needed and the extra memory is O(N^3)."""
+    chi_inv = symp_inverse(np.eye(2, dtype=int) if chi is None else chi, N)
     t = np.arange(N)
+    rows = (t[:, None] + t) % N  # [mu_l, j]: row (rk, mu_l + j) of the block
     d = np.zeros((N, N))
-    for zk in range(N):
-        # column block z = (zk, t); row tables [mu_k, t] and [mu_l, t] of chi z + mu
-        ck, cl = symp_apply(chi, (zk, t), N)
-        rk, rl = (t[:, None] + ck) % N, (t[:, None] + cl) % N
-        slab = np.abs(blocks[:, :, zk, :])[rk[:, None, :], rl[None, :, :], t]
+    for rk in range(N):
+        # row (rk, mu_l + j) = chi z + mu for the column z = chi^-1 (rk - mu_k, j)
+        zk, zl = symp_apply(chi_inv, ((rk - t[:, None]) % N, t), N)
+        slab = np.abs(row_block(rk))[rows, (zk * N + zl)[:, None, :]]
         np.maximum(d, slab.max(axis=2), out=d)
     return d
 

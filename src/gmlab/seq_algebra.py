@@ -24,9 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionError, VanishingFourierError
+from .errors import (
+    INVERSE_RESIDUAL_TOL,
+    ContractionError,
+    ToleranceError,
+    VanishingFourierError,
+)
 
-# Most cells a sequence box or a Fourier grid may hold (256 MiB of complex).
+# Most cells a sequence box, a Fourier grid or a Gabor matrix may hold (256 MiB
+# of complex).
 MAX_CELLS = 2**24
 
 
@@ -279,19 +285,29 @@ def invert_by_fourier(
     """Invert the convolution operator of `a` through its Fourier series.
 
     Samples F a on the uniform grid (j/grid)^m, by default grid = 4096 for
-    m = 1 and 256 otherwise; requires the minimum modulus to exceed `floor`
-    (otherwise the operator is declared non-invertible), and returns the
-    inverse discrete transform of 1/(F a) truncated at magnitude
-    `decay_cutoff`, with the l1 residual of a * b - delta and the fitted
-    decay rate of |b(n)|.
+    m = 1 and 256 otherwise, raised to the next power of two above the
+    widest axis of the support box; a given grid must be wider than that box
+    on every axis (else ValueError: the far entries would alias).  Requires
+    the minimum modulus to exceed `floor` (otherwise the operator is declared
+    non-invertible), and returns the inverse discrete transform of 1/(F a)
+    truncated at magnitude `decay_cutoff`, with the l1 residual of
+    a * b - delta and the fitted decay rate of |b(n)|.  A residual above
+    INVERSE_RESIDUAL_TOL (the grid aliases the inverse, or the cutoff is too
+    coarse) raises ToleranceError.
     """
     if decay_cutoff <= 0:
         raise ValueError("decay_cutoff must be positive")
     m = a.dim
+    width = max(a.values.shape)
     if grid is None:
-        grid = 4096 if m == 1 else 256
+        grid = max(4096 if m == 1 else 256, 2 ** width.bit_length())
     if grid < 4:
         raise ValueError("grid must be at least 4")
+    if grid <= width:
+        raise ValueError(
+            f"grid {grid} is not wider than the support box {a.values.shape}: "
+            "the far entries would alias"
+        )
 
     padded = _zeros((grid,) * m)
     idx, vals = a._nonzeros()
@@ -309,6 +325,12 @@ def invert_by_fourier(
     b = _from_array(m, np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
 
     residual = qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
+    if residual > INVERSE_RESIDUAL_TOL:
+        raise ToleranceError(
+            f"l1 residual {residual:.3e} of a * b - delta exceeds "
+            f"{INVERSE_RESIDUAL_TOL:.0e} on the {grid}^{m} grid "
+            "(the inverse aliases, or decay_cutoff is too coarse)"
+        )
     return FourierInverse(seq=b, residual=residual, decay_rate=_fit_decay_rate(b))
 
 

@@ -1,7 +1,8 @@
 """JSON and CSV wire formats.
 
 Sequences:      {"dim": m, "entries": [[[n1, ..., nm], re, im], ...]}, m >= 1,
-                whose index box holds at most seq_algebra.MAX_CELLS cells
+                no index twice, whose index box holds at most
+                seq_algebra.MAX_CELLS cells
 Signals:        [[re, im], ...] of length N
 Fields:         row-major N x N array of [re, im] pairs
 Symplectic:     [[a, b], [c, d]]
@@ -37,7 +38,7 @@ def _finite_number(v) -> bool:
 
 def seq_from_json(obj) -> SparseSeq:
     """Sequence from its wire format; rejects a malformed object, non-numeric
-    or non-finite entries and fractional indices."""
+    or non-finite entries, fractional indices and a repeated index."""
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ValueError('a sequence must be an object with an "entries" list')
     dim = obj.get("dim")
@@ -51,7 +52,12 @@ def seq_from_json(obj) -> SparseSeq:
             raise ValueError(f"sequence entry {entry!r} is not a finite number")
         if any(v != int(v) for v in index):
             raise ValueError(f"sequence index {index!r} is not an integer")
-    return SparseSeq(dim, {tuple(idx): complex(re, im) for idx, re, im in obj["entries"]})
+    entries = {}
+    for idx, re, im in obj["entries"]:
+        if tuple(idx) in entries:
+            raise ValueError(f"sequence index {idx!r} appears twice")
+        entries[tuple(idx)] = complex(re, im)
+    return SparseSeq(dim, entries)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

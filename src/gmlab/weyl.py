@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lattice import lattice_qnorm
 from .phase_space import GaborSystem, gaussian_window, shift_bank
-from .seq_algebra import QParams
+from .seq_algebra import MAX_CELLS, QParams
 
 
 def half_inverse(N: int) -> int:
@@ -78,19 +78,33 @@ def duality_pairing(sigma: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.sum(sigma * np.conj(wigner(g, f))) / N)
 
 
-def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
-    """Matrix of T in the Gabor coordinates of the Parseval window.
-
-    Entry (mu, lambda) = <T pi(lambda) gamma, pi(mu) gamma> with row/column
-    index (k, l) flattened as k*N + l.  For a Parseval system this matrix
-    intertwines T with the lattice STFT: V(T f) = M V(f).
-    """
+def gabor_factors(T: np.ndarray, sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The (N^2, N) and (N, N^2) factors P^H and T P of the Gabor matrix
+    P^H T P, with P = shift_bank(parseval_window); rows (k, .) of the matrix
+    are P^H[k*N:(k+1)*N] @ (T P), so it can be read one row block at a time."""
     T = np.asarray(T, dtype=complex)
     N = sys.N
     if T.shape != (N, N):
         raise ValueError("operator matrix and Gabor system moduli differ")
     P = shift_bank(sys.parseval_window)
-    return P.conj().T @ (T @ P)
+    return P.conj().T, T @ P
+
+
+def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
+    """Matrix of T in the Gabor coordinates of the Parseval window.
+
+    Entry (mu, lambda) = <T pi(lambda) gamma, pi(mu) gamma> with row/column
+    index (k, l) flattened as k*N + l.  For a Parseval system this matrix
+    intertwines T with the lattice STFT: V(T f) = M V(f).  It holds N^4
+    entries, so N^4 > MAX_CELLS raises ValueError before anything is built.
+    """
+    if sys.N**4 > MAX_CELLS:
+        raise ValueError(
+            f"the Gabor matrix at N = {sys.N} holds N^4 = {sys.N**4} entries, "
+            f"more than MAX_CELLS = {MAX_CELLS}"
+        )
+    Ph, TP = gabor_factors(T, sys)
+    return Ph @ TP
 
 
 def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = None) -> float:

@@ -104,6 +104,15 @@ def test_gabor_matrix_csv_shape(tmp_path):
     assert len(lines) == 5**4 + 1
 
 
+def test_gabor_matrix_size_budget(tmp_path, capsys):
+    # 67^4 > MAX_CELLS = 2^24: refused before the matrix is built
+    out = tmp_path / "o"
+    code = main(["gabor-matrix", "--N", "67", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "N^4 = 20151121" in config_error_detail(capsys)
+    assert not out.exists()
+
+
 def test_factorize_residuals(tmp_path):
     out = str(tmp_path / "run")
     code = main(
@@ -209,11 +218,12 @@ def seq1(entry) -> dict:
         seq1([0, 1, 0]),
         seq1([[0, 1], 1, 0]),
         seq1([[100000000], 0.1, 0]),
+        seq1([[0], 0.5, 0]),
     ],
     ids=[
         "non-numeric", "fractional-index", "nan", "inf", "no-dim", "no-entries",
         "fractional-dim", "zero-dim", "bool-dim", "entries-not-list", "short-entry",
-        "index-not-list", "index-length", "box-budget",
+        "index-not-list", "index-length", "box-budget", "repeated-index",
     ],
 )
 def test_bad_sequence_entry_is_config_error(tmp_path, capsys, sequence):
@@ -259,6 +269,31 @@ def test_seq_invert_two_dim_default_grid(tmp_path):
         assert main(["seq-invert", "--config", str(cfg), "--out", out]) == EXIT_OK
         results.append(read_report(out)["results"])
     assert results[0] == results[1]
+
+
+FAR_PAIR = {"dim": 1, "entries": [[[0], 1.0, 0.0], [[5000], 0.3, 0.0]]}
+
+
+def test_seq_invert_grid_narrower_than_support(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence": FAR_PAIR, "grid": 4096}))
+    out = tmp_path / "o"
+    assert main(["seq-invert", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "grid 4096 is not wider than the support box (5001,)" in config_error_detail(capsys)
+    assert not out.exists()
+
+
+def test_seq_invert_residual_gate(tmp_path, capsys):
+    # the default grid grows to 8192 > 5001, but the inverse (-0.3)^k at 5000 k
+    # still aliases on it: the residual is reported as a tolerance failure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence": FAR_PAIR}))
+    out = tmp_path / "o"
+    assert main(["seq-invert", "--config", str(cfg), "--out", str(out)]) == EXIT_TOLERANCE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "tolerance"
+    assert "8192^1 grid" in json.loads(err[0])["detail"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

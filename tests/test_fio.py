@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from gmlab import (
     NotInvertibleError,
     QParams,
     compose_check,
+    diagonal_envelope,
     envelope,
     factorize_fio,
     fio_report,
+    gabor_matrix,
     gabor_system,
     gaussian_window,
     invert_fio,
@@ -32,19 +35,18 @@ IDENTITY = np.eye(2, dtype=int)
 
 
 def brute_envelope(T, chi, sys):
+    """max over lambda of |<T pi(lambda) gamma, pi(chi lambda + mu) gamma>|, one
+    lambda at a time, with every inner product taken against every atom."""
     N = sys.N
     gamma = sys.parseval_window
+    atoms = np.array([[tf_shift((k, l), gamma) for l in range(N)] for k in range(N)])
+    mk, ml = np.arange(N)[:, None], np.arange(N)
     out = np.zeros((N, N))
     for lk in range(N):
         for ll in range(N):
-            moved = T @ tf_shift((lk, ll), gamma)
+            coeff = np.abs(atoms.conj() @ (T @ atoms[lk, ll]))
             ck, cl = symp_apply(chi, (lk, ll), N)
-            for mk in range(N):
-                for ml in range(N):
-                    val = abs(
-                        np.vdot(tf_shift(((ck + mk) % N, (cl + ml) % N), gamma), moved)
-                    )
-                    out[mk, ml] = max(out[mk, ml], val)
+            np.maximum(out, coeff[(ck + mk) % N, (cl + ml) % N], out=out)
     return out
 
 
@@ -59,15 +61,42 @@ def test_envelope_of_identity_is_window_autocorrelation():
     assert np.argmax(env.values) == 0
 
 
-CHIS = {"I": IDENTITY, "J": J_MAT, "shear": [[1, 1], [0, 1]], "cat": [[2, 1], [1, 1]]}
+CHIS = {
+    "I": IDENTITY,
+    "J": J_MAT,
+    "shear": [[1, 1], [0, 1]],
+    "cat": [[2, 1], [1, 1]],
+    "cat2": [[1, 2], [1, 3]],
+}
 
 
 @pytest.mark.parametrize("chi", list(CHIS.values()), ids=list(CHIS))
-@pytest.mark.parametrize("N", [5, 7])
+@pytest.mark.parametrize("N", [5, 7, 11, 31])
 def test_envelope_matches_brute_force(rng, N, chi):
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    assert_allclose(envelope(T, chi, sys).values, brute_envelope(T, chi, sys), atol=1e-12)
+    h = envelope(T, chi, sys).values
+    # the streamed kernel reads the same rows of the same product as the dense oracle
+    assert np.array_equal(h, diagonal_envelope(gabor_matrix(T, sys), chi))
+    assert_allclose(h, brute_envelope(T, chi, sys), atol=1e-12)
+
+
+def test_envelope_never_builds_the_gabor_matrix(rng):
+    N = 43  # the dense N^2 x N^2 Gabor matrix alone is 52 MiB
+    sys = gabor_system(gaussian_window(N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        envelope(T, CHIS["cat"], sys)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("value", [math.nan, 1e307])

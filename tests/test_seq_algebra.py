@@ -9,6 +9,7 @@ from gmlab import (
     ContractionError,
     QParams,
     SparseSeq,
+    ToleranceError,
     VanishingFourierError,
     convolve,
     fourier_series_eval,
@@ -345,6 +346,23 @@ def test_invert_by_fourier_two_dim():
     a = SparseSeq.delta(2) - 0.3 * SparseSeq.unit((1, 0)) - 0.2 * SparseSeq.unit((0, 1))
     res = invert_by_fourier(a, grid=128)
     assert res.residual < 1e-8
+
+
+def test_invert_by_fourier_grid_must_exceed_the_support_box():
+    a = DELTA1 + 1e-14 * SparseSeq.unit(5000)  # inverse delta - 1e-14 e_5000 + ...
+    with pytest.raises(ValueError, match="not wider than the support box"):
+        invert_by_fourier(a, grid=4096)
+    with pytest.raises(ValueError, match="not wider than the support box"):
+        invert_by_fourier(SparseSeq(2, {(0, 0): 1.0, (0, 300): 0.1}), grid=256)
+    res = invert_by_fourier(a)  # the default grid grows to 8192
+    assert res.seq == DELTA1
+    assert res.residual < 1e-13
+
+
+def test_invert_by_fourier_residual_gate():
+    # a cutoff of 0.2 keeps delta + 0.5 e_1 + 0.25 e_2, which leaves -0.125 e_3
+    with pytest.raises(ToleranceError, match="residual 1.250e-01"):
+        invert_by_fourier(DELTA1 - 0.5 * SparseSeq.unit(1), grid=64, decay_cutoff=0.2)
 
 
 def test_invert_by_fourier_grid_guard():

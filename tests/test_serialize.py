@@ -12,6 +12,13 @@ def test_seq_roundtrip():
     assert serialize.seq_from_json(obj) == a
 
 
+def test_seq_from_json_rejects_a_repeated_index():
+    # SparseSeq(dim, entries) adds repeats; the wire format refuses them
+    obj = {"dim": 1, "entries": [[[0], 1, 0], [[0], 0.5, 0], [[1], 0.2, 0]]}
+    with pytest.raises(ValueError, match=r"index \[0\] appears twice"):
+        serialize.seq_from_json(obj)
+
+
 def test_seq_json_shape():
     obj = serialize.seq_to_json(SparseSeq.unit((3, 4), 2.0 - 1.0j))
     assert obj == {"dim": 2, "entries": [[[3, 4], 2.0, -1.0]]}
