@@ -1,4 +1,7 @@
-"""Index arithmetic on the cyclic lattice Z_N and Z_N x Z_N."""
+"""Index arithmetic on the cyclic lattice Z_N and Z_N x Z_N, and the one
+weighted lq quasi-norm."""
+
+import math
 
 import numpy as np
 
@@ -20,9 +23,11 @@ def centered_radius(N):
 
 
 def radial_weight(axis, s):
-    """(n, n) array of (1 + |(a, b)|)**s over the points of axis x axis."""
+    """(n, n) array of (1 + |(a, b)|)**s over the points of axis x axis; a
+    weight beyond float range is infinite (weighted_qnorm rejects it)."""
     a = np.asarray(axis, dtype=float)
-    return (1.0 + np.hypot(a[:, None], a[None, :])) ** s
+    with np.errstate(over="ignore"):
+        return (1.0 + np.hypot(a[:, None], a[None, :])) ** s
 
 
 def lattice_weight(N, s):
@@ -30,14 +35,18 @@ def lattice_weight(N, s):
     return radial_weight(centered(np.arange(N), N), s)
 
 
-def lattice_qnorm(values, q, s):
-    """Weighted lq quasi-norm of a nonnegative (N, N) field indexed mod N.
+def weighted_qnorm(values, weight, q):
+    """(sum values**q * weight**q)**(1/q); ValueError, with no overflow
+    warning, when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sum(values**q * weight**q) ** (1.0 / q))
+    if not math.isfinite(norm):
+        raise ValueError("weighted quasi-norm is not finite (NaN or overflow)")
+    return norm
 
-    Computes (sum values**q * (1+|mu|)**(s*q))**(1/q) with mu running over
-    centered representatives of the N x N cyclic lattice.
-    """
+
+def lattice_qnorm(values, q, s):
+    """Weighted quasi-norm (sum values**q * (1+|mu|)**(s*q))**(1/q) of a
+    nonnegative (N, N) field on the centered representatives mu of Z_N^2."""
     values = np.asarray(values, dtype=float)
-    N = values.shape[0]
-    w = lattice_weight(N, s)
-    total = np.sum(values**q * w**q)
-    return float(total ** (1.0 / q))
+    return weighted_qnorm(values, lattice_weight(values.shape[0], s), q)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import radial_weight
+from ._lattice import radial_weight, weighted_qnorm
 from .errors import BOUND_SLACK, ToleranceError
-from .seq_algebra import QParams
+from .seq_algebra import MAX_CELLS, QParams
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.M < 4:
-            raise ValueError("need at least 4 samples per cell")
+        if self.R < 1 or self.M < 4:
+            raise ValueError(f"need R >= 1 and M >= 4 samples per cell, got {self.R}, {self.M}")
         side = 2 * self.R * self.M
         if self.values.shape != (side, side):
             raise ValueError(f"values must be {side} x {side}")
@@ -42,8 +42,14 @@ class SampledField:
         return -self.R + np.arange(2 * self.R * self.M) / self.M
 
 
+def _grid_budget(side: int) -> None:
+    if side**2 > MAX_CELLS:
+        raise ValueError(f"a {side} x {side} field grid holds more than {MAX_CELLS} cells")
+
+
 def sample_field(func, R: int = 8, M: int = 32) -> SampledField:
     """Sample a callable func(x, y) (vectorized) on the standard grid."""
+    _grid_budget(2 * R * M)
     ax = -R + np.arange(2 * R * M) / M
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return SampledField(R=R, M=M, values=np.asarray(func(X, Y)))
@@ -84,9 +90,7 @@ def cell_maxima(F: SampledField) -> np.ndarray:
 
 def amalgam_norm(F: SampledField, p: QParams) -> float:
     """Weighted lq sum of cell maxima; the sampled amalgam quasi-norm."""
-    cm = cell_maxima(F)
-    w = radial_weight(np.arange(-F.R, F.R), p.s)
-    return float(np.sum(cm**p.q * w**p.q) ** (1.0 / p.q))
+    return weighted_qnorm(cell_maxima(F), radial_weight(np.arange(-F.R, F.R), p.s), p.q)
 
 
 def refinement_gap(F: SampledField, p: QParams) -> float:
@@ -110,6 +114,7 @@ def convolve_fields(F: SampledField, G: SampledField) -> SampledField:
     """
     if F.R != G.R or F.M != G.M:
         raise ValueError("fields live on different grids")
+    _grid_budget(2 * F.values.shape[0])
     size = (2 * F.values.shape[0] - 1,) * 2  # linear, not cyclic, convolution
     conv = np.fft.ifft2(np.fft.fft2(F.values, size) * np.fft.fft2(G.values, size))
     if not (np.iscomplexobj(F.values) or np.iscomplexobj(G.values)):
@@ -151,6 +156,8 @@ def gl_invariance_check(F: SampledField, Mmat, p: QParams) -> GlInvariance:
     Mmat = np.asarray(Mmat, dtype=float)
     if Mmat.shape != (2, 2):
         raise ValueError("Mmat must be 2x2")
+    if not np.abs(Mmat).max() < 2.0**39 / F.R:  # image points below 2^40 (and finite)
+        raise ValueError(f"Mmat entries must be finite and below 2^39 / R, got {Mmat.tolist()}")
     det = float(np.linalg.det(Mmat))
     if abs(det) < 1e-12:
         raise ValueError("Mmat is singular")

@@ -7,7 +7,13 @@ Usage:
 
 Commands: gabor-matrix, envelope, compose, invert, factorize, amalgam,
 seq-invert, verify.  Options can also be given through a JSON config file;
-command-line flags override it.
+command-line flags override it.  The file may also hold the keys of one
+command (OPTIONS): compose chi2, symbol2; invert cond_tol; amalgam R,
+samples_per_cell, field, field2, matrices; seq-invert grid, decay_cutoff,
+sequence.  Every key is checked whichever command runs (only seq-invert
+parses a sequence object), so one valid file can serve several commands;
+a key that no command reads exits 2.  Numbers must be finite JSON numbers,
+integers where a count or an index is meant.
 
 Exit codes: 0 success, 2 invalid config, 3 operator not invertible,
 4 vanishing Fourier series, 5 numerical tolerance failure.
@@ -19,7 +25,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .errors import (
 from .metaplectic import metaplectic_operator, require_odd_prime, require_symplectic
 from .phase_space import gabor_system
 from .presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
-from .seq_algebra import QParams, invert_by_fourier
+from .seq_algebra import MAX_CELLS, QParams, invert_by_fourier
 from .weyl import gabor_matrix, weyl_quantize
 
 EXIT_OK = 0
@@ -45,125 +53,127 @@ EXIT_TOLERANCE = 5
 
 SCHEMA_VERSION = 1
 
-DEFAULT_MATRICES = [
-    [[1.0, 0.0], [0.0, 1.0]],
-    [[0.0, -1.0], [1.0, 0.0]],
-    [[2.0, 0.0], [0.0, 0.5]],
-    [[1.0, 1.0], [0.0, 1.0]],
-    [[0.8, -0.6], [0.6, 0.8]],
-]
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
-class ConfigError(ValueError):
-    pass
+def _preset(value, name: str):
+    """A preset or path (or an inline sequence object), resolved by its command."""
+    if not isinstance(value, (str, dict) if name == "sequence" else str):
+        raise ValueError(f"unknown {name} preset {value!r}")
+    return value
 
 
-@dataclass
+def _matrix(value, name: str, kind=int) -> list:
+    rows = value if isinstance(value, list) and len(value) == 2 else []
+    if not (rows and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+        raise ValueError(f"{name} must be a 2x2 matrix [[a, b], [c, d]], got {value!r}")
+    return [[serialize.number(v, name, kind) for v in row] for row in rows]
+
+
+def _matrices(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of 2x2 matrices, got {value!r}")
+    return [_matrix(m, name, float) for m in value]
+
+
+def _chi_flag(text: str) -> list:
+    try:
+        a, b, c, d = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects 'a,b,c,d', got {text!r}") from None
+    return [[a, b], [c, d]]
+
+
+_int = partial(serialize.number, kind=int)
+_float = serialize.number
+
+
+@dataclass(frozen=True)
+class Option:
+    """One outside value.  `read(value, name)` checks a given value and
+    returns it as the commands use it; `default` stands when it is not
+    given.  An option with a `flag` (its argparse type) is echoed in
+    report.json as read; the config keys of the others as given."""
+
+    read: Callable
+    default: object
+    flag: Callable | None = None
+    help: str | None = None
+
+
+OPTIONS = {
+    "N": Option(_int, 7, flag=int),
+    "q": Option(_float, 0.5, flag=float),
+    "s": Option(_float, 1.0, flag=float),
+    "chi": Option(_matrix, [[1, 0], [0, 1]], flag=_chi_flag, help="symplectic matrix 'a,b,c,d'"),
+    "window": Option(_string, "gaussian", flag=str, help="window preset or JSON path"),
+    "symbol": Option(_string, "near-identity", flag=str, help="symbol preset or JSON path"),
+    "out": Option(_string, ".", flag=str, help="output directory"),
+    "seed": Option(_int, 0, flag=int),
+    # compose
+    "chi2": Option(_matrix, [[1, 0], [0, 1]]),
+    "symbol2": Option(_string, None),  # None: the first symbol
+    # invert
+    "cond_tol": Option(_float, 1e12),
+    # amalgam
+    "R": Option(_int, 8),
+    "samples_per_cell": Option(_int, 32),
+    "field": Option(_preset, "gaussian"),
+    "field2": Option(_preset, "bump"),
+    "matrices": Option(_matrices, [
+        [[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.5]],
+        [[1.0, 1.0], [0.0, 1.0]], [[0.8, -0.6], [0.6, 0.8]],
+    ]),
+    # seq-invert
+    "grid": Option(_int, None),  # None: fitted to the support
+    "decay_cutoff": Option(_float, 1e-12),
+    "sequence": Option(_preset, "geometric"),
+}
+
+
 class ExperimentConfig:
-    command: str
-    N: int = 7
-    q: float = 0.5
-    s: float = 1.0
-    chi: list = field(default_factory=lambda: [[1, 0], [0, 1]])
-    window: str = "gaussian"
-    symbol: str = "near-identity"
-    out: str = "."
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
+    """Every option, as read, as an attribute (cfg.N, cfg.grid, ...); `extra`
+    keeps the config keys without a flag as given, for the report."""
 
-    @property
-    def qparams(self) -> QParams:
-        return QParams(self.q, self.s)
+    def __init__(self, command: str, values: dict, extra: dict):
+        self.__dict__.update(values, command=command, extra=extra)
+        self.qparams = QParams(self.q, self.s)
 
     def chi_mat(self) -> np.ndarray:
         return np.asarray(self.chi, dtype=int)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "N": self.N,
-            "q": self.q,
-            "s": self.s,
-            "chi": serialize.sympmat_to_json(self.chi_mat()),
-            "window": self.window,
-            "symbol": self.symbol,
-            "out": self.out,
-            "seed": self.seed,
-            "extra": self.extra,
-        }
-
-
-def _parse_chi(text: str) -> list:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--chi expects 'a,b,c,d', got {text!r}")
-    a, b, c, d = (int(v) for v in parts)
-    return [[a, b], [c, d]]
+        flags = {name: getattr(self, name) for name, opt in OPTIONS.items() if opt.flag}
+        return {"command": self.command, **flags, "extra": self.extra}
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    if args.config:
-        try:
-            raw = serialize.load_json(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        known = {"N", "q", "s", "chi", "window", "symbol", "out", "seed"}
-        for key, value in raw.items():
-            if key in known:
-                setattr(cfg, key, value)
-            else:
-                cfg.extra[key] = value
-    for name in ("N", "q", "s", "window", "symbol", "out", "seed"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if args.chi is not None:
-        cfg.chi = _parse_chi(args.chi)
-
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    try:
-        cfg.N = int(cfg.N)
-        cfg.q = float(cfg.q)
-        cfg.s = float(cfg.s)
-        cfg.seed = int(cfg.seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric option: {exc}") from exc
-    for key in ("window", "symbol", "out"):
-        if not isinstance(getattr(cfg, key), str):
-            raise ConfigError(f"{key} must be a string, got {getattr(cfg, key)!r}")
-    if not 0.0 < cfg.q <= 1.0:
-        raise ConfigError(f"q must lie in (0, 1], got {cfg.q}")
-    if cfg.s < 0:
-        raise ConfigError(f"s must be >= 0, got {cfg.s}")
-    needs_lattice = cfg.command in (
-        "gabor-matrix", "envelope", "compose", "invert", "factorize", "verify",
+    """Config file values overridden by flags, each read through OPTIONS."""
+    raw = serialize.load_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(raw) - set(OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(OPTIONS)}")
+    flags = {name: v for name, v in vars(args).items() if name in OPTIONS and v is not None}
+    given = {**raw, **flags}
+    values = {
+        name: opt.read(given[name], name) if name in given else opt.default
+        for name, opt in OPTIONS.items()
+    }
+    cfg = ExperimentConfig(
+        args.command, values, {k: v for k, v in raw.items() if not OPTIONS[k].flag}
     )
-    if needs_lattice:
-        try:
-            require_odd_prime(cfg.N)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            require_symplectic(cfg.chi_mat(), cfg.N)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def _extra_number(cfg: ExperimentConfig, key: str, default, kind=float):
-    """The `extra` field `key` as a finite `kind`, or `default` when absent;
-    bools, strings, NaN, infinity and fractions for an int are rejected."""
-    value = cfg.extra.get(key, default)
-    finite = serialize._finite_number(value) and abs(value) <= sys.float_info.max
-    if key in cfg.extra and not (finite and kind(value) == value):
-        raise ConfigError(f"{key} must be a finite {kind.__name__}, got {value!r}")
-    return value if value is None else kind(value)
+    if cfg.command in ("gabor-matrix", "envelope", "compose", "invert", "factorize", "verify"):
+        if cfg.N**2 > MAX_CELLS:  # before trial division and any N x N allocation
+            raise ValueError(f"N = {cfg.N}: an N x N operator holds more than {MAX_CELLS} cells")
+        require_odd_prime(cfg.N)
+        require_symplectic(cfg.chi_mat(), cfg.N)
+    return cfg
 
 
 def _seeded_system(cfg: ExperimentConfig):
@@ -188,25 +198,27 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
     """Write report.json and the per-dataset CSV files, all at once.
 
     datasets is a list of (name, filename, columns, text) tuples; nothing
-    is written until every payload has been rendered.
+    is written until every payload has been rendered and the report is
+    known to hold no NaN or infinity, which JSON cannot represent.
     """
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_json(),
+        "results": results,
+        "datasets": [
+            {"name": name, "file": fname, "columns": cols}
+            for name, fname, cols, _ in datasets
+        ],
+    }
     try:
-        os.makedirs(cfg.out, exist_ok=True)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_json(),
-            "results": results,
-            "datasets": [
-                {"name": name, "file": fname, "columns": cols}
-                for name, fname, cols, _ in datasets
-            ],
-        }
-        serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
-        for _, fname, _, text in datasets:
-            with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write outputs: {exc}") from exc
+        json.dumps(report, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"report.json cannot hold NaN or infinity ({exc})") from None
+    os.makedirs(cfg.out, exist_ok=True)
+    serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
+    for _, fname, _, text in datasets:
+        with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
+            fh.write(text)
 
 
 def _report_fields(rep: fio.FioReport) -> dict:
@@ -221,15 +233,10 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng))
     M = gabor_matrix(T, sys_)
-    datasets = [
-        (
-            "gabor_matrix",
-            "gabor_matrix.csv",
-            ["mu_k", "mu_l", "lam_k", "lam_l", "re", "im"],
-            serialize.gabor_csv(M, cfg.N),
-        )
-    ]
-    emit_report(cfg, {"operator_norm": float(np.linalg.norm(M, 2))}, datasets)
+    datasets = [("gabor_matrix", "gabor_matrix.csv", ["mu_k", "mu_l", "lam_k", "lam_l", "re", "im"],
+                 serialize.gabor_csv(M, cfg.N))]
+    # the Parseval window gives P P^H = I, so ||P^H T P||_2 = ||T||_2
+    emit_report(cfg, {"operator_norm": float(np.linalg.norm(T, 2))}, datasets)
     return EXIT_OK
 
 
@@ -249,16 +256,10 @@ def cmd_envelope(cfg: ExperimentConfig) -> int:
 def cmd_compose(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     chi1 = require_symplectic(cfg.chi_mat(), cfg.N)
-    chi2 = require_symplectic(
-        np.asarray(cfg.extra.get("chi2", [[1, 0], [0, 1]]), dtype=int), cfg.N
-    )
-    symbol2 = cfg.extra.get("symbol2", cfg.symbol)
-    T1 = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng)) @ metaplectic_operator(
-        chi1, cfg.N
-    )
-    T2 = weyl_quantize(resolve_symbol(symbol2, cfg.N, rng)) @ metaplectic_operator(
-        chi2, cfg.N
-    )
+    chi2 = require_symplectic(np.asarray(cfg.chi2, dtype=int), cfg.N)
+    symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
+    T1 = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng)) @ metaplectic_operator(chi1, cfg.N)
+    T2 = weyl_quantize(resolve_symbol(symbol2, cfg.N, rng)) @ metaplectic_operator(chi2, cfg.N)
     rep, ratio, env = fio.compose_check(T1, chi1, T2, chi2, sys_, cfg.qparams)
     datasets = [
         ("composite_envelope", "composite_envelope.csv", ["mu_k", "mu_l", "value"],
@@ -269,20 +270,15 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
 
 
 def cmd_invert(cfg: ExperimentConfig) -> int:
-    cond_tol = _extra_number(cfg, "cond_tol", 1e12)
     rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
-    _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cond_tol)
+    _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cfg.cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi_mat(), sys_), cfg.qparams)
     datasets = [
         ("inverse_envelope", "inverse_envelope.csv", ["mu_k", "mu_l", "value"],
          serialize.envelope_csv(env.values)),
     ]
-    emit_report(
-        cfg,
-        {"inverse": _report_fields(rep), "forward": _report_fields(forward)},
-        datasets,
-    )
+    emit_report(cfg, {"inverse": _report_fields(rep), "forward": _report_fields(forward)}, datasets)
     return EXIT_OK
 
 
@@ -299,37 +295,19 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
 
 
 def cmd_amalgam(cfg: ExperimentConfig) -> int:
-    R = _extra_number(cfg, "R", 8, int)
-    M = _extra_number(cfg, "samples_per_cell", 32, int)
-    F = resolve_field(cfg.extra.get("field", "gaussian"), R, M)
-    G = resolve_field(cfg.extra.get("field2", "bump"), R, M)
-    p = cfg.qparams
-    ratio = conv_embedding_check(F, G, p)
-    matrices = cfg.extra.get("matrices", DEFAULT_MATRICES)
-    gl_results = []
-    for mat in matrices:
-        res = gl_invariance_check(F, np.asarray(mat, dtype=float), p)
-        gl_results.append(
-            {
-                "matrix": [[float(v) for v in row] for row in mat],
-                "ratio": res.ratio,
-                "beta": res.beta,
-                "bound": res.bound,
-            }
-        )
-    emit_report(
-        cfg,
-        {"conv_embedding_ratio": ratio, "gl_invariance": gl_results},
-        [],
-    )
+    F = resolve_field(cfg.field, cfg.R, cfg.samples_per_cell)
+    G = resolve_field(cfg.field2, cfg.R, cfg.samples_per_cell)
+    ratio = conv_embedding_check(F, G, cfg.qparams)
+    gl_results = [
+        {"matrix": mat, **asdict(gl_invariance_check(F, np.asarray(mat, float), cfg.qparams))}
+        for mat in cfg.matrices
+    ]
+    emit_report(cfg, {"conv_embedding_ratio": ratio, "gl_invariance": gl_results}, [])
     return EXIT_OK
 
 
 def cmd_seq_invert(cfg: ExperimentConfig) -> int:
-    grid = _extra_number(cfg, "grid", None, int)
-    cutoff = _extra_number(cfg, "decay_cutoff", 1e-12)
-    a = resolve_sequence(cfg.extra.get("sequence", "geometric"))
-    result = invert_by_fourier(a, grid, cutoff)
+    result = invert_by_fourier(resolve_sequence(cfg.sequence), cfg.grid, cfg.decay_cutoff)
     results = {
         "residual_l1": result.residual,
         "decay_rate": result.decay_rate,
@@ -370,18 +348,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a one-line JSON diagnostic, like every bad input
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gml", description=__doc__)
+    parser = _Parser(prog="gml", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--N", type=int, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--s", type=float, default=None)
-    parser.add_argument("--chi", default=None, help="symplectic matrix 'a,b,c,d'")
-    parser.add_argument("--window", default=None, help="window preset or JSON path")
-    parser.add_argument("--symbol", default=None, help="symbol preset or JSON path")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
+    for name, opt in OPTIONS.items():
+        if opt.flag:
+            parser.add_argument(f"--{name}", type=opt.flag, help=opt.help)
     return parser
 
 
@@ -390,21 +368,11 @@ def _diagnostic(kind: str, detail: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed a message
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = build_config(args)
-    except (ConfigError, ValueError) as exc:
-        _diagnostic("config", str(exc))
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        _diagnostic("config", str(exc))
-        return EXIT_CONFIG
+        args = make_parser().parse_args(argv)
+        return COMMANDS[args.command](build_config(args))
+    except SystemExit:  # --help printed the usage
+        return EXIT_OK
     except (NotInvertibleError, ContractionError) as exc:
         _diagnostic("not-invertible", str(exc))
         return EXIT_NOT_INVERTIBLE
@@ -414,7 +382,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         _diagnostic("tolerance", str(exc))
         return EXIT_TOLERANCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad outside value, or an unreadable file
         _diagnostic("config", str(exc))
         return EXIT_CONFIG
 

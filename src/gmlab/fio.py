@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import centered_radius, lattice_weight
+from ._lattice import centered_radius, lattice_qnorm, lattice_weight
 from .errors import NotInvertibleError
 from .matrix_algebra import _row_block_envelope
 from .metaplectic import (
@@ -83,13 +83,9 @@ def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
     h = np.asarray(env.values, dtype=float)
     N = h.shape[0]
     radius = centered_radius(N)
-    weight = lattice_weight(N, p.s)
-    with np.errstate(over="ignore"):  # overflow is rejected below
-        mass = h**p.q * weight**p.q
-        total = float(mass.sum())
-        quasi_norm = float(np.float64(total) ** (1.0 / p.q))
-    if not math.isfinite(quasi_norm):
-        raise ValueError("envelope quasi-norm is not finite (NaN or overflow)")
+    quasi_norm = lattice_qnorm(h, p.q, p.s)
+    mass = h**p.q * lattice_weight(N, p.s) ** p.q  # finite, as its sum is
+    total = mass.sum()
     tail = float(mass[radius > N / 4.0].sum() / total) if total > 0 else 0.0
     return FioReport(
         quasi_norm=quasi_norm,
@@ -144,6 +140,8 @@ def invert_fio(
 
     Raises NotInvertibleError when the condition number reaches cond_tol.
     """
+    if not cond_tol >= 1.0:
+        raise ValueError(f"cond_tol must be >= 1, got {cond_tol}")
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)

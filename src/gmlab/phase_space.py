@@ -80,10 +80,11 @@ def gabor_system(window: np.ndarray) -> GaborSystem:
     window = np.asarray(window, dtype=complex)
     if window.ndim != 1:
         raise ValueError("window must be a 1-d complex vector")
-    energy = float(np.sum(np.abs(window) ** 2))
-    if energy == 0.0:
-        raise ValueError("window must be nonzero")
     N = window.shape[0]
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(np.abs(window) ** 2))
+    if not 0.0 < N * energy < np.inf:
+        raise ValueError(f"window must be nonzero and of finite energy, got {energy}")
     return GaborSystem(window=window, normalization=1.0 / np.sqrt(N * energy))
 
 
@@ -92,8 +93,9 @@ def gaussian_window(N: int, width: float = 1.0) -> np.ndarray:
     that N ||g||^2 = 1 (the Parseval normalization for the full lattice)."""
     t = np.arange(N, dtype=float)
     g = np.zeros(N)
-    for j in range(-8, 9):
-        g += np.exp(-np.pi * (t - j * N) ** 2 * width / N)
+    with np.errstate(over="ignore"):  # a huge width: exp(-inf) = 0
+        for j in range(-8, 9):
+            g += np.exp(-np.pi * (t - j * N) ** 2 * width / N)
     g /= np.sqrt(N * np.sum(g**2))
     return g.astype(complex)
 

@@ -23,19 +23,16 @@ def resolve_window(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
     'random') or a path to a JSON signal."""
     if os.path.exists(spec):
-        g = serialize.signal_from_json(serialize.load_json(spec))
-        if g.shape[0] != N:
-            raise ValueError(f"window file has length {g.shape[0]}, expected {N}")
-        return g
+        return serialize.signal_from_json(serialize.load_json(spec), N, "window file")
     if spec == "delta":
         return delta_window(N)
     if spec == "random":
-        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        return g
-    if spec.startswith("gaussian"):
-        width = 1.0
-        if ":" in spec:
-            width = float(spec.split(":", 1)[1])
+        return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    name, colon, width = spec.partition(":")
+    if name == "gaussian":
+        width = serialize.number(float(width) if colon else 1.0, "gaussian window width")
+        if width <= 0:
+            raise ValueError(f"gaussian window width must be > 0, got {width}")
         return gaussian_window(N, width)
     raise ValueError(f"unknown window preset {spec!r}")
 
@@ -50,10 +47,7 @@ def resolve_symbol(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
     """Symbol from a preset name ('one', 'gaussian-bump', 'near-identity',
     'random') or a path to a JSON field."""
     if os.path.exists(spec):
-        sigma = serialize.field_from_json(serialize.load_json(spec))
-        if sigma.shape != (N, N):
-            raise ValueError(f"symbol file has shape {sigma.shape}, expected ({N}, {N})")
-        return sigma
+        return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
     if spec == "one":
         return np.ones((N, N), dtype=complex)
     if spec == "gaussian-bump":
@@ -66,39 +60,32 @@ def resolve_symbol(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def load_field_csv(path: str) -> SampledField:
-    """Read a sampled field from CSV columns (x, y, value) on a regular grid."""
-    xs, ys, vals = [], [], []
+    """Read a sampled field from CSV columns (x, y, value) that hold every
+    point of the standard [-R, R)^2 grid once, in any order."""
     with open(path) as fh:
         header = fh.readline()
         if header.strip().lower() not in ("x,y,value", "x, y, value"):
             raise ValueError("field CSV must start with header 'x,y,value'")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            x, y, v = line.split(",")
-            xs.append(float(x))
-            ys.append(float(y))
-            vals.append(complex(v))
-    ax = np.unique(np.asarray(xs))
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    xy = np.array([[float(x), float(y)] for x, y, _ in rows]).reshape(-1, 2)
+    values = np.array([complex(v) for _, _, v in rows], dtype=complex)
+    ax = np.unique(xy[:, 0])
     n = ax.shape[0]
-    if n * n != len(vals):
+    if n < 2 or n * n != len(values) or not np.all(np.isfinite(ax)):
         raise ValueError("field CSV does not describe a full square grid")
-    step = ax[1] - ax[0]
-    M = round(1.0 / step)
-    R = round(-ax[0])
+    R = max(round(-ax[0]), 1)
+    M = n // (2 * R)
     if n != 2 * R * M or not np.allclose(ax, -R + np.arange(n) / M):
         raise ValueError("field CSV grid is not the standard [-R, R) grid")
-    values = np.zeros((n, n), dtype=complex)
-    ii = np.rint((np.asarray(xs) + R) * M).astype(int)
-    jj = np.rint((np.asarray(ys) + R) * M).astype(int)
-    values[ii, jj] = vals
-    return SampledField(R=R, M=M, values=values)
+    order = np.lexsort((xy[:, 1], xy[:, 0]))  # x-major, as values[i, j] is at (x_i, y_j)
+    if not np.allclose(xy[order], np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)):
+        raise ValueError("field CSV does not hold every point of its grid once")
+    return SampledField(R=R, M=M, values=values[order].reshape(n, n))
 
 
 def resolve_field(spec: str, R: int, M: int) -> SampledField:
     """Field from a preset name (gaussian, bump, chirped-gaussian) or CSV path."""
-    if spec in FIELD_PRESETS:
+    if isinstance(spec, str) and spec in FIELD_PRESETS:
         return sample_field(FIELD_PRESETS[spec], R=R, M=M)
     if isinstance(spec, str) and os.path.exists(spec):
         return load_field_csv(spec)

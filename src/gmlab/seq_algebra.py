@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lattice import weighted_qnorm
 from .errors import (
     INVERSE_RESIDUAL_TOL,
     ContractionError,
@@ -59,7 +60,10 @@ def weight_eval(lam, s: float) -> float:
     if s < 0.0:
         raise ValueError(f"weight order s must be >= 0, got {s}")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return float((1.0 + math.sqrt(float(np.dot(lam, lam)))) ** s)
+    try:
+        return float((1.0 + math.sqrt(float(np.dot(lam, lam)))) ** s)
+    except OverflowError:  # beyond float range; weighted_qnorm rejects it
+        return math.inf
 
 
 def _key(index, dim: int) -> tuple:
@@ -180,16 +184,16 @@ def _from_array(dim: int, lo, values: np.ndarray) -> SparseSeq:
 def qnorm(a: SparseSeq, p: QParams) -> float:
     """Weighted quasi-norm (sum |a(n)|^q (1+|n|)^(s q))**(1/q); 0 iff a = 0."""
     idx, vals = a._nonzeros()
-    weight = (1.0 + np.sqrt(np.square(idx).sum(axis=1))) ** p.s
-    total = np.sum(np.abs(vals) ** p.q * weight**p.q)
-    return float(total ** (1.0 / p.q))
+    with np.errstate(over="ignore"):  # weighted_qnorm rejects an infinite weight
+        weight = (1.0 + np.sqrt(np.square(idx).sum(axis=1))) ** p.s
+    return weighted_qnorm(np.abs(vals), weight, p.q)
 
 
 def qnorm_weighted(a: SparseSeq, q: float, weight) -> float:
     """Quasi-norm with an arbitrary positive weight function on indices, for
     checks that need reciprocal weights, which `weight_eval` rejects."""
-    total = sum(abs(v) ** q * weight(k) ** q for k, v in a.items())
-    return float(total ** (1.0 / q))
+    idx, vals = a._nonzeros()
+    return weighted_qnorm(np.abs(vals), np.array([weight(tuple(k)) for k in idx.tolist()]), q)
 
 
 def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
@@ -312,7 +316,10 @@ def invert_by_fourier(
     padded = _zeros((grid,) * m)
     idx, vals = a._nonzeros()
     np.add.at(padded, tuple(np.mod(idx, grid).T), vals)
-    samples = np.fft.ifftn(padded) * grid**m  # F a on the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.fft.ifftn(padded) * grid**m  # F a on the grid
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("the Fourier series of the sequence overflows")
     low = float(np.abs(samples).min())
     if low <= floor:
         raise VanishingFourierError(

@@ -5,6 +5,7 @@ Sequences:      {"dim": m, "entries": [[[n1, ..., nm], re, im], ...]}, m >= 1,
                 seq_algebra.MAX_CELLS cells
 Signals:        [[re, im], ...] of length N
 Fields:         row-major N x N array of [re, im] pairs
+                (re and im finite JSON numbers, never bools or strings)
 Symplectic:     [[a, b], [c, d]]
 Envelope CSV:   columns mu_k, mu_l, value (centered indices)
 Field CSV:      columns k, l, re, im
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 
 import numpy as np
 
@@ -31,9 +31,19 @@ def seq_to_json(a: SparseSeq) -> dict:
     return {"dim": a.dim, "entries": entries}
 
 
-def _finite_number(v) -> bool:
-    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-    return real and (isinstance(v, numbers.Integral) or math.isfinite(v))
+def number(value, what: str, kind=float):
+    """`value` as a finite `kind` (int or float), else ValueError naming
+    `what`: a real number, not a bool or a string, within float range, and
+    for int integral and within int64 range."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (kind is float or (value == int(value) and abs(value) < 2**63))
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float range
+        ok = False
+    if not ok:
+        name = "int64" if kind is int else "float"
+        raise ValueError(f"{what} must be a finite {name}, got {value!r}")
+    return kind(value)
 
 
 def seq_from_json(obj) -> SparseSeq:
@@ -41,39 +51,46 @@ def seq_from_json(obj) -> SparseSeq:
     or non-finite entries, fractional indices and a repeated index."""
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ValueError('a sequence must be an object with an "entries" list')
-    dim = obj.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+    dim = number(obj.get("dim"), "sequence dim", int)
+    if dim < 1:
         raise ValueError(f"sequence dim must be an integer >= 1, got {dim!r}")
+    entries = {}
     for entry in obj["entries"]:
         index = entry[0] if isinstance(entry, list) and len(entry) == 3 else None
         if not (isinstance(index, list) and len(index) == dim):
             raise ValueError(f"sequence entry {entry!r} is not [[{dim} integers], re, im]")
-        if not all(_finite_number(v) for v in (*index, *entry[1:])):
-            raise ValueError(f"sequence entry {entry!r} is not a finite number")
-        if any(v != int(v) for v in index):
-            raise ValueError(f"sequence index {index!r} is not an integer")
-    entries = {}
-    for idx, re, im in obj["entries"]:
-        if tuple(idx) in entries:
-            raise ValueError(f"sequence index {idx!r} appears twice")
-        entries[tuple(idx)] = complex(re, im)
+        key = tuple(number(v, f"sequence index {index!r}", int) for v in index)
+        re, im = (number(v, f"sequence entry {entry!r}") for v in entry[1:])
+        if key in entries:
+            raise ValueError(f"sequence index {index!r} appears twice")
+        entries[key] = complex(re, im)
     return SparseSeq(dim, entries)
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
+def _pairs_from_json(obj, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of `shape` (None: any length) from nested lists whose
+    innermost items are [re, im] pairs of finite JSON numbers."""
+    pairs = np.array(obj, dtype=object)  # ragged nesting gives fewer dimensions
+    want = (*shape, 2)
+    fits = pairs.ndim == len(want) and all(n in (None, m) for n, m in zip(want, pairs.shape))
+    if not (fits and set(map(type, pairs.flat)) <= {int, float}):
+        dims = ", ".join("n" if n is None else str(n) for n in want)
+        raise ValueError(f"{what} must be an array of [re, im] number pairs of shape ({dims})")
+    try:
+        values = pairs.astype(float)
+    except OverflowError:  # an integer beyond float range
+        values = np.inf
     if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite (no NaN or infinity)")
-    return values
+        raise ValueError(f"{what} values must be finite (no NaN or infinity)")
+    return values.view(complex)[..., 0]  # a view keeps the sign of every zero
 
 
-def signal_from_json(obj) -> np.ndarray:
-    return _finite(np.array([complex(re, im) for re, im in obj], dtype=complex))
+def signal_from_json(obj, N=None, what="signal") -> np.ndarray:
+    return _pairs_from_json(obj, (N,), what)
 
 
-def field_from_json(obj) -> np.ndarray:
-    return _finite(
-        np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
-    )
+def field_from_json(obj, N=None, what="field") -> np.ndarray:
+    return _pairs_from_json(obj, (N, N), what)
 
 
 def sympmat_to_json(chi: np.ndarray) -> list:
@@ -142,5 +159,9 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
+    """Parsed JSON file; malformed or too deeply nested JSON raises ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,43 @@ def test_chirped_gaussian_is_complex():
     F = sample_field(chirped_gaussian_field, R=4, M=8)
     assert np.iscomplexobj(F.values)
     assert amalgam_norm(F, P1) > 0
+
+
+@pytest.mark.parametrize("text", ["x,y,value\n", "x,y,value\n0,0,1\n"], ids=["header", "one-point"])
+def test_load_field_csv_needs_a_grid(tmp_path, text):
+    from gmlab.presets import load_field_csv
+
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="full square grid"):
+        load_field_csv(str(path))
+
+
+def test_field_grids_are_refused_above_the_cell_budget():
+    with pytest.raises(ValueError, match="more than 16777216 cells"):
+        sample_field(gaussian_field, R=100000, M=32)  # 298 TiB if it were allocated
+    F = SampledField(R=300, M=4, values=np.zeros((2400, 2400)))  # within the budget
+    with pytest.raises(ValueError, match="a 4800 x 4800 field grid"):
+        convolve_fields(F, F)  # the linear convolution grid is not
+
+
+def test_resolve_field_rejects_a_non_string():
+    from gmlab.presets import resolve_field
+
+    with pytest.raises(ValueError, match=r"unknown field preset \[1\]"):
+        resolve_field([1], 2, 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gl_invariance_rejects_a_matrix_beyond_the_grid():
+    F = sample_field(gaussian_field, R=2, M=4)
+    for entry in (1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Mmat entries must be finite"):
+            gl_invariance_check(F, [[entry, 0.0], [0.0, 1.0]], P1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_amalgam_norm_overflow_is_an_error():
+    F = sample_field(bump_field, R=8, M=4)
+    with pytest.raises(ValueError, match="not finite"):
+        amalgam_norm(F, QParams(0.5, 400.0))  # used to return NaN: 0 * inf weight

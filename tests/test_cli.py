@@ -333,3 +333,111 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def write(path, obj) -> str:
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+# Each outside value that used to run on a different number, read stdin, end
+# in a traceback or write NaN into report.json.  tmp is the test's directory.
+PROBES = {
+    "N-fraction": (["envelope"], {"N": 7.5}, "N must be a finite int64, got 7.5"),
+    "seed-fraction": (["envelope"], {"seed": 1.9}, "seed must be a finite int64, got 1.9"),
+    "chi-fraction": (["envelope"], {"chi": [[1.5, 0], [0, 1]]}, "chi must be a finite int64"),
+    "chi2-fraction": (["compose"], {"chi2": [[1.9, 0], [0, 1]]}, "chi2 must be a finite int64"),
+    "N-overflow": (["envelope"], '{"N": 1e400}', "N must be a finite int64, got inf"),
+    "seed-overflow": (["envelope"], '{"seed": 1e400}', "seed must be a finite int64, got inf"),
+    "symbol2-number": (["compose"], {"symbol2": 0}, "symbol2 must be a string, got 0"),
+    "unknown-key": (["seq-invert"], {"gird": 64}, "unknown config key 'gird'"),
+    "matrices-number": (["amalgam"], {"matrices": 5}, "matrices must be a list of 2x2"),
+    "window-numbers": (["envelope", "--window", "tmp/w.json"], {}, "window file must be"),
+    "window-strings": (["envelope", "--window", "tmp/s.json"], {}, "window file must be"),
+    "symbol-shallow": (["envelope", "--symbol", "tmp/shallow.json"], {}, "symbol file must be"),
+    "window-directory": (["envelope", "--window", "tmp"], {}, "Is a directory"),
+    "q-string": (["envelope"], {"q": "0.5"}, "q must be a finite float, got '0.5'"),
+    "amalgam-s400": (["amalgam", "--s", "400"], {}, "quasi-norm is not finite"),
+    "verify-s1000": (["verify", "--N", "5", "--s", "1000"], {}, "quasi-norm is not finite"),
+    "field-header-only": (["amalgam"], {"field": "tmp/h.csv"}, "full square grid"),
+    "field-one-point": (["amalgam"], {"field": "tmp/p.csv"}, "full square grid"),
+    "R-budget": (["amalgam"], {"R": 100000}, "field grid holds more than 16777216 cells"),
+    "field-list": (["amalgam"], {"field": [1]}, "unknown field preset [1]"),
+    "matrices-overflow": (
+        ["amalgam"], {"matrices": [[[1e308, 0], [0, 1e308]]]}, "Mmat entries must be finite"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_outside_value_probe_is_config_error(tmp_path, capsys, probe):
+    args, config, detail = PROBES[probe]
+    write(tmp_path / "w.json", [1, 2, 3, 4, 5, 6, 7])
+    write(tmp_path / "s.json", ["a", "b"])
+    write(tmp_path / "shallow.json", [[1.0, 0.0]] * 7)
+    write(tmp_path / "h.csv", "x,y,value\n")
+    write(tmp_path / "p.csv", "x,y,value\n0,0,1\n")
+
+    def fill(value):
+        return value.replace("tmp", str(tmp_path)) if isinstance(value, str) else value
+
+    if isinstance(config, dict):
+        config = {key: fill(value) for key, value in config.items()}
+    out = tmp_path / "o"
+    cfg = write(tmp_path / "c.json", config)
+    code = main([*map(fill, args), "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert detail in config_error_detail(capsys)
+    assert not out.exists()
+
+
+def test_config_shared_by_commands(tmp_path):
+    # keys of other commands are checked and echoed, not refused
+    cfg = write(tmp_path / "cfg.json", {"grid": 64, "chi2": [[1, 1], [0, 1]], "cond_tol": 1e10})
+    out = str(tmp_path / "run")
+    assert main(["envelope", "--N", "5", "--config", cfg, "--out", out]) == EXIT_OK
+    assert read_report(out)["config"]["extra"] == {"grid": 64, "chi2": [[1, 1], [0, 1]],
+                                                   "cond_tol": 1e10}
+
+
+def test_bad_flag_is_one_line_config_error(capsys):
+    assert main(["envelope", "--N", "7.5"]) == EXIT_CONFIG
+    assert "--N" in config_error_detail(capsys)
+    assert main(["envelope", "--chi", "1,0,1"]) == EXIT_CONFIG
+    assert "expects 'a,b,c,d'" in config_error_detail(capsys)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:0", "gaussian:-1", "gaussian:nan", "gaussianx"])
+def test_bad_gaussian_width_is_config_error(tmp_path, capsys, spec):
+    out = tmp_path / "o"
+    assert main(["envelope", "--N", "5", "--window", spec, "--out", str(out)]) == EXIT_CONFIG
+    assert "gaussian" in config_error_detail(capsys)
+    assert not out.exists()
+
+
+def test_gabor_matrix_operator_norm_is_the_dense_norm(tmp_path):
+    out = tmp_path / "run"
+    args = ["gabor-matrix", "--N", "5", "--window", "random", "--symbol", "random", "--seed", "4"]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    rows = np.loadtxt(out / "gabor_matrix.csv", delimiter=",", skiprows=1)
+    M = (rows[:, 4] + 1j * rows[:, 5]).reshape(25, 25)
+    dense = np.linalg.norm(M, 2)  # the singular value decomposition of the N^2 x N^2 matrix
+    assert read_report(str(out))["results"]["operator_norm"] == pytest.approx(dense, rel=1e-12)
+
+
+def test_lattice_size_budget(tmp_path, capsys):
+    # 2^31 - 1 is prime: it must be refused before any N x N array exists
+    out = tmp_path / "o"
+    assert main(["factorize", "--N", str(2**31 - 1), "--out", str(out)]) == EXIT_CONFIG
+    assert "an N x N operator holds more than 16777216 cells" in config_error_detail(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["field", "field2", "sequence", "symbol2", "cond_tol"])
+def test_keys_of_other_commands_are_checked(tmp_path, capsys, key):
+    out = tmp_path / "o"
+    cfg = write(tmp_path / "c.json", {key: [1]})
+    assert main(["envelope", "--N", "5", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert key in config_error_detail(capsys)
+    assert not out.exists()

@@ -171,6 +171,7 @@ def test_qnorm_against_weight_eval_sum(dim, q, s):
     a = random_sparse(np.random.default_rng(dim), dim=dim, size=10, box=5)
     expected = sum(abs(v) ** q * weight_eval(k, s) ** q for k, v in a.items()) ** (1 / q)
     assert qnorm(a, QParams(q, s)) == pytest.approx(expected, rel=1e-13)
+    assert qnorm_weighted(a, q, lambda k: weight_eval(k, s)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_duplicate_indices_add_and_zeros_leave_the_support():
@@ -368,3 +369,18 @@ def test_invert_by_fourier_residual_gate():
 def test_invert_by_fourier_grid_guard():
     with pytest.raises(ValueError):
         invert_by_fourier(SparseSeq.delta(2), grid=8192)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quasi_norm_overflow_is_an_error_not_a_warning():
+    from gmlab._lattice import lattice_qnorm, weighted_qnorm
+
+    a = SparseSeq(1, {(0,): 1.0, (300,): 1e-3})
+    with pytest.raises(ValueError, match="not finite"):
+        qnorm(a, QParams(1.0, 200.0))
+    assert weight_eval((300,), 200.0) == math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        qnorm_weighted(a, 1.0, lambda k: weight_eval(k, 200.0))
+    with pytest.raises(ValueError, match="not finite"):
+        lattice_qnorm(np.ones((5, 5)), 0.5, 1000.0)
+    assert weighted_qnorm(np.array([3.0, 4.0]), np.ones(2), 1.0) == 7.0

@@ -101,3 +101,50 @@ def test_complex_grid_csv_roundtrip(tmp_path):
     path.write_text(serialize.grid_csv(F))
     G = load_field_csv(str(path))
     assert_allclose(G.values, F.values, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "value, kind, expected",
+    [(3, int, 3), (7.0, int, 7), (2, float, 2.0), (-0.0, float, -0.0), (10**300, float, 1e300)],
+)
+def test_number_accepts_finite_reals(value, kind, expected):
+    got = serialize.number(value, "x", kind)
+    assert got == expected and type(got) is kind
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(True, int), (False, float), ("1", float), (None, int), ([1], int), (7.5, int),
+     (float("nan"), float), (float("inf"), int), (10**400, float), (10**400, int), (2**63, int)],
+)
+def test_number_rejects_everything_else(value, kind):
+    with pytest.raises(ValueError, match="x must be a finite (int64|float), got "):
+        serialize.number(value, "x", kind)
+
+
+def test_pair_reader_keeps_signed_zeros():
+    f = serialize.signal_from_json([[-0.0, 0.0], [0.0, -0.0], [1, -2]], 3)
+    assert np.array_equal(np.signbit(f.real), [True, False, False])
+    assert np.array_equal(np.signbit(f.imag), [False, True, True])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[1, 2, 3], [["a", "b"]] * 3, [[True, 0]] * 3, [[1, 2]] * 2, [[1, 2, 3]] * 3,
+     [[1, 2], [3, 4], [5]], [[[1, 2]]] * 3, {"re": 1}, "[[1, 2]]", [[1, None]] * 3],
+)
+def test_pair_reader_rejects_bad_shapes_and_items(obj):
+    with pytest.raises(ValueError, match=r"window must be an array of \[re, im\] number pairs"):
+        serialize.signal_from_json(obj, 3, "window")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400])
+def test_pair_reader_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        serialize.field_from_json([[[0, 0], [bad, 0]], [[0, 0], [0, 0]]], 2)
+
+
+def test_field_reader_checks_the_shape():
+    with pytest.raises(ValueError, match=r"shape \(3, 3, 2\)"):
+        serialize.field_from_json([[[0, 0]] * 3] * 2, 3)
+    assert serialize.field_from_json([[[0, 0]] * 3] * 2).shape == (2, 3)

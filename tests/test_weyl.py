@@ -252,3 +252,12 @@ def test_almost_diagonalization_envelope_decays():
     factor = max(norms) / min(norms)
     print(f"window-change factor for envelope quasi-norm: {factor:.4f}")
     assert factor < 3.0
+
+
+@pytest.mark.parametrize("N", [5, 11])
+def test_gabor_matrix_norm_is_the_operator_norm(rng, N):
+    # the Parseval window makes P^H an isometry: ||P^H T P||_2 = ||T||_2
+    window = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    dense = np.linalg.norm(gabor_matrix(T, gabor_system(window)), 2)
+    assert np.linalg.norm(T, 2) == pytest.approx(dense, rel=1e-12)
