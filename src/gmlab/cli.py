@@ -197,17 +197,18 @@ def _resolve_operator(cfg: ExperimentConfig, rng) -> np.ndarray:
 def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
     """Write report.json and the per-dataset CSV files, all at once.
 
-    datasets is a list of (name, filename, columns, text) tuples; nothing
-    is written until every payload has been rendered and the report is
-    known to hold no NaN or infinity, which JSON cannot represent.
+    datasets is a list of (name, filename, csv_text) tuples, whose columns
+    are read from the header line; nothing is written until every payload
+    has been rendered and the report is known to hold no NaN or infinity,
+    which JSON cannot represent.
     """
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),
         "results": results,
         "datasets": [
-            {"name": name, "file": fname, "columns": cols}
-            for name, fname, cols, _ in datasets
+            {"name": name, "file": fname, "columns": text.split("\n", 1)[0].split(",")}
+            for name, fname, text in datasets
         ],
     }
     try:
@@ -216,25 +217,16 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
         raise ValueError(f"report.json cannot hold NaN or infinity ({exc})") from None
     os.makedirs(cfg.out, exist_ok=True)
     serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
-    for _, fname, _, text in datasets:
+    for _, fname, text in datasets:
         with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
             fh.write(text)
-
-
-def _report_fields(rep: fio.FioReport) -> dict:
-    return {
-        "quasi_norm": rep.quasi_norm,
-        "tail_fraction": rep.tail_fraction,
-        "decay_exponent": rep.decay_exponent,
-    }
 
 
 def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng))
     M = gabor_matrix(T, sys_)
-    datasets = [("gabor_matrix", "gabor_matrix.csv", ["mu_k", "mu_l", "lam_k", "lam_l", "re", "im"],
-                 serialize.gabor_csv(M, cfg.N))]
+    datasets = [("gabor_matrix", "gabor_matrix.csv", serialize.gabor_csv(M, cfg.N))]
     # the Parseval window gives P P^H = I, so ||P^H T P||_2 = ||T||_2
     emit_report(cfg, {"operator_norm": float(np.linalg.norm(T, 2))}, datasets)
     return EXIT_OK
@@ -244,12 +236,8 @@ def cmd_envelope(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(cfg, rng)
     env = fio.envelope(T, cfg.chi_mat(), sys_)
-    rep = fio.fio_report(env, cfg.qparams)
-    datasets = [
-        ("envelope", "envelope.csv", ["mu_k", "mu_l", "value"],
-         serialize.envelope_csv(env.values)),
-    ]
-    emit_report(cfg, _report_fields(rep), datasets)
+    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(env.values))]
+    emit_report(cfg, asdict(fio.fio_report(env, cfg.qparams)), datasets)
     return EXIT_OK
 
 
@@ -261,11 +249,8 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
     T1 = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng)) @ metaplectic_operator(chi1, cfg.N)
     T2 = weyl_quantize(resolve_symbol(symbol2, cfg.N, rng)) @ metaplectic_operator(chi2, cfg.N)
     rep, ratio, env = fio.compose_check(T1, chi1, T2, chi2, sys_, cfg.qparams)
-    datasets = [
-        ("composite_envelope", "composite_envelope.csv", ["mu_k", "mu_l", "value"],
-         serialize.envelope_csv(env.values)),
-    ]
-    emit_report(cfg, {**_report_fields(rep), "quasi_norm_ratio": ratio}, datasets)
+    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(env.values))]
+    emit_report(cfg, {**asdict(rep), "quasi_norm_ratio": ratio}, datasets)
     return EXIT_OK
 
 
@@ -274,11 +259,8 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
     T = _resolve_operator(cfg, rng)
     _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cfg.cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi_mat(), sys_), cfg.qparams)
-    datasets = [
-        ("inverse_envelope", "inverse_envelope.csv", ["mu_k", "mu_l", "value"],
-         serialize.envelope_csv(env.values)),
-    ]
-    emit_report(cfg, {"inverse": _report_fields(rep), "forward": _report_fields(forward)}, datasets)
+    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(env.values))]
+    emit_report(cfg, {"inverse": asdict(rep), "forward": asdict(forward)}, datasets)
     return EXIT_OK
 
 
@@ -287,8 +269,8 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
     T = _resolve_operator(cfg, rng)
     sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi_mat(), sys_)
     datasets = [
-        ("sigma1", "sigma1.csv", ["k", "l", "re", "im"], serialize.field_csv(sigma1)),
-        ("sigma2", "sigma2.csv", ["k", "l", "re", "im"], serialize.field_csv(sigma2)),
+        ("sigma1", "sigma1.csv", serialize.field_csv(sigma1)),
+        ("sigma2", "sigma2.csv", serialize.field_csv(sigma2)),
     ]
     emit_report(cfg, {"residuals": residuals}, datasets)
     return EXIT_OK

@@ -177,19 +177,21 @@ def metaplectic_operator(chi, N: int) -> np.ndarray:
     return build_metaplectic(factor_generators(chi, N), N)
 
 
-def phase_align(U: np.ndarray, V: np.ndarray) -> complex:
-    """Unimodular c maximizing agreement of U with c V (Frobenius sense)."""
-    inner = complex(np.trace(V.conj().T @ U))
-    if inner == 0:
-        return 1.0 + 0j
-    return inner / abs(inner)
+def phase_align(U: np.ndarray, V: np.ndarray):
+    """Unimodular c maximizing agreement of U with c V (Frobenius sense), 1
+    where U is orthogonal to V; stacks (..., N, N) of U and V give the
+    array (...) of phases, one pair a complex scalar."""
+    inner = np.trace(V.conj().swapaxes(-2, -1) @ U, axis1=-2, axis2=-1)
+    size = np.abs(inner)
+    return np.divide(inner, size, out=np.ones_like(inner), where=size != 0)[()]
 
 
 def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float:
     """Worst-case deviation of U pi(z) U^-1 from a phase times pi(chi z).
 
-    Sweeps every z in the N x N lattice; for each, the unimodular phase is
-    chosen optimally before taking the operator-norm deviation.  U must be
+    Sweeps every z in the N x N lattice, one row (k, .) of N points at a
+    time; for each z, the unimodular phase is chosen optimally
+    (phase_align) before taking the operator-norm deviation.  U must be
     unitary.
     """
     N = sys.N
@@ -200,11 +202,12 @@ def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float:
     if np.linalg.norm(U.conj().T @ U - np.eye(N), 2) > 1e-8:
         raise ValueError("operator is not unitary")
     Uh = U.conj().T
+    l = np.arange(N)
     worst = 0.0
     for k in range(N):
-        for l in range(N):
-            conj = U @ tf_shift_matrix((k, l), N) @ Uh
-            target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
-            c = phase_align(conj, target)
-            worst = max(worst, float(np.linalg.norm(conj - c * target, 2)))
+        conj = U @ tf_shift_matrix((k, l), N) @ Uh
+        target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
+        c = phase_align(conj, target)[:, None, None]
+        defect = np.linalg.norm(conj - c * target, 2, axis=(-2, -1))
+        worst = max(worst, float(np.max(defect)))
     return worst

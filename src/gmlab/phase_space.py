@@ -28,10 +28,11 @@ def tf_shift(z, f: np.ndarray) -> np.ndarray:
 
 
 def tf_shift_matrix(z, N: int) -> np.ndarray:
-    """The N x N unitary matrix of pi(z)."""
-    k, l = (int(z[0]), int(z[1]))
-    t = np.arange(N)
-    return np.exp(2j * np.pi * l * t / N)[:, None] * np.roll(np.eye(N), k, axis=0)
+    """The N x N unitary matrix of pi(z); k and l of z = (k, l) may be
+    broadcasting index arrays, giving the stack (..., N, N) of matrices."""
+    k, l = (np.asarray(v, dtype=np.int64)[..., None, None] for v in z)
+    t = np.arange(N)[:, None]
+    return np.exp(2j * np.pi * l * t / N) * ((t - t.T - k) % N == 0)
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -101,7 +101,9 @@ class SparseSeq:
         except OverflowError as exc:
             raise ValueError(f"sequence index out of range: {exc}") from exc
         lo = idx.min(axis=0) if len(idx) else np.zeros(dim, np.int64)
-        values = _zeros(idx.max(axis=0) + 1 - lo if len(idx) else (0,) * dim)
+        hi = idx.max(axis=0) if len(idx) else lo - 1
+        # box widths in Python ints: in int64 they wrap for indices far apart
+        values = _zeros([h + 1 - o for h, o in zip(hi.tolist(), lo.tolist())])
         np.add.at(values, tuple((idx - lo).T), [complex(v) for _, v in items])
         self._store(dim, lo, values)
 

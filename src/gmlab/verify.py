@@ -1,13 +1,19 @@
 """Deterministic property suites behind the `verify` CLI command.
 
-Each suite draws its instances from an independently seeded generator,
-checks one family of inequalities or identities at fixed tolerances, and
-reports the number of checks with the worst violation seen.  Suites run
-in order; results are sorted by name before reporting.
+A suite is one generator `(N, p, rng) -> violations` that yields one
+violation per check: how far the checked quantity exceeds its bound (a
+negative number when it holds with room to spare).  The `_suite(name, tag,
+slack)` line above it registers the generator in `ALL_SUITES` and turns it
+into the runner `(N, p, seed) -> SuiteResult`: the runner draws from
+`default_rng([seed, tag])`, counts the checks and reports the worst
+violation (at least 0.0); the suite passes when that is at most `slack`.
+Suites run in definition order; results are sorted by name before
+reporting.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,8 +48,24 @@ class SuiteResult:
         return asdict(self)
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([seed, tag])
+ALL_SUITES: list = []
+
+
+def _suite(name: str, tag: int, slack: float = 0.0):
+    """Register the check generator below as the suite `name` (see above)."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def run(N: int, p: QParams, seed: int) -> SuiteResult:
+            worst, n = 0.0, 0
+            for violation in checks(N, p, np.random.default_rng([seed, tag])):
+                worst, n = max(worst, violation), n + 1
+            return SuiteResult(name, worst <= slack, n, worst)
+
+        ALL_SUITES.append(run)
+        return run
+
+    return register
 
 
 def random_sparse(rng, dim=2, size=6, box=3, scale=1.0) -> SparseSeq:
@@ -76,194 +98,144 @@ def _rel_excess(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(rhs))
 
 
-def suite_seq_young(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 1)
-    worst = 0.0
-    n = 40
-    for _ in range(n):
+def _complex_normal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@_suite("seq_young", 1, SUITE_SLACK)
+def suite_seq_young(N, p, rng):
+    for _ in range(40):
         a = random_sparse(rng)
         b = random_sparse(rng)
-        worst = max(
-            worst, _rel_excess(qnorm(convolve(a, b), p), qnorm(a, p) * qnorm(b, p))
-        )
-    return SuiteResult("seq_young", worst <= SUITE_SLACK, n, worst)
+        yield _rel_excess(qnorm(convolve(a, b), p), qnorm(a, p) * qnorm(b, p))
 
 
-def suite_seq_qtriangle(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 2)
-    worst = 0.0
-    n = 40
-    for _ in range(n):
+@_suite("seq_qtriangle", 2, SUITE_SLACK)
+def suite_seq_qtriangle(N, p, rng):
+    for _ in range(40):
         a = random_sparse(rng)
         b = random_sparse(rng)
-        worst = max(
-            worst,
-            _rel_excess(qnorm(a + b, p) ** p.q, qnorm(a, p) ** p.q + qnorm(b, p) ** p.q),
-        )
-    return SuiteResult("seq_qtriangle", worst <= SUITE_SLACK, n, worst)
+        yield _rel_excess(qnorm(a + b, p) ** p.q, qnorm(a, p) ** p.q + qnorm(b, p) ** p.q)
 
 
-def suite_seq_hoelder(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 3)
-    worst = 0.0
-    n = 40
-    for _ in range(n):
+@_suite("seq_hoelder", 3, SUITE_SLACK)
+def suite_seq_hoelder(N, p, rng):
+    for _ in range(40):
         a = random_sparse(rng)
         b = random_sparse(rng)
         lhs = qnorm_weighted(pointwise_product(a, b), p.q, lambda k: 1.0)
         rhs = qnorm_weighted(a, 2 * p.q, lambda k: weight_eval(k, p.s)) * (
             qnorm_weighted(b, 2 * p.q, lambda k: 1.0 / weight_eval(k, p.s))
         )
-        worst = max(worst, _rel_excess(lhs, rhs))
-    return SuiteResult("seq_hoelder", worst <= SUITE_SLACK, n, worst)
+        yield _rel_excess(lhs, rhs)
 
 
-def suite_seq_inclusion(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 4)
-    worst = 0.0
-    n = 40
-    for _ in range(n):
+@_suite("seq_inclusion", 4, SUITE_SLACK)
+def suite_seq_inclusion(N, p, rng):
+    for _ in range(40):
         a = random_sparse(rng)
-        worst = max(worst, _rel_excess(qnorm(a, QParams(1.0, p.s)), qnorm(a, p)))
-        worst = max(worst, _rel_excess(qnorm(a, p), qnorm(a, QParams(p.q / 2, p.s))))
-    return SuiteResult("seq_inclusion", worst <= SUITE_SLACK, n, worst)
+        yield max(
+            _rel_excess(qnorm(a, QParams(1.0, p.s)), qnorm(a, p)),
+            _rel_excess(qnorm(a, p), qnorm(a, QParams(p.q / 2, p.s))),
+        )
 
 
-def suite_seq_neumann(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 5)
-    worst = 0.0
-    n = 10
+@_suite("seq_neumann", 5, SUITE_SLACK)
+def suite_seq_neumann(N, p, rng):
     tol = 1e-10
     delta = SparseSeq.delta(2)
-    for _ in range(n):
+    for _ in range(10):
         x = random_sparse(rng, size=4, box=2)
         x = (0.5 / qnorm(x, p)) * x
         inv = neumann_inverse(x, p, tol)
-        worst = max(worst, qnorm(convolve(delta - x, inv) - delta, p) - tol)
+        residual = qnorm(convolve(delta - x, inv) - delta, p) - tol
         nx = qnorm(x, p)
         bound = nx**2 / (1.0 - nx**p.q) ** (1.0 / p.q)
-        worst = max(worst, qnorm(inv - delta - x, p) - bound * (1 + 1e-9))
-    return SuiteResult("seq_neumann", worst <= SUITE_SLACK, n, worst)
+        yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + 1e-9))
 
 
-def suite_seq_fourier(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 6)
-    worst = 0.0
-    checks = 0
+@_suite("seq_fourier_inverse", 6, SUITE_SLACK)
+def suite_seq_fourier(N, p, rng):
     for _ in range(4):
         tail = random_sparse(rng, dim=1, size=3, box=3)
         tail = (0.35 / qnorm(tail, QParams(1.0, 0.0))) * tail
-        a = SparseSeq.delta(1) - tail
-        res = invert_by_fourier(a, grid=4096)
-        worst = max(worst, res.residual - 1e-8)
-        checks += 1
+        yield invert_by_fourier(SparseSeq.delta(1) - tail, grid=4096).residual - 1e-8
     for bad in (
         SparseSeq.delta(1) - SparseSeq.unit(1),
         0.5 * SparseSeq.delta(1) + 0.5 * SparseSeq.unit(2),
     ):
         try:
             invert_by_fourier(bad, grid=4096)
-            worst = max(worst, 1.0)  # rejection expected
+            yield 1.0  # rejection expected
         except VanishingFourierError:
-            pass
-        checks += 1
-    return SuiteResult("seq_fourier_inverse", worst <= SUITE_SLACK, checks, worst)
+            yield 0.0
 
 
-def suite_frame_tight(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 7)
-    worst = 0.0
-    checks = 0
-    windows = [
-        delta_window(N),
-        gaussian_window(N),
-        rng.standard_normal(N) + 1j * rng.standard_normal(N),
-    ]
-    for g in windows:
+@_suite("frame_tight", 7)
+def suite_frame_tight(N, p, rng):
+    for g in [delta_window(N), gaussian_window(N), _complex_normal(rng, N)]:
         sys = gabor_system(g)
         a, b = frame_bounds(sys)
         target = N * float(np.sum(np.abs(g) ** 2))
-        worst = max(worst, abs(a - target) - 1e-10, abs(b - target) - 1e-10)
-        f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        yield max(abs(a - target) - 1e-10, abs(b - target) - 1e-10)
+        f = _complex_normal(rng, N)
         rec = synthesize(stft(f, sys.parseval_window), sys)
-        worst = max(worst, float(np.linalg.norm(rec - f)) - 1e-10)
-        checks += 2
-    return SuiteResult("frame_tight", worst <= 0.0, checks, worst)
+        yield float(np.linalg.norm(rec - f)) - 1e-10
 
 
-def suite_weyl_duality(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 8)
-    worst = 0.0
-    n = 10
-    for _ in range(n):
-        sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+@_suite("weyl_duality", 8)
+def suite_weyl_duality(N, p, rng):
+    for _ in range(10):
+        sigma = _complex_normal(rng, (N, N))
+        f = _complex_normal(rng, N)
+        g = _complex_normal(rng, N)
         lhs = complex(np.vdot(g, weyl_quantize(sigma) @ f))  # <Op f, g>
-        worst = max(worst, abs(lhs - duality_pairing(sigma, f, g)) - 1e-11)
-    return SuiteResult("weyl_duality", worst <= 0.0, n, worst)
+        yield abs(lhs - duality_pairing(sigma, f, g)) - 1e-11
 
 
-def suite_weyl_roundtrip(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 9)
-    worst = 0.0
-    n = 5
-    for _ in range(n):
-        sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        worst = max(
-            worst,
-            float(np.max(np.abs(weyl_dequantize(weyl_quantize(sigma)) - sigma)))
-            - 1e-12,
-        )
-    return SuiteResult("weyl_roundtrip", worst <= 0.0, n, worst)
+@_suite("weyl_roundtrip", 9)
+def suite_weyl_roundtrip(N, p, rng):
+    for _ in range(5):
+        sigma = _complex_normal(rng, (N, N))
+        yield float(np.max(np.abs(weyl_dequantize(weyl_quantize(sigma)) - sigma))) - 1e-12
 
 
-def suite_commutation(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 10)
+@_suite("weyl_commutation", 10)
+def suite_commutation(N, p, rng):
     sys = gabor_system(gaussian_window(N))
     gamma = sys.parseval_window
-    worst = 0.0
-    n = 10
-    for _ in range(n):
-        sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for _ in range(10):
+        sigma = _complex_normal(rng, (N, N))
+        f = _complex_normal(rng, N)
         T = weyl_quantize(sigma)
-        M = gabor_matrix(T, sys)
         lhs = stft(T @ f, gamma).ravel()
-        rhs = M @ stft(f, gamma).ravel()
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) - 1e-10)
-    return SuiteResult("weyl_commutation", worst <= 0.0, n, worst)
+        rhs = gabor_matrix(T, sys) @ stft(f, gamma).ravel()
+        yield float(np.linalg.norm(lhs - rhs)) - 1e-10
 
 
-def suite_cb_algebra(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 11)
-    worst = 0.0
-    n = 15
-    for _ in range(n):
+@_suite("cb_algebra", 11, SUITE_SLACK)
+def suite_cb_algebra(N, p, rng):
+    for _ in range(15):
         A = random_decaying_matrix(rng, N)
         B = random_decaying_matrix(rng, N)
-        worst = max(
-            worst, ma.cb_norm(A @ B, p) - ma.cb_norm(A, p) * ma.cb_norm(B, p)
-        )
-        dAB = ma.diagonal_envelope(A @ B)
+        AB = A @ B
         conv = ma.envelope_convolve(ma.diagonal_envelope(A), ma.diagonal_envelope(B))
-        worst = max(worst, float(np.max(dAB - conv)))
-    return SuiteResult("cb_algebra", worst <= SUITE_SLACK, n, worst)
+        yield max(
+            ma.cb_norm(AB, p) - ma.cb_norm(A, p) * ma.cb_norm(B, p),
+            float(np.max(ma.diagonal_envelope(AB) - conv)),
+        )
 
 
-def suite_cb_solidity(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 12)
-    worst = 0.0
-    n = 15
-    for _ in range(n):
+@_suite("cb_solidity", 12, SUITE_SLACK)
+def suite_cb_solidity(N, p, rng):
+    for _ in range(15):
         A = random_decaying_matrix(rng, N)
         Ap = A * rng.random(A.shape)  # entrywise dominated
-        worst = max(worst, ma.cb_norm(Ap, p) - ma.cb_norm(A, p))
-    return SuiteResult("cb_solidity", worst <= SUITE_SLACK, n, worst)
+        yield ma.cb_norm(Ap, p) - ma.cb_norm(A, p)
 
 
-def suite_metaplectic(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 13)
+@_suite("metaplectic", 13)
+def suite_metaplectic(N, p, rng):
     sys = gabor_system(gaussian_window(N))
     if N == 5:
         mats = [
@@ -276,86 +248,49 @@ def suite_metaplectic(N, p, seed) -> SuiteResult:
         ]
     else:
         mats = [random_sympmat(rng, N) for _ in range(30)]
-    worst = 0.0
     for chi in mats:
         word = mp.factor_generators(chi, N)
-        if not np.array_equal(mp.word_matrix(word, N), chi % N):
-            worst = max(worst, 1.0)
         U = mp.build_metaplectic(word, N)
-        worst = max(
-            worst,
+        yield max(
+            float(not np.array_equal(mp.word_matrix(word, N), chi % N)),
             float(np.linalg.norm(U.conj().T @ U - np.eye(N), 2)) - 1e-12,
             mp.intertwine_defect(chi, U, sys) - 1e-10,
         )
-    return SuiteResult("metaplectic", worst <= 0.0, len(mats), worst)
 
 
-def suite_fio_adjoint(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 14)
+@_suite("fio_adjoint", 14)
+def suite_fio_adjoint(N, p, rng):
     sys = gabor_system(gaussian_window(N))
-    worst = 0.0
-    n = 3
-    for _ in range(n):
-        T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    for _ in range(3):
+        T = _complex_normal(rng, (N, N))
         chi = random_sympmat(rng, N)
         h_fwd = fio.envelope(T, chi, sys).values
         h_adj = fio.envelope(T.conj().T, mp.symp_inverse(chi, N), sys).values
         h_back = fio.symbol_pullback(h_fwd, -chi, N)
-        worst = max(worst, float(np.max(np.abs(h_adj - h_back))) - 1e-10)
-    return SuiteResult("fio_adjoint", worst <= 0.0, n, worst)
+        yield float(np.max(np.abs(h_adj - h_back))) - 1e-10
 
 
-def suite_fio_factorize(N, p, seed) -> SuiteResult:
-    rng = _rng(seed, 15)
+@_suite("fio_factorize", 15)
+def suite_fio_factorize(N, p, rng):
     sys = gabor_system(gaussian_window(N))
-    worst = 0.0
-    n = 3
-    for _ in range(n):
+    for _ in range(3):
         chi = random_sympmat(rng, N)
-        sigma = 1.0 + 0.2 * (
-            rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        ) * gaussian_bump_symbol(N)
+        sigma = 1.0 + 0.2 * _complex_normal(rng, (N, N)) * gaussian_bump_symbol(N)
         T = weyl_quantize(sigma) @ mp.metaplectic_operator(chi, N)
         _, _, residuals = fio.factorize_fio(T, chi, sys)
-        worst = max(
-            worst, residuals["op_then_mu"] - 1e-9, residuals["mu_then_op"] - 1e-9
-        )
-    return SuiteResult("fio_factorize", worst <= 0.0, n, worst)
+        yield max(residuals["op_then_mu"] - 1e-9, residuals["mu_then_op"] - 1e-9)
 
 
-def suite_amalgam(N, p, seed) -> SuiteResult:
+@_suite("amalgam_basic", 16, SUITE_SLACK)  # draws nothing
+def suite_amalgam(N, p, rng):
     from .amalgam import SampledField, amalgam_norm, bump_field, gaussian_field, sample_field
 
-    worst = 0.0
     bump = sample_field(bump_field, R=4, M=8)
-    worst = max(worst, abs(amalgam_norm(bump, p) - 1.0) - 1e-12)
+    yield abs(amalgam_norm(bump, p) - 1.0) - 1e-12
     gauss = sample_field(gaussian_field, R=4, M=8)
     half = SampledField(R=gauss.R, M=gauss.M, values=0.5 * gauss.values)
-    worst = max(worst, amalgam_norm(half, p) - amalgam_norm(gauss, p))
-    worst = max(
-        worst, amalgam_norm(gauss, QParams(1.0, p.s)) - amalgam_norm(gauss, p)
-    )
-    return SuiteResult("amalgam_basic", worst <= SUITE_SLACK, 3, worst)
-
-
-ALL_SUITES = [
-    suite_seq_young,
-    suite_seq_qtriangle,
-    suite_seq_hoelder,
-    suite_seq_inclusion,
-    suite_seq_neumann,
-    suite_seq_fourier,
-    suite_frame_tight,
-    suite_weyl_duality,
-    suite_weyl_roundtrip,
-    suite_commutation,
-    suite_cb_algebra,
-    suite_cb_solidity,
-    suite_metaplectic,
-    suite_fio_adjoint,
-    suite_fio_factorize,
-    suite_amalgam,
-]
+    yield amalgam_norm(half, p) - amalgam_norm(gauss, p)
+    yield amalgam_norm(gauss, QParams(1.0, p.s)) - amalgam_norm(gauss, p)
 
 
 def run_all(N: int, p: QParams, seed: int) -> list[SuiteResult]:

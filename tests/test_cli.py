@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gmlab
+from gmlab import verify
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
@@ -32,6 +33,45 @@ def test_verify_passes(tmp_path):
     assert report["results"]["suite_count"] == len(report["results"]["suites"])
     for suite in report["results"]["suites"]:
         assert suite["passed"], suite
+
+
+SUITE_CHECKS = {  # all but metaplectic, whose count depends on N
+    "amalgam_basic": 3, "cb_algebra": 15, "cb_solidity": 15, "fio_adjoint": 3,
+    "fio_factorize": 3, "frame_tight": 6, "seq_fourier_inverse": 6, "seq_hoelder": 40,
+    "seq_inclusion": 40, "seq_neumann": 10, "seq_qtriangle": 40, "seq_young": 40,
+    "weyl_commutation": 10, "weyl_duality": 10, "weyl_roundtrip": 5,
+}
+
+
+@pytest.mark.parametrize("N, metaplectic_checks", [(5, 120), (7, 30)])
+def test_verify_suite_checks(tmp_path, N, metaplectic_checks):
+    """Suite names and check counts; at N = 5 `metaplectic` sweeps all of SL(2, Z_5)."""
+    out = str(tmp_path / "run")
+    assert main(["verify", "--N", str(N), "--out", out]) == EXIT_OK
+    expected = sorted({**SUITE_CHECKS, "metaplectic": metaplectic_checks}.items())
+    suites = read_report(out)["results"]["suites"]
+    assert [(r["name"], r["checks"]) for r in suites] == expected
+
+
+def test_verify_failing_suite_exits_tolerance(tmp_path, monkeypatch, capsys):
+    """One suite in place of the first: its registration appends it to the patched list."""
+    monkeypatch.setattr(verify, "ALL_SUITES", verify.ALL_SUITES[1:])
+
+    @verify._suite("always_fails", 99)
+    def suite_always_fails(N, p, rng):
+        yield 0.0
+        yield 1.0
+
+    out = str(tmp_path / "run")
+    assert main(["verify", "--N", "5", "--out", out]) == EXIT_TOLERANCE
+    results = read_report(out)["results"]
+    assert results["all_passed"] is False
+    assert results["suite_count"] == len(verify.ALL_SUITES) == 16
+    failed = [r for r in results["suites"] if not r["passed"]]
+    assert failed == [
+        {"name": "always_fails", "passed": False, "checks": 2, "max_violation": 1.0}
+    ]
+    assert "FAIL  always_fails  checks=2  max_violation=1.000e+00" in capsys.readouterr().out
 
 
 def test_seq_invert_default(tmp_path):
@@ -219,11 +259,12 @@ def seq1(entry) -> dict:
         seq1([[0, 1], 1, 0]),
         seq1([[100000000], 0.1, 0]),
         seq1([[0], 0.5, 0]),
+        {"dim": 1, "entries": [[[-(2**62)], 1.0, 0.0], [[2**62], 0.5, 0.0]]},
     ],
     ids=[
         "non-numeric", "fractional-index", "nan", "inf", "no-dim", "no-entries",
         "fractional-dim", "zero-dim", "bool-dim", "entries-not-list", "short-entry",
-        "index-not-list", "index-length", "box-budget", "repeated-index",
+        "index-not-list", "index-length", "box-budget", "repeated-index", "box-beyond-int64",
     ],
 )
 def test_bad_sequence_entry_is_config_error(tmp_path, capsys, sequence):

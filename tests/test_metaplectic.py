@@ -12,6 +12,7 @@ from gmlab import (
     phase_align,
     symp_apply,
     symp_inverse,
+    tf_shift_matrix,
     word_matrix,
 )
 from gmlab.metaplectic import J_MAT, require_odd_prime, require_symplectic
@@ -120,6 +121,36 @@ def test_intertwine_random(rng):
         chi = random_sympmat(rng, N)
         U = metaplectic_operator(chi, N)
         assert intertwine_defect(chi, U, sys) < 1e-10
+
+
+def per_point_intertwine_defect(chi, U, sys):
+    """Oracle: the sweep of intertwine_defect, one lattice point z at a time,
+    with the scalar optimal phase."""
+    N = sys.N
+    worst = 0.0
+    for k in range(N):
+        for l in range(N):
+            conj = U @ tf_shift_matrix((k, l), N) @ U.conj().T
+            target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
+            inner = complex(np.trace(target.conj().T @ conj))
+            c = inner / abs(inner) if inner else 1.0
+            worst = max(worst, float(np.linalg.norm(conj - c * target, 2)))
+    return worst
+
+
+@pytest.mark.parametrize("N", [5, 7, 11])
+def test_intertwine_matches_per_point_oracle(N):
+    rng = np.random.default_rng(N)
+    sys = gabor_system(gaussian_window(N))
+    chi = random_sympmat(rng, N)
+    U = metaplectic_operator(chi, N)
+    defect = intertwine_defect(chi, U, sys)
+    assert abs(defect - per_point_intertwine_defect(chi, U, sys)) < 1e-13
+    # a mismatched pair: U of the shear checked against J
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    mismatch = intertwine_defect(J_MAT, shear, sys)
+    assert mismatch > 1.0
+    assert_allclose(mismatch, per_point_intertwine_defect(J_MAT, shear, sys), rtol=1e-12)
 
 
 def test_intertwine_rejects_non_unitary():

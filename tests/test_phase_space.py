@@ -66,6 +66,20 @@ def test_shift_commutation_up_to_phase():
                     assert np.max(np.abs(composite - target)) < 1e-13
 
 
+@pytest.mark.parametrize("N", [5, 7, 11])
+def test_shift_matrix_stack_matches_single_shifts(N):
+    """A stack over index arrays holds, bit for bit, the matrix of each point,
+    which is the shift tf_shift applies (k and l taken mod N)."""
+    k, l = np.meshgrid(np.arange(-N, 2 * N), np.arange(-N, 2 * N), indexing="ij")
+    stack = tf_shift_matrix((k, l), N)
+    assert stack.shape == (*k.shape, N, N)
+    f = np.random.default_rng(N).standard_normal(N) + 0j
+    for z in zip(k.ravel().tolist(), l.ravel().tolist()):
+        single = tf_shift_matrix(z, N)
+        assert single.tobytes() == stack[z[0] + N, z[1] + N].tobytes()
+        assert_allclose(single @ f, tf_shift(z, f), atol=1e-14)
+
+
 def test_stft_delta_window_values():
     N = 5
     d = np.zeros(N, complex)
