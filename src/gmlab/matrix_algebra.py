@@ -48,16 +48,21 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
 def _row_block_envelope(row_block, N: int, chi=None) -> np.ndarray:
     """The envelope kernel: d(mu) = max_z |A[chi z + mu, z]| for a determinant-one
     chi, reading A only through row_block(rk) = A[rk*N:(rk+1)*N], its (N, N^2)
-    rows (rk, .), so A itself is never needed and the extra memory is O(N^3)."""
+    rows (rk, .), so A itself is never needed and the extra memory is O(N^3).
+
+    Row (rk, mu_l + j) meets the column z = chi^-1 (c, j) at mu = (rk - c, mu_l)
+    for every rk, so one flat index into a block,
+    [j, mu_l, c] = ((mu_l + j) mod N) N^2 + flat(chi^-1 (c, j)), serves every
+    block: e[mu_l, c] = max_j |block|[index] is d at mu = (rk - c, mu_l)."""
     chi_inv = symp_inverse(np.eye(2, dtype=int) if chi is None else chi, N)
     t = np.arange(N)
-    rows = (t[:, None] + t) % N  # [mu_l, j]: row (rk, mu_l + j) of the block
+    zk, zl = symp_apply(chi_inv, (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
+    index = ((t[:, None] + t) % N * N * N)[:, :, None] + (zk * N + zl)[:, None, :]
     d = np.zeros((N, N))
     for rk in range(N):
-        # row (rk, mu_l + j) = chi z + mu for the column z = chi^-1 (rk - mu_k, j)
-        zk, zl = symp_apply(chi_inv, ((rk - t[:, None]) % N, t), N)
-        slab = np.abs(row_block(rk))[rows, (zk * N + zl)[:, None, :]]
-        np.maximum(d, slab.max(axis=2), out=d)
+        # every index is in range: "clip" only skips the bounds check
+        e = np.take(np.abs(row_block(rk)), index, mode="clip").max(axis=0)
+        np.maximum(d, e[:, (rk - t) % N].T, out=d)
     return d
 
 

@@ -84,6 +84,12 @@ def _box(offset, shape) -> tuple:
     return tuple(slice(o, o + n) for o, n in zip(offset, shape))
 
 
+def _ends(a: "SparseSeq") -> list:
+    """Box ends lo + shape of a sequence in Python ints: in int64 the end of a
+    box holding 2**63 - 1 wraps."""
+    return [o + n for o, n in zip(a.lo.tolist(), a.values.shape)]
+
+
 class SparseSeq:
     """Finitely supported complex sequence on Z^m: values[j] is the entry at
     lo + j, over a box trimmed to the support, so two sequences are equal iff
@@ -158,7 +164,7 @@ class SparseSeq:
         if not (self.values.size and other.values.size):
             return self if self.values.size else other
         lo = np.minimum(self.lo, other.lo)
-        out = _zeros(np.maximum(self.lo + self.values.shape, other.lo + other.values.shape) - lo)
+        out = _zeros([max(e, f) - o for e, f, o in zip(_ends(self), _ends(other), lo.tolist())])
         for seq in (self, other):
             out[_box(seq.lo - lo, seq.values.shape)] += seq.values
         return _from_array(self.dim, lo, out)
@@ -203,7 +209,7 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     lo = np.maximum(a.lo, b.lo)
-    shape = np.maximum(np.minimum(a.lo + a.values.shape, b.lo + b.values.shape) - lo, 0)
+    shape = [max(min(e, f) - o, 0) for e, f, o in zip(_ends(a), _ends(b), lo.tolist())]
     product = a.values[_box(lo - a.lo, shape)] * b.values[_box(lo - b.lo, shape)]
     return _from_array(a.dim, lo, product)
 
@@ -219,10 +225,13 @@ def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     if not small.values.size:
         return small
     out = _zeros(np.add(small.values.shape, big.values.shape) - 1)
+    lo = [o + p for o, p in zip(a.lo.tolist(), b.lo.tolist())]  # Python ints: may leave int64
+    if min(lo) < -(2**63) or max(o + n for o, n in zip(lo, out.shape)) > 2**63:
+        raise ValueError(f"sequence index out of range: the box at {lo} leaves int64")
     nz = np.nonzero(small.values)
     for offset, v in zip(np.stack(nz, axis=-1), small.values[nz]):
         out[_box(offset, big.values.shape)] += v * big.values
-    return _from_array(a.dim, a.lo + b.lo, out)
+    return _from_array(a.dim, np.array(lo, np.int64), out)
 
 
 def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:

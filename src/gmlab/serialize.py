@@ -105,25 +105,26 @@ def _fmt(x: float) -> str:
 def envelope_csv(values: np.ndarray) -> str:
     """CSV of an (N, N) nonnegative field indexed mod N, on centered mu."""
     values = np.asarray(values)
-    N = values.shape[0]
+    mu = centered(np.arange(values.shape[0]), values.shape[0]).tolist()
     lines = ["mu_k,mu_l,value"]
-    for k in range(N):
-        for l in range(N):
-            lines.append(
-                f"{int(centered(k, N))},{int(centered(l, N))},{_fmt(values[k, l])}"
-            )
+    for mu_k, row in zip(mu, values.tolist()):
+        lines.extend(f"{mu_k},{mu_l},{_fmt(v)}" for mu_l, v in zip(mu, row))
     return "\n".join(lines) + "\n"
+
+
+def _complex_csv(header: str, M: np.ndarray, labels: list) -> str:
+    """CSV lines `{labels[row]}{labels[col]}{re},{im}` of a square complex
+    matrix, formatted one matrix row at a time from tolist(): no cell becomes
+    a numpy scalar, and only one row's cell strings are alive at a time."""
+    blocks = [header]
+    for row, values in zip(labels, np.asarray(M, dtype=complex)):
+        cells = zip(labels, values.real.tolist(), values.imag.tolist())
+        blocks.append("\n".join([f"{row}{col}{re!r},{im!r}" for col, re, im in cells]))
+    return "\n".join(blocks) + "\n"
 
 
 def field_csv(field: np.ndarray) -> str:
-    field = np.asarray(field, dtype=complex)
-    N = field.shape[0]
-    lines = ["k,l,re,im"]
-    for k in range(N):
-        for l in range(N):
-            v = field[k, l]
-            lines.append(f"{k},{l},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(np.shape(field)[0])])
 
 
 def grid_csv(F) -> str:
@@ -140,16 +141,8 @@ def grid_csv(F) -> str:
 
 
 def gabor_csv(M: np.ndarray, N: int) -> str:
-    M = np.asarray(M, dtype=complex)
-    lines = ["mu_k,mu_l,lam_k,lam_l,re,im"]
-    for row in range(N * N):
-        for col in range(N * N):
-            v = M[row, col]
-            lines.append(
-                f"{row // N},{row % N},{col // N},{col % N},"
-                f"{_fmt(v.real)},{_fmt(v.imag)}"
-            )
-    return "\n".join(lines) + "\n"
+    labels = [f"{k},{l}," for k in range(N) for l in range(N)]
+    return _complex_csv("mu_k,mu_l,lam_k,lam_l,re,im", M, labels)
 
 
 def dump_json(obj, path) -> None:

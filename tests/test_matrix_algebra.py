@@ -9,6 +9,7 @@ from gmlab import (
     cb_norm,
     convolution_matrix,
     diagonal_envelope,
+    envelope,
     envelope_convolve,
     gabor_matrix,
     gabor_system,
@@ -17,8 +18,10 @@ from gmlab import (
     pseudo_inverse,
     weyl_quantize,
 )
+from gmlab.metaplectic import symp_apply, symp_inverse
 from gmlab.presets import gaussian_bump_symbol
 from gmlab.verify import random_decaying_matrix
+from gmlab.weyl import gabor_factors
 
 
 def test_envelope_of_identity():
@@ -54,6 +57,48 @@ def test_envelope_matches_brute_force(rng, chi):
             ml = (row % N - (c * zk + e * zl)) % N
             brute[mk, ml] = max(brute[mk, ml], abs(A[row, col]))
     assert_allclose(d, brute)
+
+
+def two_array_gather_envelope(row_block, N, chi=None):
+    """The envelope kernel before its fixed gather index: per row block, the
+    column table chi^-1 (rk - mu_k, j) and a two-array gather of the slab."""
+    chi_inv = symp_inverse(np.eye(2, dtype=int) if chi is None else chi, N)
+    t = np.arange(N)
+    rows = (t[:, None] + t) % N  # [mu_l, j]: row (rk, mu_l + j) of the block
+    d = np.zeros((N, N))
+    for rk in range(N):
+        zk, zl = symp_apply(chi_inv, ((rk - t[:, None]) % N, t), N)
+        slab = np.abs(row_block(rk))[rows, (zk * N + zl)[:, None, :]]
+        np.maximum(d, slab.max(axis=2), out=d)
+    return d
+
+
+CHIS = {
+    "None": None,
+    "I": [[1, 0], [0, 1]],
+    "J": [[0, 1], [-1, 0]],
+    "shear": [[1, 1], [0, 1]],
+    "cat": [[2, 1], [1, 1]],
+    "cat2": [[1, 2], [1, 3]],
+}
+
+
+@pytest.mark.parametrize("chi", list(CHIS.values()), ids=list(CHIS))
+@pytest.mark.parametrize("N", [5, 7, 11, 31])
+def test_envelope_kernel_matches_two_array_gather(rng, N, chi):
+    A = rng.standard_normal((N * N, N * N)) + 1j * rng.standard_normal((N * N, N * N))
+    oracle = two_array_gather_envelope(lambda rk: A[rk * N:(rk + 1) * N], N, chi)
+    assert np.array_equal(diagonal_envelope(A, chi), oracle)
+
+
+@pytest.mark.parametrize("chi", list(CHIS.values())[1:], ids=list(CHIS)[1:])
+@pytest.mark.parametrize("N", [31, 43])
+def test_fio_envelope_matches_two_array_gather(rng, N, chi):
+    sys = gabor_system(gaussian_window(N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    Ph, TP = gabor_factors(T, sys)
+    oracle = two_array_gather_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
+    assert np.array_equal(envelope(T, chi, sys).values, oracle)
 
 
 def test_envelope_rejects_nonsquare():

@@ -190,6 +190,33 @@ def test_box_budget():
         SparseSeq.delta(1) + far
 
 
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
+def test_sum_at_the_int64_corners_is_refused_not_wrapped():
+    # the box from -2**63 to 2**63 - 1 is 2**64 cells wide: int64 wrapped it to one mass
+    with pytest.raises(ValueError, match="cells"):
+        SparseSeq.unit(I64_MAX) + SparseSeq.unit(I64_MIN)
+    edge = SparseSeq.unit(I64_MAX) + SparseSeq.unit(I64_MAX - 1, 2.0)
+    assert edge.items() == [((I64_MAX - 1,), 2.0), ((I64_MAX,), 1.0)]
+
+
+def test_convolution_beyond_int64_is_out_of_range():
+    for a, b in [(2**62, 2**62), (I64_MIN, -1), ((0, 2**62), (1, 2**62))]:
+        with pytest.raises(ValueError, match="sequence index out of range"):
+            convolve(SparseSeq.unit(a), SparseSeq.unit(b))
+    top = convolve(SparseSeq.unit(2**62), SparseSeq.unit(2**62 - 1, 3.0))
+    assert top.items() == [((I64_MAX,), 3.0)]
+    bottom = convolve(SparseSeq.unit(-(2**62)), SparseSeq.unit(-(2**62)))
+    assert bottom.items() == [((I64_MIN,), 1.0)]
+
+
+def test_pointwise_product_at_the_int64_corner():
+    a = SparseSeq(1, {(I64_MAX - 1,): 1.0, (I64_MAX,): 2.0})
+    assert pointwise_product(a, SparseSeq.unit(I64_MAX, 3.0)) == SparseSeq.unit(I64_MAX, 6.0)
+    assert len(pointwise_product(SparseSeq.unit(I64_MIN), a)) == 0
+
+
 # ---------------------------------------------------------------- quasi-algebra inequalities
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gmlab import SparseSeq, serialize
+from gmlab._lattice import centered
 
 
 def test_seq_roundtrip():
@@ -148,3 +149,54 @@ def test_field_reader_checks_the_shape():
     with pytest.raises(ValueError, match=r"shape \(3, 3, 2\)"):
         serialize.field_from_json([[[0, 0]] * 3] * 2, 3)
     assert serialize.field_from_json([[[0, 0]] * 3] * 2).shape == (2, 3)
+
+
+# The per-cell writers the row-at-a-time ones replaced: one numpy scalar and
+# one Python string per cell.
+def per_cell_envelope_csv(values):
+    N = values.shape[0]
+    lines = ["mu_k,mu_l,value"]
+    for k in range(N):
+        for l in range(N):
+            lines.append(f"{int(centered(k, N))},{int(centered(l, N))},{repr(float(values[k, l]))}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_field_csv(field):
+    N = field.shape[0]
+    lines = ["k,l,re,im"]
+    for k in range(N):
+        for l in range(N):
+            v = field[k, l]
+            lines.append(f"{k},{l},{repr(float(v.real))},{repr(float(v.imag))}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_gabor_csv(M, N):
+    lines = ["mu_k,mu_l,lam_k,lam_l,re,im"]
+    for row in range(N * N):
+        for col in range(N * N):
+            v = M[row, col]
+            lines.append(
+                f"{row // N},{row % N},{col // N},{col % N},"
+                f"{repr(float(v.real))},{repr(float(v.imag))}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 0.1, 1.0, 1e16, 1e-5, 123456.789]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 6])
+def test_row_writers_match_per_cell_writers(rng, N):
+    M = rng.standard_normal((N * N, N * N)) + 1j * rng.standard_normal((N * N, N * N))
+    M *= 10.0 ** rng.integers(-300, 300, M.shape)
+    flat = M.reshape(-1)
+    edges = np.array(EDGE_VALUES)
+    n = min(flat.size, edges.size)
+    flat[:n] = edges[:n] + 1j * edges[::-1][:n]
+    field = M[:N, :N]
+    assert serialize.gabor_csv(M, N) == per_cell_gabor_csv(M, N)
+    assert serialize.field_csv(field) == per_cell_field_csv(field)
+    assert serialize.envelope_csv(np.abs(field)) == per_cell_envelope_csv(np.abs(field))
+    assert serialize.envelope_csv(field.real) == per_cell_envelope_csv(field.real)
