@@ -70,7 +70,6 @@ from .metaplectic import (
     word_matrix,
 )
 from .fio import (
-    FioEnvelope,
     FioReport,
     compose_check,
     envelope,

@@ -143,9 +143,6 @@ class ExperimentConfig:
         self.__dict__.update(values, command=command, extra=extra)
         self.qparams = QParams(self.q, self.s)
 
-    def chi_mat(self) -> np.ndarray:
-        return np.asarray(self.chi, dtype=int)
-
     def to_json(self) -> dict:
         flags = {name: getattr(self, name) for name, opt in OPTIONS.items() if opt.flag}
         return {"command": self.command, **flags, "extra": self.extra}
@@ -172,7 +169,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if cfg.N**2 > MAX_CELLS:  # before trial division and any N x N allocation
             raise ValueError(f"N = {cfg.N}: an N x N operator holds more than {MAX_CELLS} cells")
         require_odd_prime(cfg.N)
-        require_symplectic(cfg.chi_mat(), cfg.N)
+        require_symplectic(cfg.chi, cfg.N)
     return cfg
 
 
@@ -183,32 +180,34 @@ def _seeded_system(cfg: ExperimentConfig):
     return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 
-def _resolve_operator(cfg: ExperimentConfig, rng) -> np.ndarray:
-    """Weyl operator of the configured symbol times the metaplectic unitary
-    of the configured map (identity chi contributes nothing)."""
-    sigma = resolve_symbol(cfg.symbol, cfg.N, rng)
-    T = weyl_quantize(sigma)
-    chi = require_symplectic(cfg.chi_mat(), cfg.N)
+def _resolve_operator(symbol: np.ndarray, chi) -> np.ndarray:
+    """Op(symbol) U_chi: the Weyl operator of an (N, N) symbol times the
+    metaplectic unitary of chi (identity chi contributes nothing)."""
+    N = symbol.shape[0]
+    T = weyl_quantize(symbol)
+    chi = require_symplectic(chi, N)
     if not np.array_equal(chi, np.eye(2, dtype=int)):
-        T = T @ metaplectic_operator(chi, cfg.N)
+        T = T @ metaplectic_operator(chi, N)
     return T
 
 
 def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
-    """Write report.json and the per-dataset CSV files, all at once.
+    """Write report.json, then each dataset's CSV file one block at a time.
 
-    datasets is a list of (name, filename, csv_text) tuples, whose columns
-    are read from the header line; nothing is written until every payload
-    has been rendered and the report is known to hold no NaN or infinity,
-    which JSON cannot represent.
+    datasets is a list of (name, filename, csv_blocks) tuples, csv_blocks
+    an iterator of text blocks whose first is the header line the columns
+    are read from.  Nothing is written until the report is known to hold
+    no NaN or infinity, which JSON cannot represent.
     """
+    blocks = [iter(csv) for _, _, csv in datasets]
+    headers = [next(csv) for csv in blocks]
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),
         "results": results,
         "datasets": [
-            {"name": name, "file": fname, "columns": text.split("\n", 1)[0].split(",")}
-            for name, fname, text in datasets
+            {"name": name, "file": fname, "columns": header.rstrip("\n").split(",")}
+            for (name, fname, _), header in zip(datasets, headers)
         ],
     }
     try:
@@ -217,9 +216,10 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
         raise ValueError(f"report.json cannot hold NaN or infinity ({exc})") from None
     os.makedirs(cfg.out, exist_ok=True)
     serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
-    for _, fname, text in datasets:
+    for (_, fname, _), header, csv in zip(datasets, headers, blocks):
         with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
-            fh.write(text)
+            fh.write(header)
+            fh.writelines(csv)
 
 
 def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
@@ -234,40 +234,38 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
 
 def cmd_envelope(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    T = _resolve_operator(cfg, rng)
-    env = fio.envelope(T, cfg.chi_mat(), sys_)
-    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(env.values))]
-    emit_report(cfg, asdict(fio.fio_report(env, cfg.qparams)), datasets)
+    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    h = fio.envelope(T, cfg.chi, sys_)
+    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(h))]
+    emit_report(cfg, asdict(fio.fio_report(h, cfg.qparams)), datasets)
     return EXIT_OK
 
 
 def cmd_compose(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    chi1 = require_symplectic(cfg.chi_mat(), cfg.N)
-    chi2 = require_symplectic(np.asarray(cfg.chi2, dtype=int), cfg.N)
     symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
-    T1 = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng)) @ metaplectic_operator(chi1, cfg.N)
-    T2 = weyl_quantize(resolve_symbol(symbol2, cfg.N, rng)) @ metaplectic_operator(chi2, cfg.N)
-    rep, ratio, env = fio.compose_check(T1, chi1, T2, chi2, sys_, cfg.qparams)
-    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(env.values))]
+    T1 = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    T2 = _resolve_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
+    rep, ratio, h12 = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
+    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(h12))]
     emit_report(cfg, {**asdict(rep), "quasi_norm_ratio": ratio}, datasets)
     return EXIT_OK
 
 
 def cmd_invert(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    T = _resolve_operator(cfg, rng)
-    _, rep, env = fio.invert_fio(T, cfg.chi_mat(), sys_, cfg.qparams, cfg.cond_tol)
-    forward = fio.fio_report(fio.envelope(T, cfg.chi_mat(), sys_), cfg.qparams)
-    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(env.values))]
+    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    _, rep, h_inv = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
+    forward = fio.fio_report(fio.envelope(T, cfg.chi, sys_), cfg.qparams)
+    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(h_inv))]
     emit_report(cfg, {"inverse": asdict(rep), "forward": asdict(forward)}, datasets)
     return EXIT_OK
 
 
 def cmd_factorize(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    T = _resolve_operator(cfg, rng)
-    sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi_mat(), sys_)
+    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi, sys_)
     datasets = [
         ("sigma1", "sigma1.csv", serialize.field_csv(sigma1)),
         ("sigma2", "sigma2.csv", serialize.field_csv(sigma2)),

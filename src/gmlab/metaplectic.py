@@ -64,25 +64,24 @@ def symp_inverse(chi, N: int) -> np.ndarray:
     return np.array([[d, -b], [-c, a]], dtype=int) % N
 
 
-def chirp_mat(C: int) -> np.ndarray:
-    return np.array([[1, 0], [C, 1]], dtype=int)
-
-
-def dilate_mat(a: int, N: int) -> np.ndarray:
-    a = a % N
-    if a == 0:
-        raise ValueError("Dilate(0) is singular")
-    return np.array([[pow(a, -1, N), 0], [0, a]], dtype=int) % N
-
-
-def token_matrix(token: Token, N: int) -> np.ndarray:
-    kind = token[0]
+def _generator(token: Token, N: int):
+    """The 2x2 matrix mod N of one generator token, and a function that
+    builds its unitary on C^N: the normalized DFT for J, the diagonal chirp
+    exp(2 pi i h C t^2 / N) with h = (N+1)/2 for Chirp(C), and the
+    permutation f(t) -> f(a t mod N) for Dilate(a)."""
+    kind, t = token[0], np.arange(N)
     if kind == "J":
-        return J_MAT % N
+        return J_MAT % N, lambda: np.exp(-2j * np.pi * np.outer(t, t) / N) / np.sqrt(N)
     if kind == "chirp":
-        return chirp_mat(int(token[1])) % N
+        C = int(token[1])  # unreduced in the exponent, as given
+        shear = np.array([[1, 0], [C, 1]], dtype=int) % N
+        return shear, lambda: np.diag(np.exp(2j * np.pi * half_inverse(N) * C * t * t / N))
     if kind == "dilate":
-        return dilate_mat(int(token[1]), N)
+        a = int(token[1]) % N
+        if np.gcd(a, N) != 1:
+            raise ValueError(f"dilation factor {a} is not invertible mod {N}")
+        dilate = np.array([[pow(a, -1, N), 0], [0, a]], dtype=int) % N
+        return dilate, lambda: np.eye(N, dtype=complex)[(a * t) % N]
     raise ValueError(f"unknown generator token {token!r}")
 
 
@@ -90,7 +89,7 @@ def word_matrix(word, N: int) -> np.ndarray:
     """Product of the generator matrices in word order, reduced mod N."""
     out = np.eye(2, dtype=int)
     for token in word:
-        out = (out @ token_matrix(token, N)) % N
+        out = (out @ _generator(token, N)[0]) % N
     return out % N
 
 
@@ -129,46 +128,12 @@ def factor_generators(chi, N: int) -> list[Token]:
     return word
 
 
-def dft_matrix(N: int) -> np.ndarray:
-    """Unitary DFT (1/sqrt(N)) exp(-2 pi i x y / N): the operator of J."""
-    x = np.arange(N)
-    return np.exp(-2j * np.pi * np.outer(x, x) / N) / np.sqrt(N)
-
-
-def chirp_operator(C: int, N: int) -> np.ndarray:
-    """Diagonal chirp exp(2 pi i h C t^2 / N) with h = (N+1)/2."""
-    h = half_inverse(N)
-    t = np.arange(N)
-    return np.diag(np.exp(2j * np.pi * h * C * t * t / N))
-
-
-def dilate_operator(a: int, N: int) -> np.ndarray:
-    """Permutation f(t) -> f(a t mod N); a must be invertible mod N."""
-    a = a % N
-    if a == 0:
-        raise ValueError("Dilate(0) is singular")
-    if np.gcd(a, N) != 1:
-        raise ValueError(f"dilation factor {a} is not invertible mod {N}")
-    t = np.arange(N)
-    U = np.zeros((N, N), dtype=complex)
-    U[t, (a * t) % N] = 1.0
-    return U
-
-
 def build_metaplectic(word, N: int) -> np.ndarray:
     """Unitary operator of a generator word, composed in word order."""
     require_odd_prime(N)
     U = np.eye(N, dtype=complex)
     for token in word:
-        kind = token[0]
-        if kind == "J":
-            U = U @ dft_matrix(N)
-        elif kind == "chirp":
-            U = U @ chirp_operator(int(token[1]), N)
-        elif kind == "dilate":
-            U = U @ dilate_operator(int(token[1]), N)
-        else:
-            raise ValueError(f"unknown generator token {token!r}")
+        U = U @ _generator(token, N)[1]()
     return U
 
 

@@ -1,4 +1,7 @@
-"""Named windows, symbols, fields, and sequences used by the CLI and demos."""
+"""Named windows, symbols, fields, and sequences used by the CLI and demos.
+
+Each resolver reads its spec as a preset name first and as a path only when
+it names no preset, so a file called like a preset never replaces it."""
 
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ def delta_window(N: int) -> np.ndarray:
 def resolve_window(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
     'random') or a path to a JSON signal."""
-    if os.path.exists(spec):
-        return serialize.signal_from_json(serialize.load_json(spec), N, "window file")
     if spec == "delta":
         return delta_window(N)
     if spec == "random":
@@ -34,6 +35,8 @@ def resolve_window(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
         if width <= 0:
             raise ValueError(f"gaussian window width must be > 0, got {width}")
         return gaussian_window(N, width)
+    if os.path.exists(spec):
+        return serialize.signal_from_json(serialize.load_json(spec), N, "window file")
     raise ValueError(f"unknown window preset {spec!r}")
 
 
@@ -46,8 +49,6 @@ def gaussian_bump_symbol(N: int) -> np.ndarray:
 def resolve_symbol(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
     """Symbol from a preset name ('one', 'gaussian-bump', 'near-identity',
     'random') or a path to a JSON field."""
-    if os.path.exists(spec):
-        return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
     if spec == "one":
         return np.ones((N, N), dtype=complex)
     if spec == "gaussian-bump":
@@ -56,6 +57,8 @@ def resolve_symbol(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
         return 1.0 + 0.1 * gaussian_bump_symbol(N)
     if spec == "random":
         return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    if os.path.exists(spec):
+        return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
     raise ValueError(f"unknown symbol preset {spec!r}")
 
 

@@ -12,13 +12,16 @@ Field CSV:      columns k, l, re, im
 Gabor CSV:      columns mu_k, mu_l, lam_k, lam_l, re, im
 
 All writers emit rows in a fixed order so identical inputs produce
-byte-identical files.
+byte-identical files.  The envelope, field and Gabor writers yield their
+header line, then one block of lines per matrix row, so a file can be
+written one row at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -93,37 +96,30 @@ def field_from_json(obj, N=None, what="field") -> np.ndarray:
     return _pairs_from_json(obj, (N, N), what)
 
 
-def sympmat_to_json(chi: np.ndarray) -> list:
-    chi = np.asarray(chi, dtype=int)
-    return [[int(chi[0, 0]), int(chi[0, 1])], [int(chi[1, 0]), int(chi[1, 1])]]
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def envelope_csv(values: np.ndarray) -> str:
+def envelope_csv(values: np.ndarray) -> Iterator[str]:
     """CSV of an (N, N) nonnegative field indexed mod N, on centered mu."""
     values = np.asarray(values)
     mu = centered(np.arange(values.shape[0]), values.shape[0]).tolist()
-    lines = ["mu_k,mu_l,value"]
+    yield "mu_k,mu_l,value\n"
     for mu_k, row in zip(mu, values.tolist()):
-        lines.extend(f"{mu_k},{mu_l},{_fmt(v)}" for mu_l, v in zip(mu, row))
-    return "\n".join(lines) + "\n"
+        yield "".join([f"{mu_k},{mu_l},{_fmt(v)}\n" for mu_l, v in zip(mu, row)])
 
 
-def _complex_csv(header: str, M: np.ndarray, labels: list) -> str:
+def _complex_csv(header: str, M: np.ndarray, labels: list) -> Iterator[str]:
     """CSV lines `{labels[row]}{labels[col]}{re},{im}` of a square complex
     matrix, formatted one matrix row at a time from tolist(): no cell becomes
     a numpy scalar, and only one row's cell strings are alive at a time."""
-    blocks = [header]
+    yield header + "\n"
     for row, values in zip(labels, np.asarray(M, dtype=complex)):
         cells = zip(labels, values.real.tolist(), values.imag.tolist())
-        blocks.append("\n".join([f"{row}{col}{re!r},{im!r}" for col, re, im in cells]))
-    return "\n".join(blocks) + "\n"
+        yield "".join([f"{row}{col}{re!r},{im!r}\n" for col, re, im in cells])
 
 
-def field_csv(field: np.ndarray) -> str:
+def field_csv(field: np.ndarray) -> Iterator[str]:
     return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(np.shape(field)[0])])
 
 
@@ -140,7 +136,7 @@ def grid_csv(F) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gabor_csv(M: np.ndarray, N: int) -> str:
+def gabor_csv(M: np.ndarray, N: int) -> Iterator[str]:
     labels = [f"{k},{l}," for k in range(N) for l in range(N)]
     return _complex_csv("mu_k,mu_l,lam_k,lam_l,re,im", M, labels)
 

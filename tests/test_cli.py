@@ -482,3 +482,20 @@ def test_keys_of_other_commands_are_checked(tmp_path, capsys, key):
     assert main(["envelope", "--N", "5", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert key in config_error_detail(capsys)
     assert not out.exists()
+
+
+def test_presets_win_over_files_of_the_same_name(tmp_path, monkeypatch):
+    # files named like the presets, holding a window and a symbol that are not them
+    crowded, empty = tmp_path / "crowded", tmp_path / "empty"
+    crowded.mkdir()
+    empty.mkdir()
+    write(crowded / "delta", [[1.0, 0.5]] * 7)
+    write(crowded / "one", [[[0.0, 1.0]] * 7] * 7)
+    envelopes = []
+    for cwd in (crowded, empty):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out-{cwd.name}"
+        args = ["envelope", "--N", "7", "--window", "delta", "--symbol", "one", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        envelopes.append((out / "envelope.csv").read_bytes())
+    assert envelopes[0] == envelopes[1]

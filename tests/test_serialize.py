@@ -39,16 +39,9 @@ def test_field_roundtrip():
     assert [[[v.real, v.imag] for v in row] for row in field] == obj
 
 
-def test_sympmat_roundtrip():
-    chi = np.array([[2, 1], [1, 1]])
-    obj = serialize.sympmat_to_json(chi)
-    assert obj == [[2, 1], [1, 1]]
-    assert np.array_equal(np.asarray(obj), chi)
-
-
 def test_envelope_csv_layout():
     values = np.arange(9, dtype=float).reshape(3, 3)
-    text = serialize.envelope_csv(values)
+    text = "".join(serialize.envelope_csv(values))
     lines = text.strip().split("\n")
     assert lines[0] == "mu_k,mu_l,value"
     assert len(lines) == 10
@@ -60,7 +53,7 @@ def test_envelope_csv_layout():
 
 def test_field_csv_layout():
     field = np.array([[1 + 2j, 0], [0, -1j]])
-    lines = serialize.field_csv(field).strip().split("\n")
+    lines = "".join(serialize.field_csv(field)).strip().split("\n")
     assert lines[0] == "k,l,re,im"
     assert lines[1] == "0,0,1.0,2.0"
     assert len(lines) == 5
@@ -69,7 +62,7 @@ def test_field_csv_layout():
 def test_gabor_csv_layout():
     N = 2  # layout only; no modular arithmetic involved
     M = np.arange(16, dtype=complex).reshape(4, 4)
-    lines = serialize.gabor_csv(M, N).strip().split("\n")
+    lines = "".join(serialize.gabor_csv(M, N)).strip().split("\n")
     assert lines[0] == "mu_k,mu_l,lam_k,lam_l,re,im"
     assert len(lines) == 17
     assert lines[1] == "0,0,0,0,0.0,0.0"
@@ -78,7 +71,7 @@ def test_gabor_csv_layout():
 
 def test_writers_are_deterministic(rng):
     field = rng.standard_normal((4, 4))
-    assert serialize.envelope_csv(field) == serialize.envelope_csv(field.copy())
+    assert list(serialize.envelope_csv(field)) == list(serialize.envelope_csv(field.copy()))
 
 
 def test_sampled_field_grid_csv_roundtrip(tmp_path):
@@ -196,7 +189,20 @@ def test_row_writers_match_per_cell_writers(rng, N):
     n = min(flat.size, edges.size)
     flat[:n] = edges[:n] + 1j * edges[::-1][:n]
     field = M[:N, :N]
-    assert serialize.gabor_csv(M, N) == per_cell_gabor_csv(M, N)
-    assert serialize.field_csv(field) == per_cell_field_csv(field)
-    assert serialize.envelope_csv(np.abs(field)) == per_cell_envelope_csv(np.abs(field))
-    assert serialize.envelope_csv(field.real) == per_cell_envelope_csv(field.real)
+    assert "".join(serialize.gabor_csv(M, N)) == per_cell_gabor_csv(M, N)
+    assert "".join(serialize.field_csv(field)) == per_cell_field_csv(field)
+    assert "".join(serialize.envelope_csv(np.abs(field))) == per_cell_envelope_csv(np.abs(field))
+    assert "".join(serialize.envelope_csv(field.real)) == per_cell_envelope_csv(field.real)
+
+
+def test_row_writers_yield_the_header_then_one_block_per_row(rng):
+    N = 3
+    M = rng.standard_normal((N * N, N * N)) + 0j
+    for blocks, rows, header in [
+        (serialize.envelope_csv(np.abs(M[:N, :N])), N, "mu_k,mu_l,value\n"),
+        (serialize.field_csv(M[:N, :N]), N, "k,l,re,im\n"),
+        (serialize.gabor_csv(M, N), N * N, "mu_k,mu_l,lam_k,lam_l,re,im\n"),
+    ]:
+        blocks = list(blocks)
+        assert blocks[0] == header and len(blocks) == 1 + rows
+        assert all(b.endswith("\n") and b.count("\n") == rows for b in blocks[1:])
