@@ -34,7 +34,7 @@ print(f"projective agreement (|c| = {abs(c):.12f}): "
       f"{np.max(np.abs(U - c * U2)):.3e}")
 
 # The envelope of U relative to chi is one reproducing-kernel bump
-h = g.envelope(U, chi, sys)
+env = g.envelope(U, chi, sys)
 gamma = sys.parseval_window
 print(f"\nenvelope equals |V(U gamma)|: "
-      f"{np.max(np.abs(h - np.abs(g.stft(U @ gamma, gamma)))):.3e}")
+      f"{np.max(np.abs(env.values - np.abs(g.stft(U @ gamma, gamma)))):.3e}")

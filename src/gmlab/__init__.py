@@ -70,6 +70,7 @@ from .metaplectic import (
     word_matrix,
 )
 from .fio import (
+    FioEnvelope,
     FioReport,
     compose_check,
     envelope,

@@ -194,20 +194,20 @@ def _resolve_operator(symbol: np.ndarray, chi) -> np.ndarray:
 def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
     """Write report.json, then each dataset's CSV file one block at a time.
 
-    datasets is a list of (name, filename, csv_blocks) tuples, csv_blocks
-    an iterator of text blocks whose first is the header line the columns
-    are read from.  Nothing is written until the report is known to hold
-    no NaN or infinity, which JSON cannot represent.
+    datasets is a list of (name, filename, csv) tuples, csv either the whole
+    text or an iterable of text blocks; the columns are read from the header
+    line that starts the first block.  Nothing is written until the report
+    is known to hold no NaN or infinity, which JSON cannot represent.
     """
-    blocks = [iter(csv) for _, _, csv in datasets]
-    headers = [next(csv) for csv in blocks]
+    blocks = [iter([csv] if isinstance(csv, str) else csv) for _, _, csv in datasets]
+    firsts = [next(csv) for csv in blocks]
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_json(),
         "results": results,
         "datasets": [
-            {"name": name, "file": fname, "columns": header.rstrip("\n").split(",")}
-            for (name, fname, _), header in zip(datasets, headers)
+            {"name": name, "file": fname, "columns": first.split("\n", 1)[0].split(",")}
+            for (name, fname, _), first in zip(datasets, firsts)
         ],
     }
     try:
@@ -216,9 +216,9 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
         raise ValueError(f"report.json cannot hold NaN or infinity ({exc})") from None
     os.makedirs(cfg.out, exist_ok=True)
     serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
-    for (_, fname, _), header, csv in zip(datasets, headers, blocks):
+    for (_, fname, _), first, csv in zip(datasets, firsts, blocks):
         with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
-            fh.write(header)
+            fh.write(first)
             fh.writelines(csv)
 
 
@@ -235,9 +235,9 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
 def cmd_envelope(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
-    h = fio.envelope(T, cfg.chi, sys_)
-    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(h))]
-    emit_report(cfg, asdict(fio.fio_report(h, cfg.qparams)), datasets)
+    env = fio.envelope(T, cfg.chi, sys_)
+    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(env.values))]
+    emit_report(cfg, asdict(fio.fio_report(env, cfg.qparams)), datasets)
     return EXIT_OK
 
 
@@ -246,8 +246,8 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
     symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
     T1 = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     T2 = _resolve_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
-    rep, ratio, h12 = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
-    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(h12))]
+    rep, ratio, env = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
+    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(env.values))]
     emit_report(cfg, {**asdict(rep), "quasi_norm_ratio": ratio}, datasets)
     return EXIT_OK
 
@@ -255,9 +255,9 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
 def cmd_invert(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
-    _, rep, h_inv = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
+    _, rep, env = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi, sys_), cfg.qparams)
-    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(h_inv))]
+    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(env.values))]
     emit_report(cfg, {"inverse": asdict(rep), "forward": asdict(forward)}, datasets)
     return EXIT_OK
 

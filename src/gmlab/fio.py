@@ -36,6 +36,19 @@ from .weyl import gabor_factors, weyl_dequantize, weyl_quantize
 
 
 @dataclass(frozen=True)
+class FioEnvelope:
+    """Least dominating envelope of an operator relative to a lattice map.
+
+    values[mu_k % N, mu_l % N] = max_lambda |<T pi(lambda) g,
+    pi(chi lambda + mu) g>| over the full lattice; chi is stored reduced
+    mod N.
+    """
+
+    chi: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class FioReport:
     """Concentration diagnostics of an envelope.
 
@@ -50,21 +63,20 @@ class FioReport:
     decay_exponent: float
 
 
-def envelope(T: np.ndarray, chi, sys: GaborSystem) -> np.ndarray:
-    """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|
-    as an (N, N) array, h[mu_k % N, mu_l % N]: the diagonal envelope of the
-    Gabor matrix of T along the graph of chi, read one (N, N^2) row block at
-    a time so that matrix is never built."""
+def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
+    """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|:
+    the diagonal envelope of the Gabor matrix of T along the graph of chi, read
+    one (N, N^2) row block at a time so that matrix is never built."""
     N = sys.N
     chi = require_symplectic(chi, N)
     Ph, TP = gabor_factors(T, sys)
-    return _row_block_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
+    values = _row_block_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
+    return FioEnvelope(chi=chi, values=values)
 
 
-def fio_report(h: np.ndarray, p: QParams) -> FioReport:
-    """Quasi-norm, tail fraction beyond |mu| > N/4, and fitted decay exponent
-    of an (N, N) envelope."""
-    h = np.asarray(h, dtype=float)
+def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
+    """Quasi-norm, tail fraction beyond |mu| > N/4, and fitted decay exponent."""
+    h = np.asarray(env.values, dtype=float)
     N = h.shape[0]
     radius = centered_radius(N)
     quasi_norm = lattice_qnorm(h, p.q, p.s)
@@ -97,7 +109,7 @@ def compose_check(
     chi2,
     sys: GaborSystem,
     p: QParams,
-) -> tuple[FioReport, float, np.ndarray]:
+) -> tuple[FioReport, float, FioEnvelope]:
     """Envelope report of T1 T2 relative to chi1 chi2, the quasi-norm ratio
     ||h(T1 T2)|| / (||h(T1)|| ||h(T2)||), and the envelope of T1 T2."""
     N = sys.N
@@ -106,11 +118,11 @@ def compose_check(
     prod_chi = (chi1 @ chi2) % N
     rep1 = fio_report(envelope(T1, chi1, sys), p)
     rep2 = fio_report(envelope(T2, chi2, sys), p)
-    h12 = envelope(np.asarray(T1) @ np.asarray(T2), prod_chi, sys)
-    rep12 = fio_report(h12, p)
+    env12 = envelope(np.asarray(T1) @ np.asarray(T2), prod_chi, sys)
+    rep12 = fio_report(env12, p)
     denom = rep1.quasi_norm * rep2.quasi_norm
     ratio = rep12.quasi_norm / denom if denom > 0 else math.inf
-    return rep12, float(ratio), h12
+    return rep12, float(ratio), env12
 
 
 def invert_fio(
@@ -119,7 +131,7 @@ def invert_fio(
     sys: GaborSystem,
     p: QParams,
     cond_tol: float = 1e12,
-) -> tuple[np.ndarray, FioReport, np.ndarray]:
+) -> tuple[np.ndarray, FioReport, FioEnvelope]:
     """Exact inverse of T with its envelope report and envelope relative to chi^-1.
 
     Raises NotInvertibleError when the condition number reaches cond_tol.
@@ -136,8 +148,8 @@ def invert_fio(
             f"condition number {cond:.3e} exceeds tolerance {cond_tol:.1e}"
         )
     Tinv = np.linalg.inv(T)
-    h_inv = envelope(Tinv, symp_inverse(chi, N), sys)
-    return Tinv, fio_report(h_inv, p), h_inv
+    env = envelope(Tinv, symp_inverse(chi, N), sys)
+    return Tinv, fio_report(env, p), env
 
 
 def symbol_pullback(sigma: np.ndarray, chi, N: int) -> np.ndarray:

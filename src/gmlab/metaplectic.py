@@ -78,6 +78,8 @@ def _generator(token: Token, N: int):
         return shear, lambda: np.diag(np.exp(2j * np.pi * half_inverse(N) * C * t * t / N))
     if kind == "dilate":
         a = int(token[1]) % N
+        if a == 0:
+            raise ValueError("Dilate(0) is singular")
         if np.gcd(a, N) != 1:
             raise ValueError(f"dilation factor {a} is not invertible mod {N}")
         dilate = np.array([[pow(a, -1, N), 0], [0, a]], dtype=int) % N

@@ -12,9 +12,9 @@ Field CSV:      columns k, l, re, im
 Gabor CSV:      columns mu_k, mu_l, lam_k, lam_l, re, im
 
 All writers emit rows in a fixed order so identical inputs produce
-byte-identical files.  The envelope, field and Gabor writers yield their
-header line, then one block of lines per matrix row, so a file can be
-written one row at a time.
+byte-identical files.  The field and Gabor writers yield their header
+line, then one block of lines per matrix row, so a file can be written
+one row at a time: a Gabor CSV has N^4 lines.
 """
 
 from __future__ import annotations
@@ -100,13 +100,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def envelope_csv(values: np.ndarray) -> Iterator[str]:
+def envelope_csv(values: np.ndarray) -> str:
     """CSV of an (N, N) nonnegative field indexed mod N, on centered mu."""
     values = np.asarray(values)
     mu = centered(np.arange(values.shape[0]), values.shape[0]).tolist()
-    yield "mu_k,mu_l,value\n"
+    lines = ["mu_k,mu_l,value"]
     for mu_k, row in zip(mu, values.tolist()):
-        yield "".join([f"{mu_k},{mu_l},{_fmt(v)}\n" for mu_l, v in zip(mu, row)])
+        lines.extend(f"{mu_k},{mu_l},{_fmt(v)}" for mu_l, v in zip(mu, row))
+    return "\n".join(lines) + "\n"
 
 
 def _complex_csv(header: str, M: np.ndarray, labels: list) -> Iterator[str]:

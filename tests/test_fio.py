@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gmlab import (
+    FioEnvelope,
     NotInvertibleError,
     QParams,
     compose_check,
@@ -53,11 +54,11 @@ def test_envelope_of_identity_is_window_autocorrelation():
     N = 5
     sys = gabor_system(gaussian_window(N))
     gamma = sys.parseval_window
-    h = envelope(np.eye(N), IDENTITY, sys)
-    assert_allclose(h, np.abs(stft(gamma, gamma)), atol=1e-14)
+    env = envelope(np.eye(N), IDENTITY, sys)
+    assert_allclose(env.values, np.abs(stft(gamma, gamma)), atol=1e-14)
     peak = float(np.sum(np.abs(gamma) ** 2))
-    assert h[0, 0] == pytest.approx(peak, rel=1e-12)
-    assert np.argmax(h) == 0
+    assert env.values[0, 0] == pytest.approx(peak, rel=1e-12)
+    assert np.argmax(env.values) == 0
 
 
 CHIS = {
@@ -74,7 +75,7 @@ CHIS = {
 def test_envelope_matches_brute_force(rng, N, chi):
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    h = envelope(T, chi, sys)
+    h = envelope(T, chi, sys).values
     # the streamed kernel reads the same rows of the same product as the dense oracle
     assert np.array_equal(h, diagonal_envelope(gabor_matrix(T, sys), chi))
     assert_allclose(h, brute_envelope(T, chi, sys), atol=1e-12)
@@ -100,8 +101,9 @@ def test_envelope_never_builds_the_gabor_matrix(rng):
 
 @pytest.mark.parametrize("value", [math.nan, 1e307])
 def test_fio_report_rejects_non_finite_envelope(value):
+    env = FioEnvelope(chi=IDENTITY, values=np.full((5, 5), value))
     with pytest.raises(ValueError, match="not finite"):
-        fio_report(np.full((5, 5), value), QParams(0.5, 1.0))
+        fio_report(env, QParams(0.5, 1.0))
 
 
 def test_envelope_of_metaplectic_is_transformed_window_correlation(rng):
@@ -110,8 +112,8 @@ def test_envelope_of_metaplectic_is_transformed_window_correlation(rng):
     gamma = sys.parseval_window
     for chi in (J_MAT, random_sympmat(rng, N), random_sympmat(rng, N)):
         U = metaplectic_operator(chi, N)
-        h = envelope(U, chi, sys)
-        assert_allclose(h, np.abs(stft(U @ gamma, gamma)), atol=1e-13)
+        env = envelope(U, chi, sys)
+        assert_allclose(env.values, np.abs(stft(U @ gamma, gamma)), atol=1e-13)
 
 
 def test_envelope_of_shift_operator():
@@ -119,10 +121,10 @@ def test_envelope_of_shift_operator():
     z0 = (1, 3)
     sys = gabor_system(gaussian_window(N))
     gamma = sys.parseval_window
-    h = envelope(tf_shift_matrix(z0, N), IDENTITY, sys)
+    env = envelope(tf_shift_matrix(z0, N), IDENTITY, sys)
     Vgg = np.abs(stft(gamma, gamma))
     shifted = np.roll(np.roll(Vgg, z0[0], axis=0), z0[1], axis=1)
-    assert_allclose(h, shifted, atol=1e-13)
+    assert_allclose(env.values, shifted, atol=1e-13)
 
 
 def test_envelope_rejects_mismatched_modulus():
@@ -140,7 +142,7 @@ def test_report_of_point_mass():
     N = 7
     values = np.zeros((N, N))
     values[0, 0] = 1.0
-    rep = fio_report(values, QParams(0.5, 1.0))
+    rep = fio_report(FioEnvelope(chi=IDENTITY, values=values), QParams(0.5, 1.0))
     assert rep.quasi_norm == pytest.approx(1.0)
     assert rep.tail_fraction == 0.0
     assert rep.decay_exponent == math.inf
@@ -148,13 +150,15 @@ def test_report_of_point_mass():
 
 def test_report_of_flat_envelope():
     N = 7
-    rep = fio_report(np.ones((N, N)), QParams(1.0, 0.0))
+    rep = fio_report(
+        FioEnvelope(chi=IDENTITY, values=np.ones((N, N))), QParams(1.0, 0.0)
+    )
     assert abs(rep.decay_exponent) < 1e-12
     assert 0.0 < rep.tail_fraction < 1.0
 
 
 def test_report_of_zero_envelope():
-    rep = fio_report(np.zeros((5, 5)), QParams(0.5, 0.0))
+    rep = fio_report(FioEnvelope(chi=IDENTITY, values=np.zeros((5, 5))), QParams(0.5, 0.0))
     assert rep.quasi_norm == 0.0
     assert rep.tail_fraction == 0.0
 
@@ -166,9 +170,9 @@ def test_compose_identity_pair():
     N = 5
     p = QParams(0.8, 1.0)
     sys = gabor_system(gaussian_window(N))
-    rep, ratio, h12 = compose_check(np.eye(N), IDENTITY, np.eye(N), IDENTITY, sys, p)
-    assert np.array_equal(h12, envelope(np.eye(N), IDENTITY, sys))
-    identity_norm = fio_report(h12, p).quasi_norm
+    rep, ratio, env = compose_check(np.eye(N), IDENTITY, np.eye(N), IDENTITY, sys, p)
+    assert np.array_equal(env.values, envelope(np.eye(N), IDENTITY, sys).values)
+    identity_norm = fio_report(env, p).quasi_norm
     assert rep.quasi_norm == pytest.approx(identity_norm, rel=1e-12)
     assert ratio == pytest.approx(1.0 / identity_norm, rel=1e-12)
 
@@ -211,11 +215,12 @@ def test_invert_metaplectic_matches_adjoint_reflection():
     p = QParams(0.8, 1.0)
     sys = gabor_system(gaussian_window(N))
     U = metaplectic_operator(J_MAT, N)
-    Tinv, rep, h_inv = invert_fio(U, J_MAT, sys, p)
+    Tinv, rep, env = invert_fio(U, J_MAT, sys, p)
     assert np.max(np.abs(Tinv - np.linalg.inv(U))) < 1e-12
     # envelope of the inverse is the reflected pullback of the forward one
-    h_fwd = envelope(U, J_MAT, sys)
-    assert np.array_equal(h_inv, envelope(Tinv, symp_inverse(J_MAT, N), sys))
+    h_fwd = envelope(U, J_MAT, sys).values
+    h_inv = envelope(Tinv, symp_inverse(J_MAT, N), sys).values
+    assert np.array_equal(env.values, h_inv)
     k = np.arange(N)[:, None]
     l = np.arange(N)[None, :]
     ck = (-(J_MAT[0, 0] * k + J_MAT[0, 1] * l)) % N
@@ -256,8 +261,8 @@ def test_adjoint_envelope_law(rng):
     for _ in range(3):
         T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         chi = random_sympmat(rng, N)
-        h_fwd = envelope(T, chi, sys)
-        h_adj = envelope(T.conj().T, symp_inverse(chi, N), sys)
+        h_fwd = envelope(T, chi, sys).values
+        h_adj = envelope(T.conj().T, symp_inverse(chi, N), sys).values
         k = np.arange(N)[:, None]
         l = np.arange(N)[None, :]
         ck = (-(chi[0, 0] * k + chi[0, 1] * l)) % N

@@ -93,6 +93,18 @@ def test_build_rejects_zero_dilation():
         build_metaplectic([("dilate", 0)], 5)
 
 
+@pytest.mark.parametrize("build", [word_matrix, build_metaplectic])
+@pytest.mark.parametrize(
+    "token, message",
+    [(("dilate", 0), "Dilate\\(0\\) is singular"),
+     (("dilate", 5), "Dilate\\(0\\) is singular"),
+     (("shear", 1), "unknown generator token")],
+)
+def test_words_reject_singular_dilation_and_unknown_tokens(build, token, message):
+    with pytest.raises(ValueError, match=message):
+        build([("J",), token], 5)
+
+
 def test_build_unitary(rng):
     N = 11
     for _ in range(10):

@@ -235,7 +235,7 @@ def test_norm_equivalence_within_frozen_interval(calibration):
 def test_almost_diagonalization_envelope_decays():
     # smooth symbol -> Gabor matrix envelope decays away from the diagonal;
     # the quasi-norm stays finite and moves little under a window change
-    from gmlab import diagonal_envelope, fio_report
+    from gmlab import diagonal_envelope, fio_report, FioEnvelope
 
     N = 11
     p = QParams(0.8, 1.0)
@@ -245,7 +245,7 @@ def test_almost_diagonalization_envelope_decays():
         sys = gabor_system(gaussian_window(N, width))
         M = gabor_matrix(weyl_quantize(sigma), sys)
         d = diagonal_envelope(M)
-        rep = fio_report(d, p)
+        rep = fio_report(FioEnvelope(chi=np.eye(2, dtype=int), values=d), p)
         assert np.isfinite(rep.quasi_norm)
         assert rep.decay_exponent > 0.5
         norms.append(rep.quasi_norm)
