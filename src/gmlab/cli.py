@@ -353,7 +353,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](build_config(args))
     except SystemExit:  # --help printed the usage
         return EXIT_OK
-    except (NotInvertibleError, ContractionError) as exc:
+    except (NotInvertibleError, ContractionError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError: a singular matrix, not a bad value
         _diagnostic("not-invertible", str(exc))
         return EXIT_NOT_INVERTIBLE
     except VanishingFourierError as exc:

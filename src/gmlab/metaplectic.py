@@ -28,7 +28,7 @@ J_MAT = np.array([[0, 1], [-1, 0]], dtype=int)
 
 def _as_sympmat(chi) -> np.ndarray:
     chi = np.asarray(chi, dtype=int)
-    if chi.shape != (2, 2):
+    if chi.shape[-2:] != (2, 2):
         raise ValueError("symplectic matrix must be 2x2")
     return chi
 
@@ -42,19 +42,22 @@ def require_odd_prime(N: int) -> None:
 
 
 def require_symplectic(chi, N: int) -> np.ndarray:
-    """Validate det chi = 1 mod N and return the reduced matrix."""
+    """Validate det chi = 1 mod N and return the reduced matrix; a stack
+    (..., 2, 2) is checked matrix by matrix, naming the first bad determinant."""
     chi = _as_sympmat(chi) % N
-    det = (chi[0, 0] * chi[1, 1] - chi[0, 1] * chi[1, 0]) % N
-    if det != 1:
-        raise ValueError(f"determinant {det} != 1 mod {N}: not symplectic")
+    det = (chi[..., 0, 0] * chi[..., 1, 1] - chi[..., 0, 1] * chi[..., 1, 0]) % N
+    if np.any(det != 1):
+        raise ValueError(f"determinant {det[det != 1].flat[0]} != 1 mod {N}: not symplectic")
     return chi
 
 
 def symp_apply(chi, z, N: int) -> tuple:
-    """chi . z mod N for z = (k, l); k and l may be broadcasting index arrays."""
+    """chi . z mod N for z = (k, l); k and l may be broadcasting index arrays,
+    and a stack (..., 2, 2) of matrices broadcasts its leading axes with them."""
     chi = _as_sympmat(chi)
     k, l = z
-    return ((chi[0, 0] * k + chi[0, 1] * l) % N, (chi[1, 0] * k + chi[1, 1] * l) % N)
+    a, b, c, d = chi[..., 0, 0], chi[..., 0, 1], chi[..., 1, 0], chi[..., 1, 1]
+    return ((a * k + b * l) % N, (c * k + d * l) % N)
 
 
 def symp_inverse(chi, N: int) -> np.ndarray:
@@ -153,28 +156,33 @@ def phase_align(U: np.ndarray, V: np.ndarray):
     return np.divide(inner, size, out=np.ones_like(inner), where=size != 0)[()]
 
 
-def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float:
+def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem):
     """Worst-case deviation of U pi(z) U^-1 from a phase times pi(chi z).
 
     Sweeps every z in the N x N lattice, one row (k, .) of N points at a
     time; for each z, the unimodular phase is chosen optimally
     (phase_align) before taking the operator-norm deviation.  U must be
-    unitary.
+    unitary.  Stacks chi (..., 2, 2) and U (..., N, N) are checked pair by
+    pair in the same sweep, their leading axes broadcast together: the
+    result is the array (...) of worst defects, and one pair gives a float.
+    Extra memory is O(stack N^3).
     """
     N = sys.N
     chi = require_symplectic(chi, N)
     U = np.asarray(U, dtype=complex)
-    if U.shape != (N, N):
+    if U.shape[-2:] != (N, N):
         raise ValueError("operator and Gabor system moduli differ")
-    if np.linalg.norm(U.conj().T @ U - np.eye(N), 2) > 1e-8:
+    if np.any(np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1)) > 1e-8):
         raise ValueError("operator is not unitary")
-    Uh = U.conj().T
+    U = U[..., None, :, :]  # against the row axis of the N shifts pi(k, l)
+    Uh = U.conj().swapaxes(-2, -1)
+    chi = chi[..., None, :, :]
     l = np.arange(N)
-    worst = 0.0
+    worst = np.zeros(np.broadcast_shapes(chi.shape[:-3], U.shape[:-3]))
     for k in range(N):
         conj = U @ tf_shift_matrix((k, l), N) @ Uh
         target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
-        c = phase_align(conj, target)[:, None, None]
+        c = phase_align(conj, target)[..., None, None]
         defect = np.linalg.norm(conj - c * target, 2, axis=(-2, -1))
-        worst = max(worst, float(np.max(defect)))
-    return worst
+        worst = np.maximum(worst, defect.max(axis=-1))
+    return worst if worst.ndim else float(worst)

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._lattice import weighted_qnorm
 from .errors import (
+    BOUND_SLACK,
     INVERSE_RESIDUAL_TOL,
     ContractionError,
     ToleranceError,
@@ -214,6 +215,24 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     return _from_array(a.dim, lo, product)
 
 
+def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Box array of the convolution of two box arrays: one shifted multiply-add
+    of the operand with more nonzeros per nonzero of the other (the first
+    operand on a tie), in lexicographic order of those nonzeros."""
+    small, big = (a, b) if np.count_nonzero(a) <= np.count_nonzero(b) else (b, a)
+    out = _zeros(np.add(small.shape, big.shape) - 1)
+    nz = np.nonzero(small)
+    for offset, v in zip(np.stack(nz, axis=-1), small[nz]):
+        out[_box(offset, big.shape)] += v * big
+    return out
+
+
+def _check_int64(lo, shape) -> None:
+    """Refuse a box at corner lo (Python ints) whose indices leave int64."""
+    if min(lo) < -(2**63) or max(o + n for o, n in zip(lo, shape)) > 2**63:
+        raise ValueError(f"sequence index out of range: the box at {lo} leaves int64")
+
+
 def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     """Exact discrete convolution (a * b)(n) = sum_k a(k) b(n-k): one shifted
     multiply-add of the operand with more nonzeros per nonzero of the other.
@@ -221,17 +240,11 @@ def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     multiply-accumulate."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    if not small.values.size:
-        return small
-    out = _zeros(np.add(small.values.shape, big.values.shape) - 1)
+    if not (a.values.size and b.values.size):
+        return b if a.values.size else a
     lo = [o + p for o, p in zip(a.lo.tolist(), b.lo.tolist())]  # Python ints: may leave int64
-    if min(lo) < -(2**63) or max(o + n for o, n in zip(lo, out.shape)) > 2**63:
-        raise ValueError(f"sequence index out of range: the box at {lo} leaves int64")
-    nz = np.nonzero(small.values)
-    for offset, v in zip(np.stack(nz, axis=-1), small.values[nz]):
-        out[_box(offset, big.values.shape)] += v * big.values
-    return _from_array(a.dim, np.array(lo, np.int64), out)
+    _check_int64(lo, [m + n - 1 for m, n in zip(a.values.shape, b.values.shape)])
+    return _from_array(a.dim, np.array(lo, np.int64), _shifted_sum(a.values, b.values))
 
 
 def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:
@@ -246,7 +259,10 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = 1e-10) -> SparseSeq:
     Returns s_n = delta + x + ... + x^n with the degree n chosen from the
     closed-form geometric tail so that the omitted part of the series has
     quasi-norm at most `tol`.  Consequently (delta - x) * s_n differs from
-    delta by at most tol in the same quasi-norm.
+    delta by at most tol in the same quasi-norm.  Each power x^j is one box
+    array, multiplied by x through the kernel of `convolve` and added into
+    one box spanning 0 and n lo ... n hi, so s_n equals the term-by-term sum
+    of sequences exactly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -260,12 +276,19 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = 1e-10) -> SparseSeq:
     # smallest n with ||x||^(n+1) (1-||x||^q)^(-1/q) <= tol, at least 1
     target = math.log(tol) + math.log1p(-(nx**p.q)) / p.q
     n = max(1, math.ceil(target / math.log(nx)) - 1)
-    result = SparseSeq.delta(x.dim)
-    power = x
-    for _ in range(n):
-        result = result + power
-        power = convolve(power, x)
-    return result
+    # x^j lies in the box j lo ... j hi, so all powers fit from min(0, n lo) to max(0, n hi)
+    x_lo, x_hi = x.lo.tolist(), [e - 1 for e in _ends(x)]
+    lo = [min(0, n * o) for o in x_lo]
+    shape = [max(0, n * h) + 1 - o for h, o in zip(x_hi, lo)]
+    _check_int64(lo, shape)
+    total = _zeros(shape)
+    total[tuple(-o for o in lo)] = 1.0
+    power = x.values
+    for j in range(1, n + 1):
+        if j > 1:
+            power = _shifted_sum(power, x.values)
+        total[_box([j * o - c for o, c in zip(x_lo, lo)], power.shape)] += power
+    return _from_array(x.dim, np.array(lo, np.int64), total)
 
 
 def fourier_series_eval(a: SparseSeq, xi) -> complex:
@@ -307,14 +330,18 @@ def invert_by_fourier(
     non-invertible), and returns the inverse discrete transform of 1/(F a)
     truncated at magnitude `decay_cutoff`, with the l1 residual of
     a * b - delta and the fitted decay rate of |b(n)|.  A residual above
-    INVERSE_RESIDUAL_TOL (the grid aliases the inverse, or the cutoff is too
-    coarse) raises ToleranceError.
+    INVERSE_RESIDUAL_TOL raises ToleranceError, except on a default grid
+    while the residual keeps falling: the inverse aliases there, so the grid
+    doubles and the inversion is retried as long as the grid holds at most
+    MAX_CELLS cells.  A residual that no longer falls means decay_cutoff is
+    too coarse, and the ladder stops.
     """
     if decay_cutoff <= 0:
         raise ValueError("decay_cutoff must be positive")
     m = a.dim
     width = max(a.values.shape)
-    if grid is None:
+    fitted = grid is None
+    if fitted:
         grid = max(4096 if m == 1 else 256, 2 ** width.bit_length())
     if grid < 4:
         raise ValueError("grid must be at least 4")
@@ -323,7 +350,24 @@ def invert_by_fourier(
             f"grid {grid} is not wider than the support box {a.values.shape}: "
             "the far entries would alias"
         )
+    previous = math.inf
+    while True:
+        b, residual = _invert_on_grid(a, grid, decay_cutoff, floor)
+        if residual <= INVERSE_RESIDUAL_TOL:
+            return FourierInverse(seq=b, residual=residual, decay_rate=_fit_decay_rate(b))
+        falling = residual < previous * (1.0 - BOUND_SLACK)
+        if not (fitted and falling and (2 * grid) ** m <= MAX_CELLS):
+            raise ToleranceError(
+                f"l1 residual {residual:.3e} of a * b - delta exceeds "
+                f"{INVERSE_RESIDUAL_TOL:.0e} on the {grid}^{m} grid "
+                "(the inverse aliases, or decay_cutoff is too coarse)"
+            )
+        grid, previous = 2 * grid, residual
 
+
+def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float, floor: float) -> tuple:
+    """The truncated inverse of `a` on one grid and its l1 residual."""
+    m = a.dim
     padded = _zeros((grid,) * m)
     idx, vals = a._nonzeros()
     np.add.at(padded, tuple(np.mod(idx, grid).T), vals)
@@ -341,15 +385,7 @@ def invert_by_fourier(
     coeff = np.where(np.abs(coeff) > decay_cutoff, coeff, 0)
     # fftshift puts index n at n + grid // 2, so the corner is -(grid // 2)
     b = _from_array(m, np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
-
-    residual = qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
-    if residual > INVERSE_RESIDUAL_TOL:
-        raise ToleranceError(
-            f"l1 residual {residual:.3e} of a * b - delta exceeds "
-            f"{INVERSE_RESIDUAL_TOL:.0e} on the {grid}^{m} grid "
-            "(the inverse aliases, or decay_cutoff is too coarse)"
-        )
-    return FourierInverse(seq=b, residual=residual, decay_rate=_fit_decay_rate(b))
+    return b, qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
 
 
 def _fit_decay_rate(b: SparseSeq) -> float:

@@ -124,19 +124,6 @@ def field_csv(field: np.ndarray) -> Iterator[str]:
     return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(np.shape(field)[0])])
 
 
-def grid_csv(F) -> str:
-    """CSV of a SampledField with columns (x, y, value); complex values are
-    written with Python's complex repr so they round-trip."""
-    ax = F.axis()
-    lines = ["x,y,value"]
-    for i, x in enumerate(ax):
-        for j, y in enumerate(ax):
-            v = F.values[i, j]
-            text = _fmt(v) if not np.iscomplexobj(F.values) else repr(complex(v))
-            lines.append(f"{_fmt(x)},{_fmt(y)},{text}")
-    return "\n".join(lines) + "\n"
-
-
 def gabor_csv(M: np.ndarray, N: int) -> Iterator[str]:
     labels = [f"{k},{l}," for k in range(N) for l in range(N)]
     return _complex_csv("mu_k,mu_l,lam_k,lam_l,re,im", M, labels)

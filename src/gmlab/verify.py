@@ -248,13 +248,15 @@ def suite_metaplectic(N, p, rng):
         ]
     else:
         mats = [random_sympmat(rng, N) for _ in range(30)]
-    for chi in mats:
-        word = mp.factor_generators(chi, N)
-        U = mp.build_metaplectic(word, N)
+    words = [mp.factor_generators(chi, N) for chi in mats]
+    U = np.array([mp.build_metaplectic(word, N) for word in words])
+    unitarity = np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1))
+    defects = mp.intertwine_defect(np.array(mats), U, sys)
+    for chi, word, unitary, defect in zip(mats, words, unitarity, defects):
         yield max(
             float(not np.array_equal(mp.word_matrix(word, N), chi % N)),
-            float(np.linalg.norm(U.conj().T @ U - np.eye(N), 2)) - 1e-12,
-            mp.intertwine_defect(chi, U, sys) - 1e-10,
+            float(unitary) - 1e-12,
+            float(defect) - 1e-10,
         )
 
 

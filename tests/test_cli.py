@@ -325,15 +325,43 @@ def test_seq_invert_grid_narrower_than_support(tmp_path, capsys):
 
 
 def test_seq_invert_residual_gate(tmp_path, capsys):
-    # the default grid grows to 8192 > 5001, but the inverse (-0.3)^k at 5000 k
-    # still aliases on it: the residual is reported as a tolerance failure
+    # a given grid of 8192 > 5001 is kept, but the inverse (-0.3)^k at 5000 k
+    # aliases on it: the residual is reported as a tolerance failure
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sequence": FAR_PAIR}))
+    cfg.write_text(json.dumps({"sequence": FAR_PAIR, "grid": 8192}))
     out = tmp_path / "o"
     assert main(["seq-invert", "--config", str(cfg), "--out", str(out)]) == EXIT_TOLERANCE
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and json.loads(err[0])["error"] == "tolerance"
     assert "8192^1 grid" in json.loads(err[0])["detail"]
+    assert not out.exists()
+
+
+def test_seq_invert_default_grid_doubles_until_the_inverse_fits(tmp_path):
+    # the inverse (-0.3)^j at 5000 j aliases on 8192 points; 2^17 is the first
+    # grid whose residual passes (the entries beyond 65536, below 5e-8, wrap)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence": FAR_PAIR}))
+    out = str(tmp_path / "o")
+    assert main(["seq-invert", "--config", str(cfg), "--out", out]) == EXIT_OK
+    results = read_report(out)["results"]
+    assert results["residual_l1"] < 1e-6 and results["support_size"] == 23
+    inverse = {k[0]: complex(re, im) for k, re, im in results["inverse"]["entries"]}
+    for j in range(14):
+        assert abs(inverse[5000 * j] - (-0.3) ** j) < 1e-12
+
+
+def test_invert_linalg_error_exits_not_invertible(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which alone would exit 2 (config)
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    out = tmp_path / "o"
+    assert main(["invert", "--N", "5", "--out", str(out)]) == EXIT_NOT_INVERTIBLE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "not-invertible", "detail": "Singular matrix"}
     assert not out.exists()
 
 

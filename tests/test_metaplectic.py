@@ -165,6 +165,57 @@ def test_intertwine_matches_per_point_oracle(N):
     assert_allclose(mismatch, per_point_intertwine_defect(J_MAT, shear, sys), rtol=1e-12)
 
 
+@pytest.mark.parametrize("N", [5, 7])
+def test_stacked_intertwine_equals_the_pairwise_calls(N):
+    rng = np.random.default_rng(N)
+    sys = gabor_system(gaussian_window(N))
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    chis = [random_sympmat(rng, N) for _ in range(4)]
+    pairs = [(chi, metaplectic_operator(chi, N)) for chi in chis] + [(J_MAT, shear)]
+    chi_stack = np.array([chi for chi, _ in pairs])
+    U_stack = np.array([U for _, U in pairs])
+    defects = intertwine_defect(chi_stack, U_stack, sys)
+    assert defects.shape == (len(pairs),)
+    single = [intertwine_defect(chi, U, sys) for chi, U in pairs]
+    assert all(type(d) is float for d in single)
+    assert defects.tolist() == single  # exactly
+    assert max(single[:-1]) < 1e-10 and single[-1] > 1.0  # the mismatch is seen
+    for (chi, U), d in zip(pairs, defects):
+        assert abs(d - per_point_intertwine_defect(chi, U, sys)) < 1e-13
+    # leading axes broadcast: one map against a stack of unitaries, and a 2-d stack
+    assert intertwine_defect(J_MAT, U_stack, sys).tolist() == [
+        intertwine_defect(J_MAT, U, sys) for U in U_stack
+    ]
+    grid = intertwine_defect(chi_stack.reshape(5, 1, 2, 2), U_stack, sys)
+    assert grid.shape == (5, 5) and np.array_equal(np.diag(grid), defects)
+
+
+def test_stacked_intertwine_rejects_one_non_unitary_member():
+    N = 5
+    sys = gabor_system(gaussian_window(N))
+    U = np.array([np.eye(N), 2.0 * np.eye(N), np.eye(N)])
+    with pytest.raises(ValueError, match="not unitary"):
+        intertwine_defect(np.array([IDENTITY] * 3), U, sys)
+
+
+def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
+    N = 7
+    chis = np.array([random_sympmat(rng, N) + N * rng.integers(-2, 3, (2, 2)) for _ in range(6)])
+    reduced = require_symplectic(chis, N)
+    assert np.array_equal(reduced, np.array([require_symplectic(chi, N) for chi in chis]))
+    k, l = np.arange(N)[:, None], np.arange(N)
+    stacked = symp_apply(chis[:, None, None], (k, l), N)
+    for chi, zk, zl in zip(chis, *stacked):
+        want = symp_apply(chi, (k, l), N)
+        assert np.array_equal(zk, want[0]) and np.array_equal(zl, want[1])
+    bad = chis.copy()
+    bad[4] = [[1, 0], [0, 2]]
+    with pytest.raises(ValueError, match="determinant 2 != 1 mod 7: not symplectic"):
+        require_symplectic(bad, N)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        require_symplectic(np.zeros((3, 2, 3), int), N)
+
+
 def test_intertwine_rejects_non_unitary():
     N = 5
     sys = gabor_system(gaussian_window(N))

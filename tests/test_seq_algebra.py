@@ -209,6 +209,8 @@ def test_convolution_beyond_int64_is_out_of_range():
     assert top.items() == [((I64_MAX,), 3.0)]
     bottom = convolve(SparseSeq.unit(-(2**62)), SparseSeq.unit(-(2**62)))
     assert bottom.items() == [((I64_MIN,), 1.0)]
+    with pytest.raises(ValueError, match="sequence index out of range"):
+        neumann_inverse(0.5 * SparseSeq.unit(2**62), QParams(1.0))  # x^2 at 2**63
 
 
 def test_pointwise_product_at_the_int64_corner():
@@ -305,6 +307,42 @@ def test_neumann_rejects_noncontractive():
         neumann_inverse(1.2 * SparseSeq.unit(1), QParams(0.5, 1.0))
 
 
+def loop_neumann(x, degree):
+    """Oracle: delta + x + ... + x^degree, one sequence sum and one
+    convolution per term."""
+    result = SparseSeq.delta(x.dim)
+    power = x
+    for _ in range(degree):
+        result = result + power
+        power = convolve(power, x)
+    return result
+
+
+def neumann_degree(nx, q, tol):
+    """The least degree n >= 1 whose closed-form tail is at most tol."""
+    n = 1
+    while neumann_tail_bound(nx, q, n) > tol:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_neumann_equals_the_term_by_term_loop(dim):
+    rng = np.random.default_rng(dim)
+    for case in range(120):
+        p = QParams(rng.uniform(0.4, 1.0), rng.uniform(0.0, 2.0))
+        tol = 10.0 ** -rng.integers(4, 11)
+        x = random_sparse(rng, dim=dim, size=int(rng.integers(1, 6)), box=2)
+        if case % 2:  # a support away from the origin, on either side
+            x = convolve(x, SparseSeq.unit(tuple(int(v) for v in rng.integers(-6, 7, dim))))
+        # every third case so small that one term suffices
+        x = (rng.uniform(0.05, 0.6) if case % 3 else 1e-12) / qnorm(x, p) * x
+        n = neumann_degree(qnorm(x, p), p.q, tol)
+        assert (n == 1) == (case % 3 == 0)
+        assert neumann_inverse(x, p, tol) == loop_neumann(x, n)
+    assert neumann_inverse(SparseSeq(dim), QParams(0.5, 1.0)) == SparseSeq.delta(dim)
+
+
 @pytest.mark.parametrize("q,s", [(0.5, 0.0), (0.8, 1.0), (1.0, 2.0)])
 def test_neumann_residual_and_tail_bound(q, s):
     rng = np.random.default_rng(int(10 * q + s))
@@ -391,6 +429,21 @@ def test_invert_by_fourier_residual_gate():
     # a cutoff of 0.2 keeps delta + 0.5 e_1 + 0.25 e_2, which leaves -0.125 e_3
     with pytest.raises(ToleranceError, match="residual 1.250e-01"):
         invert_by_fourier(DELTA1 - 0.5 * SparseSeq.unit(1), grid=64, decay_cutoff=0.2)
+
+
+def test_invert_by_fourier_default_grid_doubles_while_the_inverse_aliases():
+    far = DELTA1 + 0.3 * SparseSeq.unit(5000)  # inverse (-0.3)^j at 5000 j
+    with pytest.raises(ToleranceError, match="on the 65536\\^1 grid"):
+        invert_by_fourier(far, grid=65536)  # a given grid is kept
+    res = invert_by_fourier(far)  # 8192, 16384, ... up to 2^17
+    assert res.residual < 1e-6 and len(res.seq) == 23
+    assert res.seq[(65000,)] == pytest.approx((-0.3) ** 13, abs=1e-12)
+
+
+def test_invert_by_fourier_ladder_stops_when_the_residual_stops_falling():
+    # too coarse a cutoff leaves the residual at 0.125 on every grid
+    with pytest.raises(ToleranceError, match="residual 1.250e-01 .* the (4096|8192|16384)\\^1 grid"):
+        invert_by_fourier(DELTA1 - 0.5 * SparseSeq.unit(1), decay_cutoff=0.2)
 
 
 def test_invert_by_fourier_grid_guard():

@@ -74,13 +74,27 @@ def test_writers_are_deterministic(rng):
     assert serialize.envelope_csv(field) == serialize.envelope_csv(field.copy())
 
 
+def grid_csv(F) -> str:
+    """Fixture writer: CSV of a SampledField with columns (x, y, value), the
+    layout load_field_csv reads; complex values in Python's complex repr so
+    they round-trip."""
+    ax = F.axis()
+    lines = ["x,y,value"]
+    for i, x in enumerate(ax):
+        for j, y in enumerate(ax):
+            v = F.values[i, j]
+            text = repr(float(v)) if not np.iscomplexobj(F.values) else repr(complex(v))
+            lines.append(f"{float(x)!r},{float(y)!r},{text}")
+    return "\n".join(lines) + "\n"
+
+
 def test_sampled_field_grid_csv_roundtrip(tmp_path):
     from gmlab import gaussian_field, sample_field
     from gmlab.presets import load_field_csv
 
     F = sample_field(gaussian_field, R=2, M=4)
     path = tmp_path / "field.csv"
-    path.write_text(serialize.grid_csv(F))
+    path.write_text(grid_csv(F))
     G = load_field_csv(str(path))
     assert G.R == F.R and G.M == F.M
     assert_allclose(G.values, F.values, atol=1e-15)
@@ -92,7 +106,7 @@ def test_complex_grid_csv_roundtrip(tmp_path):
 
     F = sample_field(chirped_gaussian_field, R=1, M=4)
     path = tmp_path / "field.csv"
-    path.write_text(serialize.grid_csv(F))
+    path.write_text(grid_csv(F))
     G = load_field_csv(str(path))
     assert_allclose(G.values, F.values, atol=1e-15)
 

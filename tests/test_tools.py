@@ -44,3 +44,14 @@ def test_envelope_ladder_rung(monkeypatch):
     result = load_tool("envelope_ladder").rung(11)
     assert result["N"] == 11
     assert result["envelope_s"] >= 0.0 and result["peak_mb"] > 0.0
+
+
+def test_verify_ladder_rung(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it; undone after
+    tool = load_tool("verify_ladder")
+    monkeypatch.setattr(tool, "REPEATS", 1)
+    result = tool.rung(5)
+    assert result["N"] == 5 and len(result["suites"]) == 16
+    assert list(result["suites"]) == sorted(result["suites"])
+    assert all(t >= 0.0 for t in result["suites"].values())
+    assert result["total_s"] == pytest.approx(sum(result["suites"].values()), abs=1e-3)
