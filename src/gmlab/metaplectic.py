@@ -156,7 +156,7 @@ def phase_align(U: np.ndarray, V: np.ndarray):
     return np.divide(inner, size, out=np.ones_like(inner), where=size != 0)[()]
 
 
-def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem):
+def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float | np.ndarray:
     """Worst-case deviation of U pi(z) U^-1 from a phase times pi(chi z).
 
     Sweeps every z in the N x N lattice, one row (k, .) of N points at a
