@@ -21,7 +21,7 @@ print("product check:", np.array_equal(g.word_matrix(word, N), chi % N))
 U = g.build_metaplectic(word, N)
 print(f"unitarity defect: {np.linalg.norm(U.conj().T @ U - np.eye(N), 2):.3e}")
 print(f"intertwining defect over all {N * N} lattice points: "
-      f"{g.intertwine_defect(chi, U, sys):.3e}")
+      f"{g.intertwine_defect(chi, U):.3e}")
 
 # Two different factorizations agree up to a global phase
 from gmlab.metaplectic import J_MAT

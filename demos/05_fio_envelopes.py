@@ -47,7 +47,7 @@ print(f"\nT1^-1 vs chi1^-1: tail {rep_inv.tail_fraction:.4f} "
       f"(forward was {rep1.tail_fraction:.4f})")
 
 # Factorization through the metaplectic unitary is exact
-sigma1, sigma2, res = g.factorize_fio(T1, chi1, sys)
+sigma1, sigma2, res = g.factorize_fio(T1, chi1)
 print(f"\nT = Op(sigma1) U residual: {res['op_then_mu']:.3e}")
 print(f"T = U Op(sigma2) residual: {res['mu_then_op']:.3e}")
 print(f"modulus defect between sigma2 and sigma1 o chi: "

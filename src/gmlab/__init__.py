@@ -8,7 +8,7 @@ exact-finite: theorems about these objects become equalities and
 inequalities of small numpy arrays, checkable to near machine precision.
 """
 
-from ._lattice import centered, centered_radius, lattice_qnorm, lattice_weight
+from ._lattice import centered, centered_radius, lattice_qnorm
 from .errors import (
     ContractionError,
     GmlabError,
@@ -28,7 +28,6 @@ from .seq_algebra import (
     pointwise_product,
     qnorm,
     qnorm_weighted,
-    weight_eval,
 )
 from .phase_space import (
     GaborSystem,

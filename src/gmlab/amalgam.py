@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import radial_weight, weighted_qnorm
+from ._lattice import square_points, weight, weighted_qnorm
 from .errors import BOUND_SLACK, ToleranceError
 from .seq_algebra import MAX_CELLS, QParams
 
@@ -90,7 +90,8 @@ def cell_maxima(F: SampledField) -> np.ndarray:
 
 def amalgam_norm(F: SampledField, p: QParams) -> float:
     """Weighted lq sum of cell maxima; the sampled amalgam quasi-norm."""
-    return weighted_qnorm(cell_maxima(F), radial_weight(np.arange(-F.R, F.R), p.s), p.q)
+    lam = square_points(np.arange(-F.R, F.R))
+    return weighted_qnorm(cell_maxima(F), weight(lam, p.s), p.q)
 
 
 def refinement_gap(F: SampledField, p: QParams) -> float:

@@ -5,6 +5,8 @@ BOUND_SLACK = 1e-9  # certified bounds that raise ToleranceError
 SUITE_SLACK = 1e-12  # worst excess a `verify` suite may report and still pass
 # Largest l1 norm of a * b - delta a Fourier inverse b may leave (ToleranceError).
 INVERSE_RESIDUAL_TOL = 1e-6
+# Least min |F a| on a Fourier grid for a to count as invertible (VanishingFourierError).
+FOURIER_FLOOR = 1e-8
 
 
 class GmlabError(Exception):

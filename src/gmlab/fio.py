@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import centered_radius, lattice_qnorm, lattice_weight
+from ._lattice import centered_points, centered_radius, weight, weighted_qnorm
 from .errors import NotInvertibleError
 from .matrix_algebra import _row_block_envelope
 from .metaplectic import (
@@ -79,8 +79,9 @@ def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
     h = np.asarray(env.values, dtype=float)
     N = h.shape[0]
     radius = centered_radius(N)
-    quasi_norm = lattice_qnorm(h, p.q, p.s)
-    mass = h**p.q * lattice_weight(N, p.s) ** p.q  # finite, as its sum is
+    w = weight(centered_points(N), p.s)
+    quasi_norm = weighted_qnorm(h, w, p.q)
+    mass = h**p.q * w**p.q  # finite, as its sum is
     total = mass.sum()
     tail = float(mass[radius > N / 4.0].sum() / total) if total > 0 else 0.0
     return FioReport(
@@ -152,26 +153,28 @@ def invert_fio(
     return Tinv, fio_report(env, p), env
 
 
-def symbol_pullback(sigma: np.ndarray, chi, N: int) -> np.ndarray:
+def symbol_pullback(sigma: np.ndarray, chi) -> np.ndarray:
     """(sigma o chi)(z) = sigma(chi z mod N) on the N x N phase space."""
+    N = np.shape(sigma)[0]
     chi = require_symplectic(chi, N)
     return np.asarray(sigma)[symp_apply(chi, (np.arange(N)[:, None], np.arange(N)), N)]
 
 
-def factorize_fio(
-    T: np.ndarray, chi, sys: GaborSystem
-) -> tuple[np.ndarray, np.ndarray, dict]:
+def factorize_fio(T: np.ndarray, chi) -> tuple[np.ndarray, np.ndarray, dict]:
     """Split T into a symbol times the metaplectic unitary of chi, both ways.
 
     Returns (sigma1, sigma2, residuals) where T = Op(sigma1) U and
     T = U Op(sigma2) with U the metaplectic unitary of chi.  Dequantization
     is an exact linear bijection, so both operator-norm residuals are at
     rounding level; the sup-norm modulus defect || |sigma2| - |sigma1 o chi| ||_inf
-    is reported as a diagnostic (phases are convention-dependent).
+    is reported as a diagnostic (phases are convention-dependent).  N is
+    read from T, which must be square.
     """
-    N = sys.N
-    chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
+    N = T.shape[0]
+    if T.shape != (N, N):
+        raise ValueError(f"operator of shape {T.shape} is not square")
+    chi = require_symplectic(chi, N)
     U = metaplectic_operator(chi, N)
     Uinv = U.conj().T  # unitary by construction
     sigma1 = weyl_dequantize(T @ Uinv)
@@ -180,7 +183,7 @@ def factorize_fio(
         "op_then_mu": float(np.linalg.norm(T - weyl_quantize(sigma1) @ U, 2)),
         "mu_then_op": float(np.linalg.norm(T - U @ weyl_quantize(sigma2), 2)),
         "egorov_modulus_defect": float(
-            np.max(np.abs(np.abs(sigma2) - np.abs(symbol_pullback(sigma1, chi, N))))
+            np.max(np.abs(np.abs(sigma2) - np.abs(symbol_pullback(sigma1, chi))))
         ),
     }
     return sigma1, sigma2, residuals

@@ -129,24 +129,18 @@ def apply_to_sequence(A: np.ndarray, c: np.ndarray, p: QParams | None = None) ->
     return out.reshape(c.shape)
 
 
-def pseudo_inverse(A: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverse through the SVD with small singular values zeroed.
 
-    Singular values at or below `rank_tol` are treated as zero; the default
-    threshold is 1e-10 times the largest singular value.  The result
-    inverts A on its retained range and annihilates the orthogonal
-    complement.
+    Singular values at or below 1e-10 times the largest are treated as
+    zero.  The result inverts A on its retained range and annihilates the
+    orthogonal complement.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise ValueError("matrix expected")
     U, sv, Vh = np.linalg.svd(A, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = 1e-10 * (float(sv[0]) if sv.size else 1.0)
-    elif rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    keep = sv > rank_tol
+    keep = sv > 1e-10 * (float(sv[0]) if sv.size else 1.0)
     if not np.any(keep):
         return np.zeros_like(A.conj().T)
     return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T
-

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase_space import GaborSystem, tf_shift_matrix
+from .phase_space import tf_shift_matrix
 from .weyl import half_inverse
 
 Token = tuple
@@ -156,7 +156,7 @@ def phase_align(U: np.ndarray, V: np.ndarray):
     return np.divide(inner, size, out=np.ones_like(inner), where=size != 0)[()]
 
 
-def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float | np.ndarray:
+def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
     """Worst-case deviation of U pi(z) U^-1 from a phase times pi(chi z).
 
     Sweeps every z in the N x N lattice, one row (k, .) of N points at a
@@ -165,13 +165,13 @@ def intertwine_defect(chi, U: np.ndarray, sys: GaborSystem) -> float | np.ndarra
     unitary.  Stacks chi (..., 2, 2) and U (..., N, N) are checked pair by
     pair in the same sweep, their leading axes broadcast together: the
     result is the array (...) of worst defects, and one pair gives a float.
-    Extra memory is O(stack N^3).
+    N is read from U, which must be square.  Extra memory is O(stack N^3).
     """
-    N = sys.N
-    chi = require_symplectic(chi, N)
     U = np.asarray(U, dtype=complex)
-    if U.shape[-2:] != (N, N):
-        raise ValueError("operator and Gabor system moduli differ")
+    N = U.shape[-1]
+    if U.ndim < 2 or U.shape[-2] != N:
+        raise ValueError(f"operator of shape {U.shape} is not square")
+    chi = require_symplectic(chi, N)
     if np.any(np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1)) > 1e-8):
         raise ValueError("operator is not unitary")
     U = U[..., None, :, :]  # against the row axis of the N shifts pi(k, l)

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import weighted_qnorm
+from ._lattice import weight, weighted_qnorm
 from .errors import (
     BOUND_SLACK,
+    FOURIER_FLOOR,
     INVERSE_RESIDUAL_TOL,
     ContractionError,
     ToleranceError,
@@ -50,21 +51,6 @@ class QParams:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
         if self.s < 0.0:
             raise ValueError(f"weight order s must be >= 0, got {self.s}")
-
-
-def weight_eval(lam, s: float) -> float:
-    """Polynomial weight (1 + |lam|)**s at the integer index lam.
-
-    |.| is the Euclidean norm; lam may be an int (dimension 1) or a tuple.
-    Negative s is rejected: only submultiplicative weights are supported.
-    """
-    if s < 0.0:
-        raise ValueError(f"weight order s must be >= 0, got {s}")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    try:
-        return float((1.0 + math.sqrt(float(np.dot(lam, lam)))) ** s)
-    except OverflowError:  # beyond float range; weighted_qnorm rejects it
-        return math.inf
 
 
 def _key(index, dim: int) -> tuple:
@@ -192,17 +178,14 @@ def _from_array(dim: int, lo, values: np.ndarray) -> SparseSeq:
 
 def qnorm(a: SparseSeq, p: QParams) -> float:
     """Weighted quasi-norm (sum |a(n)|^q (1+|n|)^(s q))**(1/q); 0 iff a = 0."""
-    idx, vals = a._nonzeros()
-    with np.errstate(over="ignore"):  # weighted_qnorm rejects an infinite weight
-        weight = (1.0 + np.sqrt(np.square(idx).sum(axis=1))) ** p.s
-    return weighted_qnorm(np.abs(vals), weight, p.q)
+    return qnorm_weighted(a, p.q, p.s)
 
 
-def qnorm_weighted(a: SparseSeq, q: float, weight) -> float:
-    """Quasi-norm with an arbitrary positive weight function on indices, for
-    checks that need reciprocal weights, which `weight_eval` rejects."""
+def qnorm_weighted(a: SparseSeq, q: float, s: float) -> float:
+    """Weighted quasi-norm (sum |a(n)|^q (1+|n|)^(s q))**(1/q) for any q > 0
+    and any real s, so that Hoelder can pair the weight v_s with v_-s."""
     idx, vals = a._nonzeros()
-    return weighted_qnorm(np.abs(vals), np.array([weight(tuple(k)) for k in idx.tolist()]), q)
+    return weighted_qnorm(np.abs(vals), weight(idx, s), q)
 
 
 def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
@@ -315,10 +298,7 @@ class FourierInverse:
 
 
 def invert_by_fourier(
-    a: SparseSeq,
-    grid: int | None = None,
-    decay_cutoff: float = 1e-12,
-    floor: float = 1e-8,
+    a: SparseSeq, grid: int | None = None, decay_cutoff: float = 1e-12
 ) -> FourierInverse:
     """Invert the convolution operator of `a` through its Fourier series.
 
@@ -326,15 +306,18 @@ def invert_by_fourier(
     m = 1 and 256 otherwise, raised to the next power of two above the
     widest axis of the support box; a given grid must be wider than that box
     on every axis (else ValueError: the far entries would alias).  Requires
-    the minimum modulus to exceed `floor` (otherwise the operator is declared
-    non-invertible), and returns the inverse discrete transform of 1/(F a)
-    truncated at magnitude `decay_cutoff`, with the l1 residual of
-    a * b - delta and the fitted decay rate of |b(n)|.  A residual above
-    INVERSE_RESIDUAL_TOL raises ToleranceError, except on a default grid
-    while the residual keeps falling: the inverse aliases there, so the grid
-    doubles and the inversion is retried as long as the grid holds at most
-    MAX_CELLS cells.  A residual that no longer falls means decay_cutoff is
-    too coarse, and the ladder stops.
+    the minimum modulus to exceed FOURIER_FLOOR (otherwise the operator is
+    declared non-invertible), and returns the inverse discrete transform of
+    1/(F a) truncated at magnitude `decay_cutoff`, with the l1 residual of
+    a * b - delta and the fitted decay rate of |b(n)|.
+
+    An inverse is accepted when its residual is at most INVERSE_RESIDUAL_TOL
+    and it leaves the guard band |n_i| >= grid/4 empty: an entry beyond the
+    seam at +-grid/2 wraps, and can pass the residual gate in the wrong
+    place.  Otherwise ToleranceError is raised, except on a default grid,
+    which doubles while it holds at most MAX_CELLS cells: when only the band
+    is reached, or while a failing residual keeps falling (when it stops,
+    decay_cutoff is too coarse).
     """
     if decay_cutoff <= 0:
         raise ValueError("decay_cutoff must be positive")
@@ -352,11 +335,18 @@ def invert_by_fourier(
         )
     previous = math.inf
     while True:
-        b, residual = _invert_on_grid(a, grid, decay_cutoff, floor)
-        if residual <= INVERSE_RESIDUAL_TOL:
+        b, residual = _invert_on_grid(a, grid, decay_cutoff)
+        passed = residual <= INVERSE_RESIDUAL_TOL
+        in_band = bool(np.any(4 * np.abs(b._nonzeros()[0]) >= grid))
+        if passed and not in_band:
             return FourierInverse(seq=b, residual=residual, decay_rate=_fit_decay_rate(b))
         falling = residual < previous * (1.0 - BOUND_SLACK)
-        if not (fitted and falling and (2 * grid) ** m <= MAX_CELLS):
+        if not (fitted and (passed or falling) and (2 * grid) ** m <= MAX_CELLS):
+            if passed:  # the entries beyond the seam at +-grid/2 would wrap
+                raise ToleranceError(
+                    f"the inverse reaches the guard band |n_i| >= {grid / 4:g} "
+                    f"on the {grid}^{m} grid"
+                )
             raise ToleranceError(
                 f"l1 residual {residual:.3e} of a * b - delta exceeds "
                 f"{INVERSE_RESIDUAL_TOL:.0e} on the {grid}^{m} grid "
@@ -365,7 +355,7 @@ def invert_by_fourier(
         grid, previous = 2 * grid, residual
 
 
-def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float, floor: float) -> tuple:
+def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float) -> tuple:
     """The truncated inverse of `a` on one grid and its l1 residual."""
     m = a.dim
     padded = _zeros((grid,) * m)
@@ -376,9 +366,9 @@ def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float, floor: float) 
     if not np.all(np.isfinite(samples)):
         raise ValueError("the Fourier series of the sequence overflows")
     low = float(np.abs(samples).min())
-    if low <= floor:
+    if low <= FOURIER_FLOOR:
         raise VanishingFourierError(
-            f"min |F a| = {low:.3e} on the {grid}^{m} grid (floor {floor:.1e}): "
+            f"min |F a| = {low:.3e} on the {grid}^{m} grid (floor {FOURIER_FLOOR:.1e}): "
             "convolution operator is not invertible"
         )
     coeff = np.fft.fftn(1.0 / samples) / grid**m

@@ -124,7 +124,8 @@ def field_csv(field: np.ndarray) -> Iterator[str]:
     return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(np.shape(field)[0])])
 
 
-def gabor_csv(M: np.ndarray, N: int) -> Iterator[str]:
+def gabor_csv(M: np.ndarray) -> Iterator[str]:
+    N = math.isqrt(np.shape(M)[0])
     labels = [f"{k},{l}," for k in range(N) for l in range(N)]
     return _complex_csv("mu_k,mu_l,lam_k,lam_l,re,im", M, labels)
 

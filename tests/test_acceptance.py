@@ -106,10 +106,8 @@ def test_c04_quasi_algebra_inequalities():
                 counts["qtriangle"] += 1
 
                 prod = g.pointwise_product(a, b)
-                rhs = g.qnorm_weighted(
-                    a, 2 * q, lambda k: g.weight_eval(k, s)
-                ) * g.qnorm_weighted(b, 2 * q, lambda k: 1.0 / g.weight_eval(k, s))
-                lhs = g.qnorm_weighted(prod, q, lambda k: 1.0)
+                rhs = g.qnorm_weighted(a, 2 * q, s) * g.qnorm_weighted(b, 2 * q, -s)
+                lhs = g.qnorm_weighted(prod, q, 0.0)
                 assert lhs <= rhs * (1 + 1e-12) + 1e-12
                 counts["hoelder"] += 1
 
@@ -186,7 +184,6 @@ def test_c07_cb_algebra_property():
 def test_c08_metaplectic_suite():
     start = time.perf_counter()
     N = 5
-    sys = g.gabor_system(g.gaussian_window(N))
     Jinv = g.symp_inverse(J_MAT, N)
     count = 0
     for a in range(N):
@@ -200,7 +197,7 @@ def test_c08_metaplectic_suite():
                     assert np.array_equal(g.word_matrix(word, N), chi % N)
                     U = g.build_metaplectic(word, N)
                     assert np.linalg.norm(U.conj().T @ U - np.eye(N), 2) < 1e-12
-                    assert g.intertwine_defect(chi, U, sys) < 1e-10
+                    assert g.intertwine_defect(chi, U) < 1e-10
                     word2 = g.factor_generators((chi @ Jinv) % N, N) + [("J",)]
                     U2 = g.build_metaplectic(word2, N)
                     phase = g.phase_align(U, U2)
@@ -263,7 +260,6 @@ def test_c10_fio_composition_and_inversion(calibration):
 def test_c11_factorization():
     N = 11
     rng = np.random.default_rng(111)
-    sys = g.gabor_system(g.gaussian_window(N))
     defects = []
     for _ in range(10):
         chi = random_sympmat(rng, N)
@@ -271,7 +267,7 @@ def test_c11_factorization():
             rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         ) * gaussian_bump_symbol(N)
         T = g.weyl_quantize(sigma) @ g.metaplectic_operator(chi, N)
-        _, _, res = g.factorize_fio(T, chi, sys)
+        _, _, res = g.factorize_fio(T, chi)
         assert res["op_then_mu"] < 1e-9
         assert res["mu_then_op"] < 1e-9
         defects.append(res["egorov_modulus_defect"])

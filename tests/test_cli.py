@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gmlab
-from gmlab import verify
+from gmlab import serialize, verify
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
@@ -17,6 +17,8 @@ from gmlab.cli import (
     EXIT_VANISHING_FOURIER,
     main,
 )
+from gmlab.presets import resolve_symbol, resolve_window
+from gmlab.weyl import weyl_quantize
 
 
 def read_report(out_dir):
@@ -164,6 +166,22 @@ def test_factorize_residuals(tmp_path):
     assert res["mu_then_op"] < 1e-9
     assert os.path.exists(os.path.join(out, "sigma1.csv"))
     assert os.path.exists(os.path.join(out, "sigma2.csv"))
+
+
+def test_factorize_draws_a_random_window_before_the_symbol(tmp_path, capsys):
+    # factorize uses no window, but a random one still takes the generator's
+    # first draws, so a seed gives the symbol every other command gets
+    out = tmp_path / "run"
+    args = ["factorize", "--window", "random", "--symbol", "random", "--seed", "5"]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    rng = np.random.default_rng(5)
+    resolve_window("random", 7, rng)
+    T = weyl_quantize(resolve_symbol("random", 7, rng))
+    sigma1 = gmlab.factorize_fio(T, np.eye(2, dtype=int))[0]
+    assert (out / "sigma1.csv").read_text() == "".join(serialize.field_csv(sigma1))
+    # and a window that does not resolve still exits 2
+    assert main(["factorize", "--window", "nope", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown window preset 'nope'" in config_error_detail(capsys)
 
 
 def test_compose_reports_ratio(tmp_path):
@@ -338,8 +356,9 @@ def test_seq_invert_residual_gate(tmp_path, capsys):
 
 
 def test_seq_invert_default_grid_doubles_until_the_inverse_fits(tmp_path):
-    # the inverse (-0.3)^j at 5000 j aliases on 8192 points; 2^17 is the first
-    # grid whose residual passes (the entries beyond 65536, below 5e-8, wrap)
+    # the inverse (-0.3)^j at 5000 j aliases on 8192 points; from 2^17 on the
+    # residual passes, but the entries beyond 65536 wrap there, and on 2^18
+    # they sit in the guard band |n| >= grid/4: 2^19 is the first fitting grid
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sequence": FAR_PAIR}))
     out = str(tmp_path / "o")
@@ -347,8 +366,20 @@ def test_seq_invert_default_grid_doubles_until_the_inverse_fits(tmp_path):
     results = read_report(out)["results"]
     assert results["residual_l1"] < 1e-6 and results["support_size"] == 23
     inverse = {k[0]: complex(re, im) for k, re, im in results["inverse"]["entries"]}
-    for j in range(14):
+    assert sorted(inverse) == [5000 * j for j in range(23)]
+    for j in range(23):
         assert abs(inverse[5000 * j] - (-0.3) ** j) < 1e-12
+
+
+def test_seq_invert_given_grid_reaching_the_guard_band_exits_tolerance(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sequence": FAR_PAIR, "grid": 2**18}))
+    out = tmp_path / "o"
+    assert main(["seq-invert", "--config", str(cfg), "--out", str(out)]) == EXIT_TOLERANCE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "tolerance"
+    assert "guard band |n_i| >= 65536" in json.loads(err[0])["detail"]
+    assert not out.exists()
 
 
 def test_invert_linalg_error_exits_not_invertible(tmp_path, monkeypatch, capsys):

@@ -275,10 +275,9 @@ def test_adjoint_envelope_law(rng):
 
 def test_factorize_metaplectic_itself():
     N = 7
-    sys = gabor_system(gaussian_window(N))
     chi = np.array([[2, 1], [1, 1]])
     U = metaplectic_operator(chi, N)
-    s1, s2, res = factorize_fio(U, chi, sys)
+    s1, s2, res = factorize_fio(U, chi)
     assert np.max(np.abs(s1 - 1.0)) < 1e-10
     assert np.max(np.abs(s2 - 1.0)) < 1e-10
     assert res["op_then_mu"] < 1e-10
@@ -287,11 +286,10 @@ def test_factorize_metaplectic_itself():
 
 def test_factorize_recovers_left_symbol(rng):
     N = 7
-    sys = gabor_system(gaussian_window(N))
     chi = random_sympmat(rng, N)
     sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     T = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
-    s1, s2, res = factorize_fio(T, chi, sys)
+    s1, s2, res = factorize_fio(T, chi)
     assert np.max(np.abs(s1 - sigma)) < 1e-10
     assert res["op_then_mu"] < 1e-9
     assert res["mu_then_op"] < 1e-9
@@ -299,16 +297,22 @@ def test_factorize_recovers_left_symbol(rng):
 
 def test_factorize_recovers_right_symbol_with_pullback(rng):
     N = 7
-    sys = gabor_system(gaussian_window(N))
     sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     U = metaplectic_operator(J_MAT, N)
     T = U @ weyl_quantize(sigma)
-    s1, s2, res = factorize_fio(T, J_MAT, sys)
+    s1, s2, res = factorize_fio(T, J_MAT)
     assert np.max(np.abs(s2 - sigma)) < 1e-10
     Jinv = symp_inverse(J_MAT, 7)
-    defect = np.max(np.abs(np.abs(s1) - np.abs(symbol_pullback(sigma, Jinv, N))))
+    defect = np.max(np.abs(np.abs(s1) - np.abs(symbol_pullback(sigma, Jinv))))
     print(f"modulus defect of the left symbol vs pullback: {defect:.3e}")
     assert res["op_then_mu"] < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (7,), (2, 7, 7)])
+def test_factorize_rejects_a_non_square_operator(shape):
+    # N is read from the operator, so a non-square one has no modulus
+    with pytest.raises(ValueError, match="not square"):
+        factorize_fio(np.ones(shape), np.eye(2, dtype=int))
 
 
 def test_window_robustness_of_tail(calibration, rng):

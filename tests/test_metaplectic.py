@@ -5,8 +5,6 @@ from numpy.testing import assert_allclose
 from gmlab import (
     build_metaplectic,
     factor_generators,
-    gabor_system,
-    gaussian_window,
     intertwine_defect,
     metaplectic_operator,
     phase_align,
@@ -115,30 +113,27 @@ def test_build_unitary(rng):
 
 def test_intertwine_identity_is_zero():
     N = 5
-    sys = gabor_system(gaussian_window(N))
-    assert intertwine_defect(IDENTITY, np.eye(N), sys) < 1e-14
+    assert intertwine_defect(IDENTITY, np.eye(N)) < 1e-14
 
 
 @pytest.mark.parametrize("N", [5, 7, 11])
 def test_intertwine_for_fourier_generator(N):
-    sys = gabor_system(gaussian_window(N))
     U = build_metaplectic([("J",)], N)
-    assert intertwine_defect(J_MAT, U, sys) < 1e-10
+    assert intertwine_defect(J_MAT, U) < 1e-10
 
 
 def test_intertwine_random(rng):
     N = 7
-    sys = gabor_system(gaussian_window(N))
     for _ in range(10):
         chi = random_sympmat(rng, N)
         U = metaplectic_operator(chi, N)
-        assert intertwine_defect(chi, U, sys) < 1e-10
+        assert intertwine_defect(chi, U) < 1e-10
 
 
-def per_point_intertwine_defect(chi, U, sys):
+def per_point_intertwine_defect(chi, U):
     """Oracle: the sweep of intertwine_defect, one lattice point z at a time,
     with the scalar optimal phase."""
-    N = sys.N
+    N = U.shape[0]
     worst = 0.0
     for k in range(N):
         for l in range(N):
@@ -153,49 +148,46 @@ def per_point_intertwine_defect(chi, U, sys):
 @pytest.mark.parametrize("N", [5, 7, 11])
 def test_intertwine_matches_per_point_oracle(N):
     rng = np.random.default_rng(N)
-    sys = gabor_system(gaussian_window(N))
     chi = random_sympmat(rng, N)
     U = metaplectic_operator(chi, N)
-    defect = intertwine_defect(chi, U, sys)
-    assert abs(defect - per_point_intertwine_defect(chi, U, sys)) < 1e-13
+    defect = intertwine_defect(chi, U)
+    assert abs(defect - per_point_intertwine_defect(chi, U)) < 1e-13
     # a mismatched pair: U of the shear checked against J
     shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
-    mismatch = intertwine_defect(J_MAT, shear, sys)
+    mismatch = intertwine_defect(J_MAT, shear)
     assert mismatch > 1.0
-    assert_allclose(mismatch, per_point_intertwine_defect(J_MAT, shear, sys), rtol=1e-12)
+    assert_allclose(mismatch, per_point_intertwine_defect(J_MAT, shear), rtol=1e-12)
 
 
 @pytest.mark.parametrize("N", [5, 7])
 def test_stacked_intertwine_equals_the_pairwise_calls(N):
     rng = np.random.default_rng(N)
-    sys = gabor_system(gaussian_window(N))
     shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
     chis = [random_sympmat(rng, N) for _ in range(4)]
     pairs = [(chi, metaplectic_operator(chi, N)) for chi in chis] + [(J_MAT, shear)]
     chi_stack = np.array([chi for chi, _ in pairs])
     U_stack = np.array([U for _, U in pairs])
-    defects = intertwine_defect(chi_stack, U_stack, sys)
+    defects = intertwine_defect(chi_stack, U_stack)
     assert defects.shape == (len(pairs),)
-    single = [intertwine_defect(chi, U, sys) for chi, U in pairs]
+    single = [intertwine_defect(chi, U) for chi, U in pairs]
     assert all(type(d) is float for d in single)
     assert defects.tolist() == single  # exactly
     assert max(single[:-1]) < 1e-10 and single[-1] > 1.0  # the mismatch is seen
     for (chi, U), d in zip(pairs, defects):
-        assert abs(d - per_point_intertwine_defect(chi, U, sys)) < 1e-13
+        assert abs(d - per_point_intertwine_defect(chi, U)) < 1e-13
     # leading axes broadcast: one map against a stack of unitaries, and a 2-d stack
-    assert intertwine_defect(J_MAT, U_stack, sys).tolist() == [
-        intertwine_defect(J_MAT, U, sys) for U in U_stack
+    assert intertwine_defect(J_MAT, U_stack).tolist() == [
+        intertwine_defect(J_MAT, U) for U in U_stack
     ]
-    grid = intertwine_defect(chi_stack.reshape(5, 1, 2, 2), U_stack, sys)
+    grid = intertwine_defect(chi_stack.reshape(5, 1, 2, 2), U_stack)
     assert grid.shape == (5, 5) and np.array_equal(np.diag(grid), defects)
 
 
 def test_stacked_intertwine_rejects_one_non_unitary_member():
     N = 5
-    sys = gabor_system(gaussian_window(N))
     U = np.array([np.eye(N), 2.0 * np.eye(N), np.eye(N)])
     with pytest.raises(ValueError, match="not unitary"):
-        intertwine_defect(np.array([IDENTITY] * 3), U, sys)
+        intertwine_defect(np.array([IDENTITY] * 3), U)
 
 
 def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
@@ -218,9 +210,15 @@ def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
 
 def test_intertwine_rejects_non_unitary():
     N = 5
-    sys = gabor_system(gaussian_window(N))
     with pytest.raises(ValueError):
-        intertwine_defect(IDENTITY, 2.0 * np.eye(N), sys)
+        intertwine_defect(IDENTITY, 2.0 * np.eye(N))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (3, 5, 7), (5,)])
+def test_intertwine_rejects_a_non_square_operator(shape):
+    # N is read from the operator, so a non-square one has no modulus
+    with pytest.raises(ValueError, match="not square"):
+        intertwine_defect(IDENTITY, np.ones(shape))
 
 
 def test_symp_apply_and_inverse():

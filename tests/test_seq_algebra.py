@@ -19,34 +19,40 @@ from gmlab import (
     pointwise_product,
     qnorm,
     qnorm_weighted,
-    weight_eval,
 )
+from gmlab._lattice import centered, radius, square_points, weight
 from gmlab.verify import random_sparse
 
 DELTA1 = SparseSeq.delta(1)
+
+
+def weight_eval(index, s):
+    """Oracle: (1 + sqrt(sum n_i^2))**s at one index, in Python floats."""
+    return (1.0 + math.sqrt(sum(float(v) ** 2 for v in np.atleast_1d(index)))) ** s
 
 
 # ---------------------------------------------------------------- weights
 
 
 def test_weight_at_origin_is_one():
-    assert weight_eval((0, 0), 3.0) == 1.0
+    assert weight((0, 0), 3.0) == 1.0
 
 
 def test_weight_pythagorean():
-    assert weight_eval((3, 4), 1.0) == pytest.approx(6.0, abs=1e-14)
+    assert weight((3, 4), 1.0) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_weight_three_dim():
     # (1 + sqrt(5))^2 evaluated independently
     expected = (1.0 + math.sqrt(5.0)) ** 2
-    assert weight_eval((1, 0, 2), 2.0) == pytest.approx(expected, rel=1e-14)
+    assert weight((1, 0, 2), 2.0) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(10.47213595499958, rel=1e-12)
 
 
-def test_weight_rejects_negative_order():
-    with pytest.raises(ValueError):
-        weight_eval((1,), -0.5)
+def test_weight_of_negative_order_is_the_reciprocal():
+    points = np.array([[0, 0], [3, 4], [-7, 2], [40, -33]])
+    assert_allclose(weight(points, -1.5), 1.0 / weight(points, 1.5), rtol=1e-15)
+    assert np.all(weight(points, -1.5) <= 1.0)
 
 
 @given(
@@ -56,7 +62,51 @@ def test_weight_rejects_negative_order():
 )
 def test_weight_submultiplicative(lam, mu, s):
     total = tuple(a + b for a, b in zip(lam, mu))
-    assert weight_eval(total, s) <= weight_eval(lam, s) * weight_eval(mu, s) * (1 + 1e-12)
+    assert weight(total, s) <= weight(lam, s) * weight(mu, s) * (1 + 1e-12)
+
+
+def test_weight_radius_is_hypot_bit_for_bit():
+    # the lattice and amalgam quasi-norms in report.json were computed with
+    # np.hypot(a, b): the one weight must reproduce it to the last bit
+    def hypot_weight(axis, s):
+        a = np.asarray(axis, dtype=float)
+        return (1.0 + np.hypot(a[:, None], a[None, :])) ** s
+
+    for N in range(5, 128, 2):
+        axis = centered(np.arange(N), N)
+        assert weight(square_points(axis), 1.7).tobytes() == hypot_weight(axis, 1.7).tobytes()
+    for R in (1, 4, 8, 40, 64):
+        axis = np.arange(-R, R)
+        assert weight(square_points(axis), 2.0).tobytes() == hypot_weight(axis, 2.0).tobytes()
+    points = np.random.default_rng(7).integers(-3000, 3001, size=(4000, 3)).astype(float)
+    for m in (1, 2, 3):
+        reduced = np.hypot.reduce(points[:, :m], axis=-1, initial=0.0)
+        assert radius(points[:, :m]).tobytes() == reduced.tobytes()
+
+
+def test_weight_in_one_dimension_is_one_plus_modulus():
+    n = np.arange(-3000, 3001)
+    assert np.array_equal(weight(n[:, None], 1.0), 1.0 + np.abs(n))
+
+
+@pytest.mark.filterwarnings("error")
+def test_weight_beyond_float_range_is_infinite():
+    assert weight((300,), 200.0) == math.inf
+    assert weight((0,), 1e6) == 1.0
+    assert weight((300, 0), -200.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 2.0),
+    st.floats(-3.0, 3.0),
+)
+def test_qnorm_weighted_against_per_entry_oracle(dim, seed, q, s):
+    a = random_sparse(np.random.default_rng(seed), dim=dim, size=8, box=40)
+    expected = sum(abs(v) ** q * weight_eval(k, s) ** q for k, v in a.items()) ** (1 / q)
+    assert qnorm_weighted(a, q, s) == pytest.approx(expected, rel=1e-13)
 
 
 # ---------------------------------------------------------------- qnorm
@@ -171,7 +221,7 @@ def test_qnorm_against_weight_eval_sum(dim, q, s):
     a = random_sparse(np.random.default_rng(dim), dim=dim, size=10, box=5)
     expected = sum(abs(v) ** q * weight_eval(k, s) ** q for k, v in a.items()) ** (1 / q)
     assert qnorm(a, QParams(q, s)) == pytest.approx(expected, rel=1e-13)
-    assert qnorm_weighted(a, q, lambda k: weight_eval(k, s)) == pytest.approx(expected, rel=1e-13)
+    assert qnorm_weighted(a, q, s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_duplicate_indices_add_and_zeros_leave_the_support():
@@ -263,10 +313,8 @@ def test_hoelder_inequality():
         a = random_sparse(rng)
         b = random_sparse(rng)
         # exponents (p, q, r) = (1, 1, 1/2): 1/p + 1/q = 1/r
-        lhs = qnorm_weighted(pointwise_product(a, b), 0.5, lambda k: 1.0)
-        rhs = qnorm_weighted(a, 1.0, lambda k: weight_eval(k, s)) * qnorm_weighted(
-            b, 1.0, lambda k: 1.0 / weight_eval(k, s)
-        )
+        lhs = qnorm_weighted(pointwise_product(a, b), 0.5, 0.0)
+        rhs = qnorm_weighted(a, 1.0, s) * qnorm_weighted(b, 1.0, -s)
         assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
 
@@ -435,9 +483,15 @@ def test_invert_by_fourier_default_grid_doubles_while_the_inverse_aliases():
     far = DELTA1 + 0.3 * SparseSeq.unit(5000)  # inverse (-0.3)^j at 5000 j
     with pytest.raises(ToleranceError, match="on the 65536\\^1 grid"):
         invert_by_fourier(far, grid=65536)  # a given grid is kept
-    res = invert_by_fourier(far)  # 8192, 16384, ... up to 2^17
+    # the residual passes from 2^17 on, but there the entries beyond 65536
+    # wrap, and on 2^18 they still sit in the outer quarter
+    for grid in (2**17, 2**18):
+        with pytest.raises(ToleranceError, match=f"guard band .* the {grid}\\^1 grid"):
+            invert_by_fourier(far, grid=grid)
+    res = invert_by_fourier(far)  # 8192, 16384, ... up to 2^19
     assert res.residual < 1e-6 and len(res.seq) == 23
-    assert res.seq[(65000,)] == pytest.approx((-0.3) ** 13, abs=1e-12)
+    for j in range(23):
+        assert res.seq[(5000 * j,)] == pytest.approx((-0.3) ** j, abs=1e-12)
 
 
 def test_invert_by_fourier_ladder_stops_when_the_residual_stops_falling():
@@ -458,9 +512,8 @@ def test_quasi_norm_overflow_is_an_error_not_a_warning():
     a = SparseSeq(1, {(0,): 1.0, (300,): 1e-3})
     with pytest.raises(ValueError, match="not finite"):
         qnorm(a, QParams(1.0, 200.0))
-    assert weight_eval((300,), 200.0) == math.inf
     with pytest.raises(ValueError, match="not finite"):
-        qnorm_weighted(a, 1.0, lambda k: weight_eval(k, 200.0))
+        qnorm_weighted(a, 1.0, 200.0)
     with pytest.raises(ValueError, match="not finite"):
         lattice_qnorm(np.ones((5, 5)), 0.5, 1000.0)
     assert weighted_qnorm(np.array([3.0, 4.0]), np.ones(2), 1.0) == 7.0

@@ -62,7 +62,7 @@ def test_field_csv_layout():
 def test_gabor_csv_layout():
     N = 2  # layout only; no modular arithmetic involved
     M = np.arange(16, dtype=complex).reshape(4, 4)
-    lines = "".join(serialize.gabor_csv(M, N)).strip().split("\n")
+    lines = "".join(serialize.gabor_csv(M)).strip().split("\n")
     assert lines[0] == "mu_k,mu_l,lam_k,lam_l,re,im"
     assert len(lines) == 17
     assert lines[1] == "0,0,0,0,0.0,0.0"
@@ -203,7 +203,7 @@ def test_row_writers_match_per_cell_writers(rng, N):
     n = min(flat.size, edges.size)
     flat[:n] = edges[:n] + 1j * edges[::-1][:n]
     field = M[:N, :N]
-    assert "".join(serialize.gabor_csv(M, N)) == per_cell_gabor_csv(M, N)
+    assert "".join(serialize.gabor_csv(M)) == per_cell_gabor_csv(M, N)
     assert "".join(serialize.field_csv(field)) == per_cell_field_csv(field)
     assert serialize.envelope_csv(np.abs(field)) == per_cell_envelope_csv(np.abs(field))
     assert serialize.envelope_csv(field.real) == per_cell_envelope_csv(field.real)
@@ -214,7 +214,7 @@ def test_complex_writers_yield_the_header_then_one_block_per_row(rng):
     M = rng.standard_normal((N * N, N * N)) + 0j
     for blocks, rows, header in [
         (serialize.field_csv(M[:N, :N]), N, "k,l,re,im\n"),
-        (serialize.gabor_csv(M, N), N * N, "mu_k,mu_l,lam_k,lam_l,re,im\n"),
+        (serialize.gabor_csv(M), N * N, "mu_k,mu_l,lam_k,lam_l,re,im\n"),
     ]:
         blocks = list(blocks)
         assert blocks[0] == header and len(blocks) == 1 + rows
