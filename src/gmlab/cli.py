@@ -92,6 +92,13 @@ _int = partial(serialize.number, kind=int)
 _float = serialize.number
 
 
+def _seed(value, name: str) -> int:
+    seed = _int(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative int64, got {value!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class Option:
     """One outside value.  `read(value, name)` checks a given value and
@@ -113,7 +120,7 @@ OPTIONS = {
     "window": Option(_string, "gaussian", flag=str, help="window preset or JSON path"),
     "symbol": Option(_string, "near-identity", flag=str, help="symbol preset or JSON path"),
     "out": Option(_string, ".", flag=str, help="output directory"),
-    "seed": Option(_int, 0, flag=int),
+    "seed": Option(_seed, 0, flag=int),
     # compose
     "chi2": Option(_matrix, [[1, 0], [0, 1]]),
     "symbol2": Option(_string, None),  # None: the first symbol
@@ -175,8 +182,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _seeded_system(cfg: ExperimentConfig):
     """The seeded generator and the Gabor system of the configured window;
-    a random window takes the generator's first draws."""
-    rng = np.random.default_rng(cfg.seed)
+    a random window takes the generator's first draws.  The generator is
+    built only when the window or a symbol is the `random` preset (None
+    otherwise), so other inputs never load numpy.random."""
+    draws = "random" in (cfg.window, cfg.symbol, cfg.symbol2)
+    rng = np.random.default_rng(cfg.seed) if draws else None
     return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 

@@ -32,7 +32,7 @@ from .metaplectic import (
 )
 from .phase_space import GaborSystem
 from .seq_algebra import QParams
-from .weyl import gabor_factors, weyl_dequantize, weyl_quantize
+from .weyl import gabor_rows, weyl_dequantize, weyl_quantize
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     one (N, N^2) row block at a time so that matrix is never built."""
     N = sys.N
     chi = require_symplectic(chi, N)
-    Ph, TP = gabor_factors(T, sys)
-    values = _row_block_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
+    values = _row_block_envelope(gabor_rows(T, sys), N, chi)
     return FioEnvelope(chi=chi, values=values)
 
 

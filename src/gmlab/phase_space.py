@@ -101,17 +101,25 @@ def gaussian_window(N: int, width: float = 1.0) -> np.ndarray:
     return g.astype(complex)
 
 
+def _shift_tables(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, N) tables behind the shift bank: column k of translates is
+    g(. - k) and column l of phases is the modulation l, so that
+    pi(k, l) g = translates[:, k] * phases[:, l] (in this operand order,
+    which fixes the rounding of every entry)."""
+    g = np.asarray(g, dtype=complex)
+    N = g.shape[0]
+    t = np.arange(N)
+    return g[(t[:, None] - t[None, :]) % N], np.exp(2j * np.pi * np.outer(t, t) / N)
+
+
 def shift_bank(g: np.ndarray) -> np.ndarray:
     """Synthesis matrix of all time-frequency shifts of g.
 
     Returns the (N, N^2) complex matrix whose column k*N + l is pi(k, l) g.
     """
-    g = np.asarray(g, dtype=complex)
-    N = g.shape[0]
-    t = np.arange(N)
-    translates = g[(t[:, None] - t[None, :]) % N]  # column k = g(. - k)
-    phases = np.exp(2j * np.pi * np.outer(t, t) / N)  # column l = modulation l
-    # columns ordered (k, l) row-major: P[:, k*N + l] = phases[:, l] * translates[:, k]
+    translates, phases = _shift_tables(g)
+    N = phases.shape[0]
+    # columns ordered (k, l) row-major
     return (translates[:, :, None] * phases[:, None, :]).reshape(N, N * N)
 
 

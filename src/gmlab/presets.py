@@ -22,9 +22,9 @@ def delta_window(N: int) -> np.ndarray:
     return g
 
 
-def resolve_window(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
+def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
-    'random') or a path to a JSON signal."""
+    'random') or a path to a JSON signal; only 'random' draws from rng."""
     if spec == "delta":
         return delta_window(N)
     if spec == "random":
@@ -46,9 +46,9 @@ def gaussian_bump_symbol(N: int) -> np.ndarray:
     return np.exp(-np.pi * r**2 / N).astype(complex)
 
 
-def resolve_symbol(spec: str, N: int, rng: np.random.Generator) -> np.ndarray:
+def resolve_symbol(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Symbol from a preset name ('one', 'gaussian-bump', 'near-identity',
-    'random') or a path to a JSON field."""
+    'random') or a path to a JSON field; only 'random' draws from rng."""
     if spec == "one":
         return np.ones((N, N), dtype=complex)
     if spec == "gaussian-bump":

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
-from ._lattice import centered_radius
+from ._lattice import centered_radius, lattice_qnorm
 from .errors import SUITE_SLACK, VanishingFourierError
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
 from .presets import delta_window, gaussian_bump_symbol
@@ -212,12 +212,9 @@ def suite_cb_algebra(N, p, rng):
     for _ in range(15):
         A = random_decaying_matrix(rng, N)
         B = random_decaying_matrix(rng, N)
-        AB = A @ B
-        conv = ma.envelope_convolve(ma.diagonal_envelope(A), ma.diagonal_envelope(B))
-        yield max(
-            ma.cb_norm(AB, p) - ma.cb_norm(A, p) * ma.cb_norm(B, p),
-            float(np.max(ma.diagonal_envelope(AB) - conv)),
-        )
+        dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
+        nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
+        yield max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
 
 
 @_suite("cb_solidity", 12, SUITE_SLACK)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import lattice_qnorm
-from .phase_space import GaborSystem, gaussian_window, shift_bank
+from .phase_space import GaborSystem, _shift_tables, gaussian_window, shift_bank
 from .seq_algebra import MAX_CELLS, QParams
 
 
@@ -78,16 +78,19 @@ def duality_pairing(sigma: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.sum(sigma * np.conj(wigner(g, f))) / N)
 
 
-def gabor_factors(T: np.ndarray, sys: GaborSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The (N^2, N) and (N, N^2) factors P^H and T P of the Gabor matrix
-    P^H T P, with P = shift_bank(parseval_window); rows (k, .) of the matrix
-    are P^H[k*N:(k+1)*N] @ (T P), so it can be read one row block at a time."""
+def gabor_rows(T: np.ndarray, sys: GaborSystem):
+    """The Gabor matrix P^H T P of T, with P = shift_bank(parseval_window),
+    one row block at a time: rows(rk) is its (N, N^2) block of rows (rk, .).
+
+    Only the factor T P is kept.  Block rk of P^H is rebuilt from the two
+    (N, N) shift tables, entry for entry the rows of P.conj().T."""
     T = np.asarray(T, dtype=complex)
     N = sys.N
     if T.shape != (N, N):
         raise ValueError("operator matrix and Gabor system moduli differ")
-    P = shift_bank(sys.parseval_window)
-    return P.conj().T, T @ P
+    translates, phases = _shift_tables(sys.parseval_window)
+    TP = T @ shift_bank(sys.parseval_window)
+    return lambda rk: np.conj(translates[:, rk, None] * phases).T @ TP
 
 
 def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
@@ -98,13 +101,17 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     intertwines T with the lattice STFT: V(T f) = M V(f).  It holds N^4
     entries, so N^4 > MAX_CELLS raises ValueError before anything is built.
     """
-    if sys.N**4 > MAX_CELLS:
+    N = sys.N
+    if N**4 > MAX_CELLS:
         raise ValueError(
-            f"the Gabor matrix at N = {sys.N} holds N^4 = {sys.N**4} entries, "
+            f"the Gabor matrix at N = {N} holds N^4 = {N**4} entries, "
             f"more than MAX_CELLS = {MAX_CELLS}"
         )
-    Ph, TP = gabor_factors(T, sys)
-    return Ph @ TP
+    rows = gabor_rows(T, sys)
+    M = np.empty((N * N, N * N), dtype=complex)
+    for rk in range(N):
+        M[rk * N:(rk + 1) * N] = rows(rk)
+    return M
 
 
 def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = None) -> float:

@@ -425,14 +425,53 @@ def test_non_string_preset_is_config_error(tmp_path, command, key, detail):
     assert len(err) == 1 and json.loads(err[0]) == {"error": "config", "detail": detail}
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of code run by a fresh interpreter on this gmlab."""
     src = os.path.dirname(os.path.dirname(gmlab.__file__))
-    code = "import sys, gmlab.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_interpreter("import sys, gmlab.cli; print('scipy' in sys.modules)") == "False"
+
+
+def _loads_numpy_random(runs) -> bool:
+    """Whether a fresh interpreter that runs each argument list through
+    main (each must exit 0) ends with numpy.random imported."""
+    code = (
+        "import sys; from gmlab.cli import main\n"
+        f"for args in {runs!r}: assert main(args) == 0, args\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    return _fresh_interpreter(code) == "True"
+
+
+def test_fio_commands_without_random_presets_never_load_numpy_random(tmp_path):
+    window = write(tmp_path / "w.json", [[1.0, 0.0], [0.5, 0.5], [0.2, 0.0], [0.1, 0.0], [0, 0]])
+    symbol = write(tmp_path / "s.json", [[[1.0, 0.1]] * 5] * 5)
+    inputs = [["--window", window, "--symbol", symbol], ["--symbol", "near-identity"],
+              ["--window", "gaussian:2", "--symbol", "gaussian-bump"]]
+    runs = [
+        [command, "--N", "5", "--chi", "2,1,1,1", *spec, "--out", str(tmp_path / command)]
+        for command in ("envelope", "compose", "invert", "factorize", "gabor-matrix")
+        for spec in inputs
+    ]
+    assert not _loads_numpy_random(runs)
+    assert _loads_numpy_random([["envelope", "--N", "5", "--window", "random",
+                                 "--out", str(tmp_path / "random")]])
+
+
+@pytest.mark.parametrize("command", ["gabor-matrix", "envelope", "compose", "invert",
+                                     "factorize", "amalgam", "seq-invert", "verify"])
+def test_every_command_rejects_a_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert config_error_detail(capsys) == "seed must be a non-negative int64, got -1"
+    assert not out.exists()
 
 
 def write(path, obj) -> str:

@@ -16,12 +16,12 @@ from gmlab import (
     gaussian_window,
     lattice_qnorm,
     pseudo_inverse,
+    shift_bank,
     weyl_quantize,
 )
 from gmlab.metaplectic import symp_apply, symp_inverse
 from gmlab.presets import gaussian_bump_symbol
 from gmlab.verify import random_decaying_matrix
-from gmlab.weyl import gabor_factors
 
 
 def test_envelope_of_identity():
@@ -96,7 +96,8 @@ def test_envelope_kernel_matches_two_array_gather(rng, N, chi):
 def test_fio_envelope_matches_two_array_gather(rng, N, chi):
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    Ph, TP = gabor_factors(T, sys)
+    P = shift_bank(sys.parseval_window)
+    Ph, TP = P.conj().T, T @ P
     oracle = two_array_gather_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
     assert np.array_equal(envelope(T, chi, sys).values, oracle)
 
