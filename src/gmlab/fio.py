@@ -23,16 +23,18 @@ import numpy as np
 
 from ._lattice import centered_points, centered_radius, weight, weighted_qnorm
 from .errors import NotInvertibleError
-from .matrix_algebra import _row_block_envelope
 from .metaplectic import (
     metaplectic_operator,
     require_symplectic,
     symp_apply,
     symp_inverse,
 )
-from .phase_space import GaborSystem
+from .phase_space import GaborSystem, _shift_tables
 from .seq_algebra import QParams
-from .weyl import gabor_rows, weyl_dequantize, weyl_quantize
+from .weyl import weyl_dequantize, weyl_quantize
+
+
+_PANEL_BYTES = 2**19  # one complex panel of `envelope`: cache-sized blocks, never N^3
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,36 @@ class FioReport:
 
 def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     """Exact envelope h(mu) = max_lambda |<T pi(lambda) g, pi(chi lambda + mu) g>|:
-    the diagonal envelope of the Gabor matrix of T along the graph of chi, read
-    one (N, N^2) row block at a time so that matrix is never built."""
+    the diagonal envelope of the Gabor matrix of T along the graph of chi,
+    computed without that matrix, its factor T P or a gather index.
+
+    The columns z = chi^-1 (c, j) come in panels of a few values of j: column
+    (j, c) of a panel is omega^(-j x) (T pi(z) gamma)(x), omega = e^(2 pi i / N).
+    Since omega^(-mu_l x) omega^(-j x) = omega^(-(mu_l + j) x), row mu_l of
+    conj(pi(rk, 0) gamma * phases).T @ panel is the Gabor entry of row
+    (rk, mu_l + j), so at mu = (rk - c, mu_l), and the max over the panel's j
+    folds into h.  Extra memory is one panel, at most _PANEL_BYTES for N <= 181,
+    and its products."""
     N = sys.N
     chi = require_symplectic(chi, N)
-    values = _row_block_envelope(gabor_rows(T, sys), N, chi)
-    return FioEnvelope(chi=chi, values=values)
+    T = np.asarray(T, dtype=complex)
+    if T.shape != (N, N):
+        raise ValueError("operator matrix and Gabor system moduli differ")
+    translates, phases = _shift_tables(sys.parseval_window)
+    t = np.arange(N)
+    zk, zl = symp_apply(symp_inverse(chi, N), (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
+    width = max(1, _PANEL_BYTES // (16 * N * N))
+    d = np.zeros((N, N))
+    for j0 in range(0, N, width):
+        js = slice(j0, j0 + width)
+        panel = (T @ (translates[:, zk[js].ravel()] * phases[:, zl[js].ravel()])).reshape(N, -1, N)
+        panel *= np.conj(phases[:, js, None])
+        panel = panel.reshape(N, -1)
+        for rk in range(N):
+            block = np.conj(translates[:, rk, None] * phases).T @ panel
+            e = np.abs(block).reshape(N, -1, N).max(axis=1)  # [mu_l, c]
+            np.maximum(d, e[:, (rk - t) % N].T, out=d)
+    return FioEnvelope(chi=chi, values=d)
 
 
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
@@ -111,13 +137,15 @@ def compose_check(
     p: QParams,
 ) -> tuple[FioReport, float, FioEnvelope]:
     """Envelope report of T1 T2 relative to chi1 chi2, the quasi-norm ratio
-    ||h(T1 T2)|| / (||h(T1)|| ||h(T2)||), and the envelope of T1 T2."""
+    ||h(T1 T2)|| / (||h(T1)|| ||h(T2)||), and the envelope of T1 T2.  A square
+    T T along one map reuses h(T) for both factors."""
     N = sys.N
     chi1 = require_symplectic(chi1, N)
     chi2 = require_symplectic(chi2, N)
     prod_chi = (chi1 @ chi2) % N
     rep1 = fio_report(envelope(T1, chi1, sys), p)
-    rep2 = fio_report(envelope(T2, chi2, sys), p)
+    square = np.array_equal(chi1, chi2) and np.array_equal(T1, T2)
+    rep2 = rep1 if square else fio_report(envelope(T2, chi2, sys), p)
     env12 = envelope(np.asarray(T1) @ np.asarray(T2), prod_chi, sys)
     rep12 = fio_report(env12, p)
     denom = rep1.quasi_norm * rep2.quasi_norm

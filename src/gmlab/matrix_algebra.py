@@ -39,21 +39,16 @@ def _lattice_side(A: np.ndarray) -> int:
 def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
     """Envelope d(mu) = max_z |A[chi z + mu, z]| as an (N, N) field indexed by
     mu mod N per coordinate (read mu on centered representatives); chi=None
-    is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|."""
-    N = _lattice_side(A)
-    A = np.asarray(A)
-    return _row_block_envelope(lambda rk: A[rk * N:(rk + 1) * N], N, chi)
+    is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|.  chi must
+    have determinant 1 mod N.
 
-
-def _row_block_envelope(row_block, N: int, chi=None) -> np.ndarray:
-    """The envelope kernel: d(mu) = max_z |A[chi z + mu, z]| for a determinant-one
-    chi, reading A only through row_block(rk) = A[rk*N:(rk+1)*N], its (N, N^2)
-    rows (rk, .), so A itself is never needed and the extra memory is O(N^3).
-
-    Row (rk, mu_l + j) meets the column z = chi^-1 (c, j) at mu = (rk - c, mu_l)
+    A is read one (N, N^2) row block A[rk*N:(rk+1)*N] at a time.  Row
+    (rk, mu_l + j) meets the column z = chi^-1 (c, j) at mu = (rk - c, mu_l)
     for every rk, so one flat index into a block,
     [j, mu_l, c] = ((mu_l + j) mod N) N^2 + flat(chi^-1 (c, j)), serves every
     block: e[mu_l, c] = max_j |block|[index] is d at mu = (rk - c, mu_l)."""
+    N = _lattice_side(A)
+    A = np.asarray(A)
     chi_inv = symp_inverse(np.eye(2, dtype=int) if chi is None else chi, N)
     t = np.arange(N)
     zk, zl = symp_apply(chi_inv, (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
@@ -61,7 +56,7 @@ def _row_block_envelope(row_block, N: int, chi=None) -> np.ndarray:
     d = np.zeros((N, N))
     for rk in range(N):
         # every index is in range: "clip" only skips the bounds check
-        e = np.take(np.abs(row_block(rk)), index, mode="clip").max(axis=0)
+        e = np.take(np.abs(A[rk * N:(rk + 1) * N]), index, mode="clip").max(axis=0)
         np.maximum(d, e[:, (rk - t) % N].T, out=d)
     return d
 

@@ -78,21 +78,6 @@ def duality_pairing(sigma: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.sum(sigma * np.conj(wigner(g, f))) / N)
 
 
-def gabor_rows(T: np.ndarray, sys: GaborSystem):
-    """The Gabor matrix P^H T P of T, with P = shift_bank(parseval_window),
-    one row block at a time: rows(rk) is its (N, N^2) block of rows (rk, .).
-
-    Only the factor T P is kept.  Block rk of P^H is rebuilt from the two
-    (N, N) shift tables, entry for entry the rows of P.conj().T."""
-    T = np.asarray(T, dtype=complex)
-    N = sys.N
-    if T.shape != (N, N):
-        raise ValueError("operator matrix and Gabor system moduli differ")
-    translates, phases = _shift_tables(sys.parseval_window)
-    TP = T @ shift_bank(sys.parseval_window)
-    return lambda rk: np.conj(translates[:, rk, None] * phases).T @ TP
-
-
 def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     """Matrix of T in the Gabor coordinates of the Parseval window.
 
@@ -100,6 +85,8 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     index (k, l) flattened as k*N + l.  For a Parseval system this matrix
     intertwines T with the lattice STFT: V(T f) = M V(f).  It holds N^4
     entries, so N^4 > MAX_CELLS raises ValueError before anything is built.
+    It is P^H (T P), P = shift_bank(parseval_window), one block of rows (rk, .)
+    at a time, each block of P^H rebuilt entry for entry from the shift tables.
     """
     N = sys.N
     if N**4 > MAX_CELLS:
@@ -107,10 +94,14 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
             f"the Gabor matrix at N = {N} holds N^4 = {N**4} entries, "
             f"more than MAX_CELLS = {MAX_CELLS}"
         )
-    rows = gabor_rows(T, sys)
+    T = np.asarray(T, dtype=complex)
+    if T.shape != (N, N):
+        raise ValueError("operator matrix and Gabor system moduli differ")
+    translates, phases = _shift_tables(sys.parseval_window)
+    TP = T @ shift_bank(sys.parseval_window)
     M = np.empty((N * N, N * N), dtype=complex)
     for rk in range(N):
-        M[rk * N:(rk + 1) * N] = rows(rk)
+        M[rk * N:(rk + 1) * N] = np.conj(translates[:, rk, None] * phases).T @ TP
     return M
 
 

@@ -92,14 +92,16 @@ def test_envelope_kernel_matches_two_array_gather(rng, N, chi):
 
 
 @pytest.mark.parametrize("chi", list(CHIS.values())[1:], ids=list(CHIS)[1:])
-@pytest.mark.parametrize("N", [31, 43])
+@pytest.mark.parametrize("N", [31, 43, 61])
 def test_fio_envelope_matches_two_array_gather(rng, N, chi):
+    # N = 43 and 61 end on a ragged panel (17 + 17 + 9 and 7 x 8 + 5 values of j)
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     P = shift_bank(sys.parseval_window)
     Ph, TP = P.conj().T, T @ P
     oracle = two_array_gather_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
-    assert np.array_equal(envelope(T, chi, sys).values, oracle)
+    h = envelope(T, chi, sys).values
+    assert np.abs(h - oracle).max() <= 1e-13 * oracle.max()
 
 
 def test_envelope_rejects_nonsquare():
