@@ -51,7 +51,6 @@ from .weyl import (
     wigner,
 )
 from .matrix_algebra import (
-    apply_to_sequence,
     cb_norm,
     convolution_matrix,
     diagonal_envelope,

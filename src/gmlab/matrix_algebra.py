@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from ._lattice import lattice_qnorm
-from .errors import BOUND_SLACK, ToleranceError
-from .metaplectic import symp_apply, symp_inverse
+from .metaplectic import require_symplectic, symp_apply
 from .seq_algebra import QParams
 
 
@@ -42,23 +41,14 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
     is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|.  chi must
     have determinant 1 mod N.
 
-    A is read one (N, N^2) row block A[rk*N:(rk+1)*N] at a time.  Row
-    (rk, mu_l + j) meets the column z = chi^-1 (c, j) at mu = (rk - c, mu_l)
-    for every rk, so one flat index into a block,
-    [j, mu_l, c] = ((mu_l + j) mod N) N^2 + flat(chi^-1 (c, j)), serves every
-    block: e[mu_l, c] = max_j |block|[index] is d at mu = (rk - c, mu_l)."""
+    One (N^2, N^2) index gathers row flat(chi z + mu) of column flat(z) at
+    [flat(mu), flat(z)], so d is the maximum of each gathered row."""
     N = _lattice_side(A)
-    A = np.asarray(A)
-    chi_inv = symp_inverse(np.eye(2, dtype=int) if chi is None else chi, N)
-    t = np.arange(N)
-    zk, zl = symp_apply(chi_inv, (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
-    index = ((t[:, None] + t) % N * N * N)[:, :, None] + (zk * N + zl)[:, None, :]
-    d = np.zeros((N, N))
-    for rk in range(N):
-        # every index is in range: "clip" only skips the bounds check
-        e = np.take(np.abs(A[rk * N:(rk + 1) * N]), index, mode="clip").max(axis=0)
-        np.maximum(d, e[:, (rk - t) % N].T, out=d)
-    return d
+    chi = require_symplectic(np.eye(2, dtype=int) if chi is None else chi, N)
+    k, l = np.divmod(np.arange(N * N), N)  # the lattice point at each flat index
+    ck, cl = symp_apply(chi, (k, l), N)
+    rows = (ck + k[:, None]) % N * N + (cl + l[:, None]) % N
+    return np.abs(A)[rows, np.arange(N * N)].max(axis=1).reshape(N, N)
 
 
 def cb_norm(A: np.ndarray, p: QParams) -> float:
@@ -93,35 +83,6 @@ def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
             if v != 0.0:
                 out += v * np.roll(np.roll(d2, a, axis=0), b, axis=1)
     return out
-
-
-def apply_to_sequence(A: np.ndarray, c: np.ndarray, p: QParams | None = None) -> np.ndarray:
-    """Apply a lattice-indexed matrix to a coefficient field.
-
-    `c` may be an (N, N) field or a flat vector of length N^2; the result
-    has the same shape.  When `p` is given the action bounds
-    ||A c||_Y <= ||A||_{C_B} ||c||_Y for Y in {l2, l^q_{v_s}} are certified
-    on this instance and a ToleranceError is raised if either fails beyond
-    floating-point slack.
-    """
-    A = np.asarray(A)
-    N = _lattice_side(A)
-    c = np.asarray(c, dtype=complex)
-    flat = c.reshape(-1)
-    if flat.shape[0] != N * N:
-        raise ValueError("coefficient field size does not match the matrix")
-    out = A @ flat
-    if p is not None:
-        bound = cb_norm(A, p)
-        n2_in = float(np.linalg.norm(flat))
-        n2_out = float(np.linalg.norm(out))
-        if n2_out > bound * n2_in * (1.0 + BOUND_SLACK) + BOUND_SLACK:
-            raise ToleranceError("l2 action bound violated")
-        nb_in = lattice_qnorm(np.abs(flat).reshape(N, N), p.q, p.s)
-        nb_out = lattice_qnorm(np.abs(out).reshape(N, N), p.q, p.s)
-        if nb_out > bound * nb_in * (1.0 + BOUND_SLACK) + BOUND_SLACK:
-            raise ToleranceError("weighted lq action bound violated")
-    return out.reshape(c.shape)
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:

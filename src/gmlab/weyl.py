@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import lattice_qnorm
-from .phase_space import GaborSystem, _shift_tables, gaussian_window, shift_bank
+from .phase_space import GaborSystem, gaussian_window, shift_bank
 from .seq_algebra import MAX_CELLS, QParams
 
 
@@ -85,8 +85,8 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     index (k, l) flattened as k*N + l.  For a Parseval system this matrix
     intertwines T with the lattice STFT: V(T f) = M V(f).  It holds N^4
     entries, so N^4 > MAX_CELLS raises ValueError before anything is built.
-    It is P^H (T P), P = shift_bank(parseval_window), one block of rows (rk, .)
-    at a time, each block of P^H rebuilt entry for entry from the shift tables.
+    It is P^H (T P) with P = shift_bank(parseval_window): the definition, and
+    the reference that `fio.envelope` is tested against.
     """
     N = sys.N
     if N**4 > MAX_CELLS:
@@ -97,12 +97,9 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     T = np.asarray(T, dtype=complex)
     if T.shape != (N, N):
         raise ValueError("operator matrix and Gabor system moduli differ")
-    translates, phases = _shift_tables(sys.parseval_window)
-    TP = T @ shift_bank(sys.parseval_window)
-    M = np.empty((N * N, N * N), dtype=complex)
-    for rk in range(N):
-        M[rk * N:(rk + 1) * N] = np.conj(translates[:, rk, None] * phases).T @ TP
-    return M
+    P = shift_bank(sys.parseval_window)
+    TP = T @ P
+    return np.conj(P, out=P).T @ TP  # P^H in place: P has no other use, so no N^3 copy
 
 
 def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = None) -> float:
@@ -126,11 +123,11 @@ def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = N
     if not np.any(window):
         raise ValueError("window must be nonzero")
 
+    t = np.arange(N)
     sup_field = np.zeros((N, N))
     for z1 in range(N):
-        rolled1 = np.roll(window, z1, axis=0)
-        for z2 in range(N):
-            shifted = np.roll(rolled1, z2, axis=1)
-            V = np.fft.fft2(sigma * np.conj(shifted))
-            np.maximum(sup_field, np.abs(V), out=sup_field)
+        # shifted[z2] = window rolled by (z1, z2)
+        shifted = np.roll(window, z1, axis=0)[t[:, None], (t - t[:, None, None]) % N]
+        V = np.fft.fft2(sigma * np.conj(shifted))
+        np.maximum(sup_field, np.abs(V).max(axis=0), out=sup_field)
     return lattice_qnorm(sup_field, p.q, p.s)

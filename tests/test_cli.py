@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -437,6 +439,44 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_cli_import_loads_no_scipy():
     assert _fresh_interpreter("import sys, gmlab.cli; print('scipy' in sys.modules)") == "False"
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _traced_modules() -> tuple:
+    """The gmlab modules whose public functions the benchmark tracer wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(ROOT, "perfbench", "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.MODULES
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer looks each one up in sys.modules after `import gmlab.cli`
+    loaded = _fresh_interpreter("import sys, gmlab.cli; print(*sorted(sys.modules))").split()
+    assert {f"gmlab.{m}" for m in _traced_modules()} <= set(loaded)
+
+
+def test_every_per_layer_metric_names_a_public_function():
+    # a renamed function would leave its traced metric at zero, not fail
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = [m["name"] for m in json.load(fh)["per_layer"]]
+    traced = _traced_modules()
+    for metric in metrics:
+        module, _, name = metric.rsplit(".", 1)[0].partition(".")  # drop the unit
+        assert module in traced, metric
+        if name in ("", "all", "other_suites"):  # import time and module or suite sums
+            continue
+        if module == "verify":
+            name = f"suite_{name}"
+        owner = importlib.import_module(f"gmlab.{module}")
+        for part in name.split("."):
+            assert hasattr(owner, part), metric
+            owner = getattr(owner, part)
+        assert inspect.isfunction(owner) and owner.__module__ == f"gmlab.{module}", metric
+        assert not name.startswith("_"), metric
 
 
 def _loads_numpy_random(runs) -> bool:

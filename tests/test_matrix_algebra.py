@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from gmlab import (
     QParams,
-    ToleranceError,
-    apply_to_sequence,
     cb_norm,
     convolution_matrix,
     diagonal_envelope,
@@ -155,40 +153,6 @@ def test_solidity(rng):
         A = random_decaying_matrix(rng, N)
         dominated = A * rng.random(A.shape)
         assert cb_norm(dominated, p) <= cb_norm(A, p) + 1e-12
-
-
-def test_apply_identity(rng):
-    N = 5
-    c = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    assert_allclose(apply_to_sequence(np.eye(N * N), c), c)
-
-
-def test_apply_convolution_matrix_is_cyclic_convolution(rng):
-    N = 5
-    field = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    c = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    out = apply_to_sequence(convolution_matrix(field), c)
-    brute = np.zeros((N, N), complex)
-    for k in range(N):
-        for l in range(N):
-            for kk in range(N):
-                for ll in range(N):
-                    brute[k, l] += field[(k - kk) % N, (l - ll) % N] * c[kk, ll]
-    assert np.max(np.abs(out - brute)) < 1e-12
-
-
-def test_apply_certifies_action_bounds(rng):
-    N = 5
-    p = QParams(0.5, 1.0)
-    for _ in range(20):
-        A = random_decaying_matrix(rng, N)
-        c = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        apply_to_sequence(A, c, p)  # raises ToleranceError on violation
-
-
-def test_apply_size_mismatch():
-    with pytest.raises(ValueError):
-        apply_to_sequence(np.eye(25), np.ones(24))
 
 
 # ---------------------------------------------------------------- pseudo-inverse

@@ -11,12 +11,15 @@ from gmlab import (
     gaussian_window,
     half_inverse,
     modulation_norm,
+    shift_bank,
     stft,
     tf_shift,
     weyl_dequantize,
     weyl_quantize,
     wigner,
 )
+from gmlab import weyl
+from gmlab.phase_space import _shift_tables
 from gmlab.presets import gaussian_bump_symbol
 
 
@@ -161,6 +164,25 @@ def test_gabor_matrix_commutation(rng):
         assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+def row_block_gabor_matrix(T, sys):
+    """The Gabor matrix P^H (T P) one block of rows (rk, .) at a time, each
+    block of P^H rebuilt entry for entry from the shift tables."""
+    N = sys.N
+    translates, phases = _shift_tables(sys.parseval_window)
+    TP = T @ shift_bank(sys.parseval_window)
+    M = np.empty((N * N, N * N), dtype=complex)
+    for rk in range(N):
+        M[rk * N:(rk + 1) * N] = np.conj(translates[:, rk, None] * phases).T @ TP
+    return M
+
+
+@pytest.mark.parametrize("N", [5, 13, 31, 43])
+def test_gabor_matrix_matches_row_block_loop(rng, N):
+    sys = gabor_system(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    assert np.array_equal(gabor_matrix(T, sys), row_block_gabor_matrix(T, sys))
+
+
 # ---------------------------------------------------------------- modulation norm
 
 
@@ -206,6 +228,27 @@ def test_modulation_norm_brute_force():
     p = QParams(1.0, 0.0)
     expected = lattice_qnorm(brute_modulation_sup(sigma, window), p.q, p.s)
     assert modulation_norm(sigma, p, window) == pytest.approx(expected, rel=1e-10)
+
+
+def loop_modulation_sup(sigma, window):
+    """The sup field of `modulation_norm` with one fft2 per shift (z1, z2)."""
+    N = sigma.shape[0]
+    sup = np.zeros((N, N))
+    for z1 in range(N):
+        for z2 in range(N):
+            shifted = np.roll(np.roll(window, z1, axis=0), z2, axis=1)
+            np.maximum(sup, np.abs(np.fft.fft2(sigma * np.conj(shifted))), out=sup)
+    return sup
+
+
+@pytest.mark.parametrize("N", [5, 7, 13, 31])
+def test_modulation_norm_sup_field_matches_loop(rng, monkeypatch, N):
+    sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    window = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    fields = []
+    monkeypatch.setattr(weyl, "lattice_qnorm", lambda field, q, s: fields.append(field) or 0.0)
+    modulation_norm(sigma, QParams(0.5, 1.0), window)
+    assert np.array_equal(fields[0], loop_modulation_sup(sigma, window))
 
 
 def test_modulation_norm_rejects_zero_window():
