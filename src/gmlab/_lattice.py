@@ -1,5 +1,5 @@
-"""Index arithmetic on the cyclic lattice Z_N and Z_N x Z_N, the one weight
-(1 + |z|)**s and the one weighted lq quasi-norm."""
+"""Index arithmetic on the cyclic lattice Z_N and Z_N x Z_N, the one root of
+unity, the one weight (1 + |z|)**s and the one weighted lq quasi-norm."""
 
 import math
 
@@ -14,6 +14,12 @@ def centered(idx, N):
     """
     idx = np.asarray(idx)
     return ((idx + N // 2) % N) - N // 2
+
+
+def root_of_unity(n, N) -> np.ndarray:
+    """omega**n with omega = exp(2 pi i / N), read from the table of the N
+    roots at n mod N, so the phase is exact to rounding for any integer n."""
+    return np.exp(2j * np.pi * np.arange(N) / N)[np.mod(n, N)]
 
 
 def square_points(axis) -> np.ndarray:

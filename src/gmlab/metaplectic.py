@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._lattice import root_of_unity
 from .phase_space import tf_shift_matrix
 from .weyl import half_inverse
 
@@ -69,16 +70,18 @@ def symp_inverse(chi, N: int) -> np.ndarray:
 
 def _generator(token: Token, N: int):
     """The 2x2 matrix mod N of one generator token, and a function that
-    builds its unitary on C^N: the normalized DFT for J, the diagonal chirp
-    exp(2 pi i h C t^2 / N) with h = (N+1)/2 for Chirp(C), and the
-    permutation f(t) -> f(a t mod N) for Dilate(a)."""
+    builds its unitary on C^N: the normalized DFT omega^(-s t) / sqrt(N) for
+    J, the diagonal chirp omega^(h C t^2) with h = (N+1)/2 for Chirp(C), and
+    the permutation f(t) -> f(a t mod N) for Dilate(a); omega = exp(2 pi i / N)
+    and every power is read from root_of_unity.  C is reduced mod N first,
+    which changes h C t^2 by a multiple of N and keeps it below N^4."""
     kind, t = token[0], np.arange(N)
     if kind == "J":
-        return J_MAT % N, lambda: np.exp(-2j * np.pi * np.outer(t, t) / N) / np.sqrt(N)
+        return J_MAT % N, lambda: root_of_unity(-np.outer(t, t), N) / np.sqrt(N)
     if kind == "chirp":
-        C = int(token[1])  # unreduced in the exponent, as given
-        shear = np.array([[1, 0], [C, 1]], dtype=int) % N
-        return shear, lambda: np.diag(np.exp(2j * np.pi * half_inverse(N) * C * t * t / N))
+        C = int(token[1]) % N
+        shear = np.array([[1, 0], [C, 1]], dtype=int)
+        return shear, lambda: np.diag(root_of_unity(half_inverse(N) * C * t * t, N))
     if kind == "dilate":
         a = int(token[1]) % N
         if a == 0:

@@ -14,17 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lattice import root_of_unity
+
 
 def tf_shift(z, f: np.ndarray) -> np.ndarray:
     """Time-frequency shift pi(z) f(t) = exp(2 pi i l t / N) f(t - k mod N).
 
     z = (k, l) with k the translation and l the modulation index.
     """
-    k, l = (int(z[0]), int(z[1]))
     f = np.asarray(f)
     N = f.shape[0]
-    t = np.arange(N)
-    return np.exp(2j * np.pi * l * t / N) * np.roll(f, k)
+    k, l = (int(z[0]), int(z[1]) % N)
+    return root_of_unity(l * np.arange(N), N) * np.roll(f, k)
 
 
 def tf_shift_matrix(z, N: int) -> np.ndarray:
@@ -32,7 +33,7 @@ def tf_shift_matrix(z, N: int) -> np.ndarray:
     broadcasting index arrays, giving the stack (..., N, N) of matrices."""
     k, l = (np.asarray(v, dtype=np.int64)[..., None, None] for v in z)
     t = np.arange(N)[:, None]
-    return np.exp(2j * np.pi * l * t / N) * ((t - t.T - k) % N == 0)
+    return root_of_unity(l % N * t, N) * ((t - t.T - k % N) % N == 0)
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -109,7 +110,7 @@ def _shift_tables(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(g, dtype=complex)
     N = g.shape[0]
     t = np.arange(N)
-    return g[(t[:, None] - t[None, :]) % N], np.exp(2j * np.pi * np.outer(t, t) / N)
+    return g[(t[:, None] - t[None, :]) % N], root_of_unity(np.outer(t, t), N)
 
 
 def shift_bank(g: np.ndarray) -> np.ndarray:

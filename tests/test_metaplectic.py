@@ -183,6 +183,22 @@ def test_stacked_intertwine_equals_the_pairwise_calls(N):
     assert grid.shape == (5, 5) and np.array_equal(np.diag(grid), defects)
 
 
+def test_intertwine_defect_is_rounding_level_at_n43():
+    """Every phase is read at its exponent mod N, so the intertwining defect
+    stays at rounding level instead of growing with the size of h C t^2."""
+    N = 43
+    chis = np.array([[[2, 1], [1, 1]], [[1, 2], [1, 3]], [[1, 1], [0, 1]]])
+    U = np.array([metaplectic_operator(chi, N) for chi in chis])
+    assert np.all(intertwine_defect(chis, U) < 1e-13)
+
+
+def test_chirp_reduces_its_coefficient_before_multiplying():
+    N = 5
+    big, small = [("chirp", 2**70)], [("chirp", 2**70 % N)]
+    assert build_metaplectic(big, N).tobytes() == build_metaplectic(small, N).tobytes()
+    assert np.array_equal(word_matrix(big, N), word_matrix(small, N))
+
+
 def test_stacked_intertwine_rejects_one_non_unitary_member():
     N = 5
     U = np.array([np.eye(N), 2.0 * np.eye(N), np.eye(N)])

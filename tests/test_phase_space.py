@@ -11,6 +11,7 @@ from gmlab import (
     tf_shift,
     tf_shift_matrix,
 )
+from gmlab._lattice import root_of_unity
 
 
 def brute_stft(f, g):
@@ -78,6 +79,28 @@ def test_shift_matrix_stack_matches_single_shifts(N):
         single = tf_shift_matrix(z, N)
         assert single.tobytes() == stack[z[0] + N, z[1] + N].tobytes()
         assert_allclose(single @ f, tf_shift(z, f), atol=1e-14)
+
+
+@pytest.mark.parametrize("N", [5, 43, 61])
+def test_root_of_unity_reads_one_table(N):
+    """omega^n depends on n mod N alone, bit for bit, and on 0 <= n < N it is
+    exp(2 pi i n / N) exactly."""
+    n = np.arange(N, dtype=np.int64)
+    assert root_of_unity(n, N).tobytes() == np.exp(2j * np.pi * n / N).tobytes()
+    for k in (-3, 1, N**3, 2**62 // N - 1):
+        assert root_of_unity(n + k * N, N).tobytes() == root_of_unity(n, N).tobytes()
+
+
+def test_shifts_reduce_their_indices_mod_n_first():
+    """An index beyond int64 (tf_shift) or at its edges (tf_shift_matrix)
+    gives the shift of its residue mod N, bit for bit."""
+    N = 5
+    f = np.arange(1, N + 1) + 0j
+    assert tf_shift((0, 2**70), f).tobytes() == tf_shift((0, 2**70 % N), f).tobytes()
+    assert tf_shift((0, 2**70), np.ones(N))[1] == np.exp(2j * np.pi * 4 / N)
+    for z in [(1, 2**62 + 3), (2**63 - 1, 2), (-(2**63), 2**63 - 1)]:
+        reduced = (z[0] % N, z[1] % N)
+        assert tf_shift_matrix(z, N).tobytes() == tf_shift_matrix(reduced, N).tobytes()
 
 
 def test_stft_delta_window_values():
