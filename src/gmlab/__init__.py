@@ -8,7 +8,7 @@ exact-finite: theorems about these objects become equalities and
 inequalities of small numpy arrays, checkable to near machine precision.
 """
 
-from ._lattice import centered, centered_radius, lattice_qnorm
+from ._lattice import QParams, centered, centered_radius, half_inverse, lattice_qnorm
 from .errors import (
     ContractionError,
     GmlabError,
@@ -18,7 +18,6 @@ from .errors import (
 )
 from .seq_algebra import (
     FourierInverse,
-    QParams,
     SparseSeq,
     convolve,
     fourier_series_eval,
@@ -44,7 +43,6 @@ from .phase_space import (
 from .weyl import (
     duality_pairing,
     gabor_matrix,
-    half_inverse,
     modulation_norm,
     weyl_dequantize,
     weyl_quantize,

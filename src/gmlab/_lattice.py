@@ -1,9 +1,46 @@
-"""Index arithmetic on the cyclic lattice Z_N and Z_N x Z_N, the one root of
-unity, the one weight (1 + |z|)**s and the one weighted lq quasi-norm."""
+"""The conventions of the cyclic lattice Z_N and Z_N x Z_N, decided once: the
+exponent pair (q, s) of every weighted lq class (QParams); the cell budget of
+every array (MAX_CELLS, require_cells); h = (N+1)/2, the inverse of 2 mod odd N
+(half_inverse); centered representatives mod N; the root of unity omega**n,
+read from the table of the N roots; the weight (1 + |z|)**s and the weighted
+lq quasi-norm."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+# Most cells a sequence box, a Fourier grid, a field grid or an operator array
+# may hold (256 MiB of complex).
+MAX_CELLS = 2**24
+
+
+@dataclass(frozen=True)
+class QParams:
+    """Exponent pair (q, s): summability exponent q in (0, 1] and weight order s >= 0."""
+
+    q: float
+    s: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.q <= 1.0:
+            raise ValueError(f"q must lie in (0, 1], got {self.q}")
+        if self.s < 0.0:
+            raise ValueError(f"weight order s must be >= 0, got {self.s}")
+
+
+def require_cells(count: int, what: str) -> None:
+    """ValueError naming `what` when `count` cells exceed MAX_CELLS; called
+    before the array is allocated."""
+    if count > MAX_CELLS:
+        raise ValueError(f"{what} holds more than {MAX_CELLS} cells")
+
+
+def half_inverse(N: int) -> int:
+    """(N+1)/2, the multiplicative inverse of 2 mod N; N must be odd."""
+    if N % 2 == 0:
+        raise ValueError("modulus must be odd so that 2 is invertible")
+    return (N + 1) // 2
 
 
 def centered(idx, N):

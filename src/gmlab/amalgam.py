@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import square_points, weight, weighted_qnorm
+from ._lattice import QParams, require_cells, square_points, weight, weighted_qnorm
 from .errors import BOUND_SLACK, ToleranceError
-from .seq_algebra import MAX_CELLS, QParams
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,11 @@ class SampledField:
         return -self.R + np.arange(2 * self.R * self.M) / self.M
 
 
-def _grid_budget(side: int) -> None:
-    if side**2 > MAX_CELLS:
-        raise ValueError(f"a {side} x {side} field grid holds more than {MAX_CELLS} cells")
-
-
 def sample_field(func, R: int = 8, M: int = 32) -> SampledField:
     """Sample a callable func(x, y) (vectorized) on the standard grid."""
-    _grid_budget(2 * R * M)
-    ax = -R + np.arange(2 * R * M) / M
+    side = 2 * R * M
+    require_cells(side**2, f"a {side} x {side} field grid")
+    ax = -R + np.arange(side) / M
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return SampledField(R=R, M=M, values=np.asarray(func(X, Y)))
 
@@ -115,8 +110,9 @@ def convolve_fields(F: SampledField, G: SampledField) -> SampledField:
     """
     if F.R != G.R or F.M != G.M:
         raise ValueError("fields live on different grids")
-    _grid_budget(2 * F.values.shape[0])
-    size = (2 * F.values.shape[0] - 1,) * 2  # linear, not cyclic, convolution
+    side = 2 * F.values.shape[0]
+    require_cells(side**2, f"a {side} x {side} field grid")
+    size = (side - 1,) * 2  # linear, not cyclic, convolution
     conv = np.fft.ifft2(np.fft.fft2(F.values, size) * np.fft.fft2(G.values, size))
     if not (np.iscomplexobj(F.values) or np.iscomplexobj(G.values)):
         conv = conv.real

@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import fio, serialize, verify as verify_mod
+from ._lattice import QParams, require_cells
 from .amalgam import conv_embedding_check, gl_invariance_check
 from .errors import (
     ContractionError,
@@ -42,7 +43,7 @@ from .errors import (
 from .metaplectic import metaplectic_operator, require_odd_prime, require_symplectic
 from .phase_space import gabor_system
 from .presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
-from .seq_algebra import MAX_CELLS, QParams, invert_by_fourier
+from .seq_algebra import invert_by_fourier
 from .weyl import gabor_matrix, weyl_quantize
 
 EXIT_OK = 0
@@ -173,8 +174,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         args.command, values, {k: v for k, v in raw.items() if not OPTIONS[k].flag}
     )
     if cfg.command in ("gabor-matrix", "envelope", "compose", "invert", "factorize", "verify"):
-        if cfg.N**2 > MAX_CELLS:  # before trial division and any N x N allocation
-            raise ValueError(f"N = {cfg.N}: an N x N operator holds more than {MAX_CELLS} cells")
+        # before trial division and any N x N allocation
+        require_cells(cfg.N**2, f"N = {cfg.N}: an N x N operator")
         require_odd_prime(cfg.N)
         require_symplectic(cfg.chi, cfg.N)
     return cfg

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import centered_points, centered_radius, weight, weighted_qnorm
+from ._lattice import QParams, centered_points, centered_radius, weight, weighted_qnorm
 from .errors import NotInvertibleError
 from .metaplectic import (
     metaplectic_operator,
@@ -30,7 +30,6 @@ from .metaplectic import (
     symp_inverse,
 )
 from .phase_space import GaborSystem, _shift_tables
-from .seq_algebra import QParams
 from .weyl import weyl_dequantize, weyl_quantize
 
 

@@ -20,9 +20,8 @@ import math
 
 import numpy as np
 
-from ._lattice import lattice_qnorm
+from ._lattice import QParams, lattice_qnorm
 from .metaplectic import require_symplectic, symp_apply
-from .seq_algebra import QParams
 
 
 def _lattice_side(A: np.ndarray) -> int:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._lattice import root_of_unity
+from ._lattice import half_inverse, root_of_unity
 from .phase_space import tf_shift_matrix
-from .weyl import half_inverse
 
 Token = tuple
 

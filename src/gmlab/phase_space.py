@@ -50,9 +50,7 @@ def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError("signal and window moduli differ")
     if not np.any(g):
         raise ValueError("window must be nonzero")
-    N = f.shape[0]
-    t = np.arange(N)
-    shifted = np.conj(g[(t[None, :] - t[:, None]) % N])  # row k holds conj(g(. - k))
+    shifted = np.conj(_translates(g).T)  # row k holds conj(g(. - k))
     return np.fft.fft(f[None, :] * shifted, axis=1)
 
 
@@ -102,15 +100,20 @@ def gaussian_window(N: int, width: float = 1.0) -> np.ndarray:
     return g.astype(complex)
 
 
-def _shift_tables(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, N) tables behind the shift bank: column k of translates is
-    g(. - k) and column l of phases is the modulation l, so that
-    pi(k, l) g = translates[:, k] * phases[:, l] (in this operand order,
-    which fixes the rounding of every entry)."""
+def _translates(g: np.ndarray) -> np.ndarray:
+    """The (N, N) translate table of g: column k is g(. - k)."""
     g = np.asarray(g, dtype=complex)
-    N = g.shape[0]
-    t = np.arange(N)
-    return g[(t[:, None] - t[None, :]) % N], root_of_unity(np.outer(t, t), N)
+    t = np.arange(g.shape[0])
+    return g[(t[:, None] - t[None, :]) % g.shape[0]]
+
+
+def _shift_tables(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, N) translates of g and phases, column l the modulation l:
+    pi(k, l) g = translates[:, k] * phases[:, l], in this operand order,
+    which fixes the rounding of every entry."""
+    translates = _translates(g)
+    t = np.arange(translates.shape[0])
+    return translates, root_of_unity(np.outer(t, t), t.size)
 
 
 def shift_bank(g: np.ndarray) -> np.ndarray:
@@ -150,9 +153,7 @@ def synthesize(coeffs: np.ndarray, sys: GaborSystem) -> np.ndarray:
     N = sys.N
     if coeffs.shape != (N, N):
         raise ValueError(f"coefficient field must be {N} x {N}")
-    gamma = sys.parseval_window
     # sum_l c(k, l) e^{2 pi i l t / N} = N * ifft over l, then shift by k
     mod_sums = N * np.fft.ifft(coeffs, axis=1)  # rows k, evaluated at t
-    t = np.arange(N)
-    translates = gamma[(t[None, :] - t[:, None]) % N]  # row k = gamma(. - k)
+    translates = _translates(sys.parseval_window).T  # row k = gamma(. - k)
     return np.sum(mod_sums * translates, axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import weight, weighted_qnorm
+from ._lattice import MAX_CELLS, QParams, require_cells, weight, weighted_qnorm
 from .errors import (
     BOUND_SLACK,
     FOURIER_FLOOR,
@@ -33,24 +33,6 @@ from .errors import (
     ToleranceError,
     VanishingFourierError,
 )
-
-# Most cells a sequence box, a Fourier grid or a Gabor matrix may hold (256 MiB
-# of complex).
-MAX_CELLS = 2**24
-
-
-@dataclass(frozen=True)
-class QParams:
-    """Exponent pair (q, s): summability exponent q in (0, 1] and weight order s >= 0."""
-
-    q: float
-    s: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {self.q}")
-        if self.s < 0.0:
-            raise ValueError(f"weight order s must be >= 0, got {self.s}")
 
 
 def _key(index, dim: int) -> tuple:
@@ -62,8 +44,7 @@ def _key(index, dim: int) -> tuple:
 
 def _zeros(shape) -> np.ndarray:
     shape = tuple(int(n) for n in shape)
-    if math.prod(shape) > MAX_CELLS:
-        raise ValueError(f"sequence box or grid {shape} holds more than {MAX_CELLS} cells")
+    require_cells(math.prod(shape), f"sequence box or grid {shape}")
     return np.zeros(shape, dtype=complex)
 
 

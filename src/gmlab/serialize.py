@@ -2,7 +2,7 @@
 
 Sequences:      {"dim": m, "entries": [[[n1, ..., nm], re, im], ...]}, m >= 1,
                 no index twice, whose index box holds at most
-                seq_algebra.MAX_CELLS cells
+                _lattice.MAX_CELLS cells
 Signals:        [[re, im], ...] of length N
 Fields:         row-major N x N array of [re, im] pairs
                 (re and im finite JSON numbers, never bools or strings)

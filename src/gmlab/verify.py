@@ -19,12 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
-from ._lattice import centered_radius, lattice_qnorm
+from ._lattice import QParams, centered_radius, lattice_qnorm
 from .errors import SUITE_SLACK, VanishingFourierError
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
 from .presets import delta_window, gaussian_bump_symbol
 from .seq_algebra import (
-    QParams,
     SparseSeq,
     convolve,
     invert_by_fourier,

@@ -16,16 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._lattice import lattice_qnorm
+from ._lattice import QParams, half_inverse, lattice_qnorm, require_cells
 from .phase_space import GaborSystem, gaussian_window, shift_bank
-from .seq_algebra import MAX_CELLS, QParams
-
-
-def half_inverse(N: int) -> int:
-    """(N+1)/2, the multiplicative inverse of 2 mod N; N must be odd."""
-    if N % 2 == 0:
-        raise ValueError("modulus must be odd so that 2 is invertible")
-    return (N + 1) // 2
 
 
 def wigner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -89,11 +81,7 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     the reference that `fio.envelope` is tested against.
     """
     N = sys.N
-    if N**4 > MAX_CELLS:
-        raise ValueError(
-            f"the Gabor matrix at N = {N} holds N^4 = {N**4} entries, "
-            f"more than MAX_CELLS = {MAX_CELLS}"
-        )
+    require_cells(N**4, f"the Gabor matrix at N = {N} (N^4 = {N**4})")
     T = np.asarray(T, dtype=complex)
     if T.shape != (N, N):
         raise ValueError("operator matrix and Gabor system moduli differ")

@@ -263,6 +263,12 @@ def test_field_grids_are_refused_above_the_cell_budget():
         convolve_fields(F, F)  # the linear convolution grid is not
 
 
+def test_convolution_grid_reads_the_shared_budget_phrase():
+    F = SampledField(R=257, M=4, values=np.zeros((2056, 2056), np.float32))
+    with pytest.raises(ValueError, match="a 4112 x 4112 field grid holds more than 16777216 cells"):
+        convolve_fields(F, F)
+
+
 def test_resolve_field_rejects_a_non_string():
     from gmlab.presets import resolve_field
 

@@ -541,6 +541,14 @@ PROBES = {
     "field-header-only": (["amalgam"], {"field": "tmp/h.csv"}, "full square grid"),
     "field-one-point": (["amalgam"], {"field": "tmp/p.csv"}, "full square grid"),
     "R-budget": (["amalgam"], {"R": 100000}, "field grid holds more than 16777216 cells"),
+    # every array guard reads the one _lattice.require_cells phrase (R-budget: sample_field)
+    "box-budget": (
+        ["seq-invert"], {"sequence": {"dim": 1, "entries": [[[0], 1, 0], [[10**8], 1, 0]]}},
+        "sequence box or grid (100000001,) holds more than 16777216 cells",
+    ),
+    "grid-budget": (["seq-invert"], {"grid": 2**25}, "holds more than 16777216 cells"),
+    "gabor-budget": (["gabor-matrix", "--N", "67"], {}, "holds more than 16777216 cells"),
+    "operator-budget": (["envelope", "--N", "4099"], {}, "holds more than 16777216 cells"),
     "field-list": (["amalgam"], {"field": [1]}, "unknown field preset [1]"),
     "matrices-overflow": (
         ["amalgam"], {"matrices": [[[1e308, 0], [0, 1e308]]]}, "Mmat entries must be finite"

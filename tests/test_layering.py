@@ -1,0 +1,52 @@
+"""Module layering of gmlab, read from the source with ast: the conventions
+of Z_N live in `_lattice`, and the operator and amalgam layers do not reach
+into the sequence algebra for them."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gmlab"
+TREES = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def imported_modules(module: str) -> set:
+    """The gmlab modules that `module` imports from (gmlab imports relatively)."""
+    found = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def max_cells_comparisons() -> list:
+    """(module, enclosing function) of every comparison that reads MAX_CELLS."""
+    found = []
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Compare):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if "MAX_CELLS" in names:
+                found.append((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for module, tree in TREES.items():
+        visit(tree, module, None)
+    return sorted(found)
+
+
+def test_operator_and_amalgam_layers_import_nothing_from_the_sequence_algebra():
+    layers = ("phase_space", "weyl", "metaplectic", "matrix_algebra", "fio", "amalgam")
+    assert {m for m in layers if "seq_algebra" in imported_modules(m)} == set()
+
+
+def test_metaplectic_does_not_import_weyl():
+    assert "weyl" not in imported_modules("metaplectic")
+
+
+def test_the_cell_budget_is_compared_in_one_guard_and_one_doubling_condition():
+    assert max_cells_comparisons() == [("_lattice", "require_cells"),
+                                       ("seq_algebra", "invert_by_fourier")]
