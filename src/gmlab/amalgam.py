@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lattice import QParams, require_cells, square_points, weight, weighted_qnorm
-from .errors import BOUND_SLACK, ToleranceError
+from .errors import BOUND_SLACK, SINGULAR_DET, ToleranceError
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def gl_invariance_check(F: SampledField, Mmat, p: QParams) -> GlInvariance:
     if not np.abs(Mmat).max() < 2.0**39 / F.R:  # image points below 2^40 (and finite)
         raise ValueError(f"Mmat entries must be finite and below 2^39 / R, got {Mmat.tolist()}")
     det = float(np.linalg.det(Mmat))
-    if abs(det) < 1e-12:
+    if abs(det) < SINGULAR_DET:
         raise ValueError("Mmat is singular")
 
     ax = F.axis()

@@ -35,6 +35,8 @@ from . import fio, serialize, verify as verify_mod
 from ._lattice import QParams, require_cells
 from .amalgam import conv_embedding_check, gl_invariance_check
 from .errors import (
+    COND_TOL,
+    DECAY_CUTOFF,
     ContractionError,
     NotInvertibleError,
     ToleranceError,
@@ -126,7 +128,7 @@ OPTIONS = {
     "chi2": Option(_matrix, [[1, 0], [0, 1]]),
     "symbol2": Option(_string, None),  # None: the first symbol
     # invert
-    "cond_tol": Option(_float, 1e12),
+    "cond_tol": Option(_float, COND_TOL),
     # amalgam
     "R": Option(_int, 8),
     "samples_per_cell": Option(_int, 32),
@@ -138,7 +140,7 @@ OPTIONS = {
     ]),
     # seq-invert
     "grid": Option(_int, None),  # None: fitted to the support
-    "decay_cutoff": Option(_float, 1e-12),
+    "decay_cutoff": Option(_float, DECAY_CUTOFF),
     "sequence": Option(_preset, "geometric"),
 }
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lattice import QParams, centered_points, centered_radius, weight, weighted_qnorm
-from .errors import NotInvertibleError
+from .errors import COND_TOL, NotInvertibleError
 from .metaplectic import (
     metaplectic_operator,
     require_symplectic,
@@ -157,7 +157,7 @@ def invert_fio(
     chi,
     sys: GaborSystem,
     p: QParams,
-    cond_tol: float = 1e12,
+    cond_tol: float = COND_TOL,
 ) -> tuple[np.ndarray, FioReport, FioEnvelope]:
     """Exact inverse of T with its envelope report and envelope relative to chi^-1.
 

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from ._lattice import QParams, lattice_qnorm
+from .errors import RANK_TOL
 from .metaplectic import require_symplectic, symp_apply
 
 
@@ -87,7 +88,7 @@ def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     """Pseudo-inverse through the SVD with small singular values zeroed.
 
-    Singular values at or below 1e-10 times the largest are treated as
+    Singular values at or below RANK_TOL times the largest are treated as
     zero.  The result inverts A on its retained range and annihilates the
     orthogonal complement.
     """
@@ -95,7 +96,7 @@ def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("matrix expected")
     U, sv, Vh = np.linalg.svd(A, full_matrices=False)
-    keep = sv > 1e-10 * (float(sv[0]) if sv.size else 1.0)
+    keep = sv > RANK_TOL * (float(sv[0]) if sv.size else 1.0)
     if not np.any(keep):
         return np.zeros_like(A.conj().T)
     return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T

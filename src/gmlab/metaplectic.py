@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import half_inverse, root_of_unity
+from .errors import UNITARY_GUARD
 from .phase_space import tf_shift_matrix
 
 Token = tuple
@@ -174,7 +175,8 @@ def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
     if U.ndim < 2 or U.shape[-2] != N:
         raise ValueError(f"operator of shape {U.shape} is not square")
     chi = require_symplectic(chi, N)
-    if np.any(np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1)) > 1e-8):
+    if np.any(np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1))
+              > UNITARY_GUARD):
         raise ValueError("operator is not unitary")
     U = U[..., None, :, :]  # against the row axis of the N shifts pi(k, l)
     Uh = U.conj().swapaxes(-2, -1)

@@ -27,8 +27,10 @@ import numpy as np
 from ._lattice import MAX_CELLS, QParams, require_cells, weight, weighted_qnorm
 from .errors import (
     BOUND_SLACK,
+    DECAY_CUTOFF,
     FOURIER_FLOOR,
     INVERSE_RESIDUAL_TOL,
+    NEUMANN_TOL,
     ContractionError,
     ToleranceError,
     VanishingFourierError,
@@ -217,7 +219,7 @@ def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:
     return norm_x ** (degree + 1) / (1.0 - norm_x**q) ** (1.0 / q)
 
 
-def neumann_inverse(x: SparseSeq, p: QParams, tol: float = 1e-10) -> SparseSeq:
+def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> SparseSeq:
     """Truncated Neumann inverse of (delta - x) for ||x|| < 1.
 
     Returns s_n = delta + x + ... + x^n with the degree n chosen from the
@@ -279,7 +281,7 @@ class FourierInverse:
 
 
 def invert_by_fourier(
-    a: SparseSeq, grid: int | None = None, decay_cutoff: float = 1e-12
+    a: SparseSeq, grid: int | None = None, decay_cutoff: float = DECAY_CUTOFF
 ) -> FourierInverse:
     """Invert the convolution operator of `a` through its Fourier series.
 

@@ -20,7 +20,11 @@ import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
 from ._lattice import QParams, centered_radius, lattice_qnorm
-from .errors import SUITE_SLACK, VanishingFourierError
+from .errors import (
+    ADJOINT_TOL, BOUND_SLACK, BUMP_NORM_TOL, COMMUTATION_TOL, DUALITY_TOL, FACTOR_TOL,
+    FRAME_TOL, INTERTWINE_TOL, NEUMANN_TOL, ROUNDTRIP_TOL, SEQ_FOURIER_TOL, SUITE_SLACK,
+    UNITARITY_TOL, VanishingFourierError,
+)
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
 from .presets import delta_window, gaussian_bump_symbol
 from .seq_algebra import (
@@ -135,7 +139,7 @@ def suite_seq_inclusion(N, p, rng):
 
 @_suite("seq_neumann", 5, SUITE_SLACK)
 def suite_seq_neumann(N, p, rng):
-    tol = 1e-10
+    tol = NEUMANN_TOL
     delta = SparseSeq.delta(2)
     for _ in range(10):
         x = random_sparse(rng, size=4, box=2)
@@ -144,7 +148,7 @@ def suite_seq_neumann(N, p, rng):
         residual = qnorm(convolve(delta - x, inv) - delta, p) - tol
         nx = qnorm(x, p)
         bound = nx**2 / (1.0 - nx**p.q) ** (1.0 / p.q)
-        yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + 1e-9))
+        yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + BOUND_SLACK))
 
 
 @_suite("seq_fourier_inverse", 6, SUITE_SLACK)
@@ -152,7 +156,7 @@ def suite_seq_fourier(N, p, rng):
     for _ in range(4):
         tail = random_sparse(rng, dim=1, size=3, box=3)
         tail = (0.35 / qnorm(tail, QParams(1.0, 0.0))) * tail
-        yield invert_by_fourier(SparseSeq.delta(1) - tail, grid=4096).residual - 1e-8
+        yield invert_by_fourier(SparseSeq.delta(1) - tail, grid=4096).residual - SEQ_FOURIER_TOL
     for bad in (
         SparseSeq.delta(1) - SparseSeq.unit(1),
         0.5 * SparseSeq.delta(1) + 0.5 * SparseSeq.unit(2),
@@ -170,10 +174,10 @@ def suite_frame_tight(N, p, rng):
         sys = gabor_system(g)
         a, b = frame_bounds(sys)
         target = N * float(np.sum(np.abs(g) ** 2))
-        yield max(abs(a - target) - 1e-10, abs(b - target) - 1e-10)
+        yield max(abs(a - target) - FRAME_TOL, abs(b - target) - FRAME_TOL)
         f = _complex_normal(rng, N)
         rec = synthesize(stft(f, sys.parseval_window), sys)
-        yield float(np.linalg.norm(rec - f)) - 1e-10
+        yield float(np.linalg.norm(rec - f)) - FRAME_TOL
 
 
 @_suite("weyl_duality", 8)
@@ -183,14 +187,14 @@ def suite_weyl_duality(N, p, rng):
         f = _complex_normal(rng, N)
         g = _complex_normal(rng, N)
         lhs = complex(np.vdot(g, weyl_quantize(sigma) @ f))  # <Op f, g>
-        yield abs(lhs - duality_pairing(sigma, f, g)) - 1e-11
+        yield abs(lhs - duality_pairing(sigma, f, g)) - DUALITY_TOL
 
 
 @_suite("weyl_roundtrip", 9)
 def suite_weyl_roundtrip(N, p, rng):
     for _ in range(5):
         sigma = _complex_normal(rng, (N, N))
-        yield float(np.max(np.abs(weyl_dequantize(weyl_quantize(sigma)) - sigma))) - 1e-12
+        yield float(np.max(np.abs(weyl_dequantize(weyl_quantize(sigma)) - sigma))) - ROUNDTRIP_TOL
 
 
 @_suite("weyl_commutation", 10)
@@ -203,7 +207,7 @@ def suite_commutation(N, p, rng):
         T = weyl_quantize(sigma)
         lhs = stft(T @ f, gamma).ravel()
         rhs = gabor_matrix(T, sys) @ stft(f, gamma).ravel()
-        yield float(np.linalg.norm(lhs - rhs)) - 1e-10
+        yield float(np.linalg.norm(lhs - rhs)) - COMMUTATION_TOL
 
 
 @_suite("cb_algebra", 11, SUITE_SLACK)
@@ -244,8 +248,8 @@ def suite_metaplectic(N, p, rng):
     for chi, word, unitary, defect in zip(mats, words, unitarity, defects):
         yield max(
             float(not np.array_equal(mp.word_matrix(word, N), chi % N)),
-            float(unitary) - 1e-12,
-            float(defect) - 1e-10,
+            float(unitary) - UNITARITY_TOL,
+            float(defect) - INTERTWINE_TOL,
         )
 
 
@@ -258,7 +262,7 @@ def suite_fio_adjoint(N, p, rng):
         h_fwd = fio.envelope(T, chi, sys).values
         h_adj = fio.envelope(T.conj().T, mp.symp_inverse(chi, N), sys).values
         h_back = fio.symbol_pullback(h_fwd, -chi)
-        yield float(np.max(np.abs(h_adj - h_back))) - 1e-10
+        yield float(np.max(np.abs(h_adj - h_back))) - ADJOINT_TOL
 
 
 @_suite("fio_factorize", 15)
@@ -268,7 +272,7 @@ def suite_fio_factorize(N, p, rng):
         sigma = 1.0 + 0.2 * _complex_normal(rng, (N, N)) * gaussian_bump_symbol(N)
         T = weyl_quantize(sigma) @ mp.metaplectic_operator(chi, N)
         _, _, residuals = fio.factorize_fio(T, chi)
-        yield max(residuals["op_then_mu"] - 1e-9, residuals["mu_then_op"] - 1e-9)
+        yield max(residuals["op_then_mu"] - FACTOR_TOL, residuals["mu_then_op"] - FACTOR_TOL)
 
 
 @_suite("amalgam_basic", 16, SUITE_SLACK)  # draws nothing
@@ -276,7 +280,7 @@ def suite_amalgam(N, p, rng):
     from .amalgam import SampledField, amalgam_norm, bump_field, gaussian_field, sample_field
 
     bump = sample_field(bump_field, R=4, M=8)
-    yield abs(amalgam_norm(bump, p) - 1.0) - 1e-12
+    yield abs(amalgam_norm(bump, p) - 1.0) - BUMP_NORM_TOL
     gauss = sample_field(gaussian_field, R=4, M=8)
     half = SampledField(R=gauss.R, M=gauss.M, values=0.5 * gauss.values)
     yield amalgam_norm(half, p) - amalgam_norm(gauss, p)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import gmlab
-from gmlab import serialize, verify
+from gmlab import fio, seq_algebra, serialize, verify
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VANISHING_FOURIER,
+    OPTIONS,
     main,
 )
 from gmlab.presets import resolve_symbol, resolve_window
@@ -318,6 +319,14 @@ def test_non_numeric_extra_is_config_error(tmp_path, capsys, command, key, value
     assert code == EXIT_CONFIG
     assert config_error_detail(capsys).startswith(f"{key} must be a finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, function", [("cond_tol", fio.invert_fio), ("decay_cutoff", seq_algebra.invert_by_fourier)]
+)
+def test_cli_default_is_the_library_default(key, function):
+    # one decision, one object: the CLI option and the keyword default read the same name
+    assert OPTIONS[key].default is inspect.signature(function).parameters[key].default
 
 
 def test_seq_invert_two_dim_default_grid(tmp_path):

@@ -1,6 +1,6 @@
 """Module layering of gmlab, read from the source with ast: the conventions
-of Z_N live in `_lattice`, and the operator and amalgam layers do not reach
-into the sequence algebra for them."""
+of Z_N live in `_lattice`, the operator and amalgam layers do not reach
+into the sequence algebra for them, and every tolerance lives in `errors`."""
 
 import ast
 from pathlib import Path
@@ -50,3 +50,20 @@ def test_metaplectic_does_not_import_weyl():
 def test_the_cell_budget_is_compared_in_one_guard_and_one_doubling_condition():
     assert max_cells_comparisons() == [("_lattice", "require_cells"),
                                        ("seq_algebra", "invert_by_fourier")]
+
+
+def stray_tolerances() -> list:
+    """(module, line, value) of every float literal of tolerance size,
+    0 < |x| <= 1e-6 or |x| >= 1e6, outside the table in `errors`."""
+    return sorted(
+        (module, node.lineno, node.value)
+        for module, tree in TREES.items()
+        if module != "errors"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and (0 < abs(node.value) <= 1e-6 or abs(node.value) >= 1e6)
+    )
+
+
+def test_every_tolerance_is_named_in_the_errors_table():
+    assert stray_tolerances() == []
