@@ -47,10 +47,10 @@ def centered(idx, N):
     """Centered representative of an index mod N, elementwise.
 
     For odd N the result lies in [-(N-1)/2, (N-1)/2] and is the unique
-    representative of minimal absolute value.
+    representative of minimal absolute value.  idx is reduced mod N before
+    the shift, so no index near the int64 limit wraps.
     """
-    idx = np.asarray(idx)
-    return ((idx + N // 2) % N) - N // 2
+    return ((np.asarray(idx) % N + N // 2) % N) - N // 2
 
 
 def root_of_unity(n, N) -> np.ndarray:

@@ -41,11 +41,9 @@ class FioEnvelope:
     """Least dominating envelope of an operator relative to a lattice map.
 
     values[mu_k % N, mu_l % N] = max_lambda |<T pi(lambda) g,
-    pi(chi lambda + mu) g>| over the full lattice; chi is stored reduced
-    mod N.
+    pi(chi lambda + mu) g>| over the full lattice.
     """
 
-    chi: np.ndarray
     values: np.ndarray
 
 
@@ -95,7 +93,7 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
             block = np.conj(translates[:, rk, None] * phases).T @ panel
             e = np.abs(block).reshape(N, -1, N).max(axis=1)  # [mu_l, c]
             np.maximum(d, e[:, (rk - t) % N].T, out=d)
-    return FioEnvelope(chi=chi, values=d)
+    return FioEnvelope(values=d)
 
 
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:

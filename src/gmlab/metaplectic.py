@@ -27,11 +27,13 @@ Token = tuple
 J_MAT = np.array([[0, 1], [-1, 0]], dtype=int)
 
 
-def _as_sympmat(chi) -> np.ndarray:
+def _as_sympmat(chi, N: int) -> np.ndarray:
+    """chi as an int array (..., 2, 2), every entry reduced mod N, so that no
+    product of two entries wraps."""
     chi = np.asarray(chi, dtype=int)
     if chi.shape[-2:] != (2, 2):
         raise ValueError("symplectic matrix must be 2x2")
-    return chi
+    return chi % N
 
 
 def require_odd_prime(N: int) -> None:
@@ -42,11 +44,18 @@ def require_odd_prime(N: int) -> None:
             raise ValueError(f"modulus must be an odd prime, got {N}")
 
 
+def determinant(chi, N: int):
+    """det chi mod N of one matrix, or the array (...) of a stack (..., 2, 2);
+    the entries are reduced mod N before they multiply."""
+    chi = _as_sympmat(chi, N)
+    return (chi[..., 0, 0] * chi[..., 1, 1] - chi[..., 0, 1] * chi[..., 1, 0]) % N
+
+
 def require_symplectic(chi, N: int) -> np.ndarray:
     """Validate det chi = 1 mod N and return the reduced matrix; a stack
     (..., 2, 2) is checked matrix by matrix, naming the first bad determinant."""
-    chi = _as_sympmat(chi) % N
-    det = (chi[..., 0, 0] * chi[..., 1, 1] - chi[..., 0, 1] * chi[..., 1, 0]) % N
+    chi = _as_sympmat(chi, N)
+    det = determinant(chi, N)
     if np.any(det != 1):
         raise ValueError(f"determinant {det[det != 1].flat[0]} != 1 mod {N}: not symplectic")
     return chi
@@ -54,9 +63,10 @@ def require_symplectic(chi, N: int) -> np.ndarray:
 
 def symp_apply(chi, z, N: int) -> tuple:
     """chi . z mod N for z = (k, l); k and l may be broadcasting index arrays,
-    and a stack (..., 2, 2) of matrices broadcasts its leading axes with them."""
-    chi = _as_sympmat(chi)
-    k, l = z
+    and a stack (..., 2, 2) of matrices broadcasts its leading axes with them.
+    The entries of chi and z are reduced mod N before they multiply."""
+    chi = _as_sympmat(chi, N)
+    k, l = z[0] % N, z[1] % N
     a, b, c, d = chi[..., 0, 0], chi[..., 0, 1], chi[..., 1, 0], chi[..., 1, 1]
     return ((a * k + b * l) % N, (c * k + d * l) % N)
 
@@ -98,7 +108,7 @@ def word_matrix(word, N: int) -> np.ndarray:
     out = np.eye(2, dtype=int)
     for token in word:
         out = (out @ _generator(token, N)[0]) % N
-    return out % N
+    return out
 
 
 def factor_generators(chi, N: int) -> list[Token]:
@@ -113,27 +123,12 @@ def factor_generators(chi, N: int) -> list[Token]:
     word.  The product of the returned word equals chi exactly mod N.
     """
     require_odd_prime(N)
-    chi = require_symplectic(chi, N)
-    a, b, c, d = int(chi[0, 0]), int(chi[0, 1]), int(chi[1, 0]), int(chi[1, 1])
-    word: list[Token] = []
-    if b % N == 0:
-        C = (c * d) % N
-        if C:
-            word.append(("chirp", C))
-        if d % N != 1:
-            word.append(("dilate", d % N))
+    a, b, c, d = (int(x) for x in require_symplectic(chi, N).flat)
+    if b == 0:
+        word = [("chirp", c * d % N), ("dilate", d)]
     else:
-        binv = pow(b, -1, N)
-        C1 = (d * binv) % N
-        C2 = (a * b) % N
-        if C1:
-            word.append(("chirp", C1))
-        word.append(("J",))
-        if C2:
-            word.append(("chirp", C2))
-        if b % N != 1:
-            word.append(("dilate", b % N))
-    return word
+        word = [("chirp", d * pow(b, -1, N) % N), ("J",), ("chirp", a * b % N), ("dilate", b)]
+    return [token for token in word if token not in (("chirp", 0), ("dilate", 1))]
 
 
 def build_metaplectic(word, N: int) -> np.ndarray:

@@ -80,8 +80,8 @@ def random_sparse(rng, dim=2, size=6, box=3) -> SparseSeq:
 def random_sympmat(rng, N: int) -> np.ndarray:
     while True:
         m = rng.integers(0, N, size=(2, 2))
-        if (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % N == 1:
-            return np.asarray(m, dtype=int)
+        if mp.determinant(m, N) == 1:
+            return m
 
 
 def random_decaying_matrix(rng, N: int) -> np.ndarray:
@@ -230,24 +230,18 @@ def suite_cb_solidity(N, p, rng):
 
 @_suite("metaplectic", 13)
 def suite_metaplectic(N, p, rng):
-    if N == 5:
-        mats = [
-            np.array([[a, b], [c, d]])
-            for a in range(N)
-            for b in range(N)
-            for c in range(N)
-            for d in range(N)
-            if (a * d - b * c) % N == 1
-        ]
+    if N == 5:  # all of SL(2, Z_5), in lexicographic order of (a, b, c, d)
+        m = np.indices((N,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+        mats = m[mp.determinant(m, N) == 1]
     else:
-        mats = [random_sympmat(rng, N) for _ in range(30)]
+        mats = np.array([random_sympmat(rng, N) for _ in range(30)])
     words = [mp.factor_generators(chi, N) for chi in mats]
     U = np.array([mp.build_metaplectic(word, N) for word in words])
     unitarity = np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1))
-    defects = mp.intertwine_defect(np.array(mats), U)
+    defects = mp.intertwine_defect(mats, U)
     for chi, word, unitary, defect in zip(mats, words, unitarity, defects):
         yield max(
-            float(not np.array_equal(mp.word_matrix(word, N), chi % N)),
+            float(not np.array_equal(mp.word_matrix(word, N), chi)),
             float(unitary) - UNITARITY_TOL,
             float(defect) - INTERTWINE_TOL,
         )

@@ -107,7 +107,7 @@ def test_envelope_never_builds_the_gabor_matrix(rng):
 
 @pytest.mark.parametrize("value", [math.nan, 1e307])
 def test_fio_report_rejects_non_finite_envelope(value):
-    env = FioEnvelope(chi=IDENTITY, values=np.full((5, 5), value))
+    env = FioEnvelope(values=np.full((5, 5), value))
     with pytest.raises(ValueError, match="not finite"):
         fio_report(env, QParams(0.5, 1.0))
 
@@ -148,7 +148,7 @@ def test_report_of_point_mass():
     N = 7
     values = np.zeros((N, N))
     values[0, 0] = 1.0
-    rep = fio_report(FioEnvelope(chi=IDENTITY, values=values), QParams(0.5, 1.0))
+    rep = fio_report(FioEnvelope(values=values), QParams(0.5, 1.0))
     assert rep.quasi_norm == pytest.approx(1.0)
     assert rep.tail_fraction == 0.0
     assert rep.decay_exponent == math.inf
@@ -157,14 +157,14 @@ def test_report_of_point_mass():
 def test_report_of_flat_envelope():
     N = 7
     rep = fio_report(
-        FioEnvelope(chi=IDENTITY, values=np.ones((N, N))), QParams(1.0, 0.0)
+        FioEnvelope(values=np.ones((N, N))), QParams(1.0, 0.0)
     )
     assert abs(rep.decay_exponent) < 1e-12
     assert 0.0 < rep.tail_fraction < 1.0
 
 
 def test_report_of_zero_envelope():
-    rep = fio_report(FioEnvelope(chi=IDENTITY, values=np.zeros((5, 5))), QParams(0.5, 0.0))
+    rep = fio_report(FioEnvelope(values=np.zeros((5, 5))), QParams(0.5, 0.0))
     assert rep.quasi_norm == 0.0
     assert rep.tail_fraction == 0.0
 

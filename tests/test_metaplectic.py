@@ -13,7 +13,7 @@ from gmlab import (
     tf_shift_matrix,
     word_matrix,
 )
-from gmlab.metaplectic import J_MAT, require_odd_prime, require_symplectic
+from gmlab.metaplectic import J_MAT, determinant, require_odd_prime, require_symplectic
 from gmlab.verify import random_sympmat
 
 IDENTITY = np.eye(2, dtype=int)
@@ -43,6 +43,32 @@ def test_factor_chirp():
     word = factor_generators(chi, 7)
     assert word == [("chirp", 3)]
     assert np.array_equal(word_matrix(word, 7), chi % 7)
+
+
+@pytest.mark.parametrize("chi, word", [
+    ([[2, 1], [1, 1]], [("chirp", 1), ("J",), ("chirp", 2)]),
+    ([[1, 2], [1, 3]], [("chirp", 5), ("J",), ("chirp", 2), ("dilate", 2)]),
+    ([[4, 0], [3, 2]], [("chirp", 6), ("dilate", 2)]),
+])
+def test_factor_pinned_words_n7(chi, word):
+    # the word fixes the bytes of U_chi, not just its class up to phase
+    assert factor_generators(np.array(chi), 7) == word
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11])
+def test_factor_every_map_into_the_four_token_formula(N):
+    """Over all of SL(2, Z_N): the word multiplies back to chi, has at most
+    four tokens, none of them the identity, in the order chirp, J, chirp,
+    dilate of Chirp(d b^-1) J Chirp(a b) Dilate(b) (or Chirp(c d) Dilate(d))."""
+    maps = all_sl2(N)
+    assert len(maps) == N * (N * N - 1)
+    for chi in maps:
+        word = factor_generators(chi, N)
+        assert np.array_equal(word_matrix(word, N), chi)
+        assert len(word) <= 4
+        assert ("chirp", 0) not in word and ("dilate", 1) not in word
+        order = iter(["chirp", "J", "chirp", "dilate"])
+        assert all(token[0] in order for token in word), word
 
 
 def test_factor_rejects_non_symplectic():
@@ -235,6 +261,26 @@ def test_intertwine_rejects_a_non_square_operator(shape):
     # N is read from the operator, so a non-square one has no modulus
     with pytest.raises(ValueError, match="not square"):
         intertwine_defect(IDENTITY, np.ones(shape))
+
+
+def test_determinant_reduces_before_multiplying():
+    N = 7
+    rng = np.random.default_rng(20)
+    top = np.iinfo(np.int64).max
+    chis = rng.integers(-(2**62), 2**62, size=(3, 4, 2, 2))
+    chis[0, 0] = [[2**62 + 1, 2**62], [top, -top]]
+    chis[0, 1] = [[-3, -5], [-1, -9]]
+    want = [[(int(a) * int(d) - int(b) * int(c)) % N for (a, b), (c, d) in row] for row in chis]
+    assert determinant(chis, N).tolist() == want
+    assert determinant(chis[0, 0], N) == want[0][0]
+
+
+def test_symp_apply_reduces_map_and_point_before_multiplying():
+    N = 7
+    zk, _ = symp_apply([[2**62 + 1, 0], [0, 1]], (np.arange(N), 0), N)
+    assert zk.tolist() == [0, 5, 3, 1, 6, 4, 2]
+    chi, z = np.array([[3, 5], [1, 2]]), (np.int64(2**62 + 1), np.int64(2**62))
+    assert symp_apply(chi, z, N) == symp_apply(chi, (z[0] % N, z[1] % N), N)
 
 
 def test_symp_apply_and_inverse():

@@ -11,7 +11,7 @@ from gmlab import (
     tf_shift,
     tf_shift_matrix,
 )
-from gmlab._lattice import root_of_unity
+from gmlab._lattice import centered, root_of_unity
 
 
 def brute_stft(f, g):
@@ -89,6 +89,16 @@ def test_root_of_unity_reads_one_table(N):
     assert root_of_unity(n, N).tobytes() == np.exp(2j * np.pi * n / N).tobytes()
     for k in (-3, 1, N**3, 2**62 // N - 1):
         assert root_of_unity(n + k * N, N).tobytes() == root_of_unity(n, N).tobytes()
+
+
+@pytest.mark.parametrize("N", [3, 7, 61])
+def test_centered_reduces_before_shifting(N):
+    """The centred representative depends on idx mod N alone, also at the
+    int64 limits, where idx + N // 2 would wrap."""
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    idx = np.array([top, top - 2, bottom, bottom + 1, -1, 0, N // 2, N // 2 + 1])
+    want = [(int(i) + N // 2) % N - N // 2 for i in idx]
+    assert centered(idx, N).tolist() == want
 
 
 def test_shifts_reduce_their_indices_mod_n_first():

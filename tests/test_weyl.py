@@ -288,7 +288,7 @@ def test_almost_diagonalization_envelope_decays():
         sys = gabor_system(gaussian_window(N, width))
         M = gabor_matrix(weyl_quantize(sigma), sys)
         d = diagonal_envelope(M)
-        rep = fio_report(FioEnvelope(chi=np.eye(2, dtype=int), values=d), p)
+        rep = fio_report(FioEnvelope(values=d), p)
         assert np.isfinite(rep.quasi_norm)
         assert rep.decay_exponent > 0.5
         norms.append(rep.quasi_norm)
