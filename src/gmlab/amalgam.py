@@ -38,16 +38,19 @@ class SampledField:
             raise ValueError("field samples must be finite")
 
     def axis(self) -> np.ndarray:
-        return -self.R + np.arange(2 * self.R * self.M) / self.M
+        return _grid_axis(self.R, self.M)
+
+
+def _grid_axis(R: int, M: int) -> np.ndarray:
+    return -R + np.arange(2 * R * M) / M
 
 
 def sample_field(func, R: int = 8, M: int = 32) -> SampledField:
     """Sample a callable func(x, y) (vectorized) on the standard grid."""
     side = 2 * R * M
     require_cells(side**2, f"a {side} x {side} field grid")
-    ax = -R + np.arange(side) / M
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    return SampledField(R=R, M=M, values=np.asarray(func(X, Y)))
+    points = square_points(_grid_axis(R, M))
+    return SampledField(R=R, M=M, values=np.asarray(func(points[..., 0], points[..., 1])))
 
 
 def gaussian_field(x, y):
@@ -159,9 +162,7 @@ def gl_invariance_check(F: SampledField, Mmat, p: QParams) -> GlInvariance:
     if abs(det) < SINGULAR_DET:
         raise ValueError("Mmat is singular")
 
-    ax = F.axis()
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1) @ Mmat.T  # rows Mmat @ u
+    pts = square_points(F.axis()).reshape(-1, 2) @ Mmat.T  # rows Mmat @ u
     composed = SampledField(R=F.R, M=F.M, values=_bilinear(F, pts).reshape(F.values.shape))
 
     denom = amalgam_norm(F, p)

@@ -63,11 +63,15 @@ def _string(value, name: str) -> str:
     return value
 
 
-def _preset(value, name: str):
-    """A preset or path (or an inline sequence object), resolved by its command."""
-    if not isinstance(value, (str, dict) if name == "sequence" else str):
+def _preset(value, name: str) -> str:
+    """A preset name or path, resolved by its command."""
+    if not isinstance(value, str):
         raise ValueError(f"unknown {name} preset {value!r}")
     return value
+
+
+def _sequence(value, name: str):
+    return value if isinstance(value, dict) else _preset(value, name)
 
 
 def _matrix(value, name: str, kind=int) -> list:
@@ -141,7 +145,7 @@ OPTIONS = {
     # seq-invert
     "grid": Option(_int, None),  # None: fitted to the support
     "decay_cutoff": Option(_float, DECAY_CUTOFF),
-    "sequence": Option(_preset, "geometric"),
+    "sequence": Option(_sequence, "geometric"),
 }
 
 

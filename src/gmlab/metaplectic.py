@@ -37,11 +37,8 @@ def _as_sympmat(chi, N: int) -> np.ndarray:
 
 
 def require_odd_prime(N: int) -> None:
-    if N < 3 or N % 2 == 0:
+    if N < 3 or N % 2 == 0 or any(N % p == 0 for p in range(3, int(N**0.5) + 1, 2)):
         raise ValueError(f"modulus must be an odd prime, got {N}")
-    for p in range(3, int(N**0.5) + 1, 2):
-        if N % p == 0:
-            raise ValueError(f"modulus must be an odd prime, got {N}")
 
 
 def determinant(chi, N: int):

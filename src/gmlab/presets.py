@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from ._lattice import centered_radius
-from .amalgam import FIELD_PRESETS, SampledField, sample_field
+from ._lattice import centered_radius, square_points
+from .amalgam import FIELD_PRESETS, SampledField, _grid_axis, sample_field
 from .phase_space import gaussian_window
 from .seq_algebra import SparseSeq
 from . import serialize
@@ -22,13 +22,17 @@ def delta_window(N: int) -> np.ndarray:
     return g
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
     'random') or a path to a JSON signal; only 'random' draws from rng."""
     if spec == "delta":
         return delta_window(N)
     if spec == "random":
-        return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        return _complex_normal(rng, N)
     name, colon, width = spec.partition(":")
     if name == "gaussian":
         width = serialize.number(float(width) if colon else 1.0, "gaussian window width")
@@ -56,7 +60,7 @@ def resolve_symbol(spec: str, N: int, rng: np.random.Generator | None) -> np.nda
     if spec == "near-identity":
         return 1.0 + 0.1 * gaussian_bump_symbol(N)
     if spec == "random":
-        return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        return _complex_normal(rng, (N, N))
     if os.path.exists(spec):
         return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
     raise ValueError(f"unknown symbol preset {spec!r}")
@@ -78,10 +82,10 @@ def load_field_csv(path: str) -> SampledField:
         raise ValueError("field CSV does not describe a full square grid")
     R = max(round(-ax[0]), 1)
     M = n // (2 * R)
-    if n != 2 * R * M or not np.allclose(ax, -R + np.arange(n) / M):
+    if n != 2 * R * M or not np.allclose(ax, _grid_axis(R, M)):
         raise ValueError("field CSV grid is not the standard [-R, R) grid")
     order = np.lexsort((xy[:, 1], xy[:, 0]))  # x-major, as values[i, j] is at (x_i, y_j)
-    if not np.allclose(xy[order], np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)):
+    if not np.allclose(xy[order], square_points(ax).reshape(-1, 2)):
         raise ValueError("field CSV does not hold every point of its grid once")
     return SampledField(R=R, M=M, values=values[order].reshape(n, n))
 

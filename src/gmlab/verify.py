@@ -26,12 +26,13 @@ from .errors import (
     UNITARITY_TOL, VanishingFourierError,
 )
 from .phase_space import gabor_system, gaussian_window, stft, synthesize, frame_bounds
-from .presets import delta_window, gaussian_bump_symbol
+from .presets import _complex_normal, delta_window, gaussian_bump_symbol
 from .seq_algebra import (
     SparseSeq,
     convolve,
     invert_by_fourier,
     neumann_inverse,
+    neumann_tail_bound,
     pointwise_product,
     qnorm,
     qnorm_weighted,
@@ -97,10 +98,6 @@ def _rel_excess(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _complex_normal(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 @_suite("seq_young", 1, SUITE_SLACK)
 def suite_seq_young(N, p, rng):
     for _ in range(40):
@@ -139,15 +136,13 @@ def suite_seq_inclusion(N, p, rng):
 
 @_suite("seq_neumann", 5, SUITE_SLACK)
 def suite_seq_neumann(N, p, rng):
-    tol = NEUMANN_TOL
     delta = SparseSeq.delta(2)
     for _ in range(10):
         x = random_sparse(rng, size=4, box=2)
         x = (0.5 / qnorm(x, p)) * x
-        inv = neumann_inverse(x, p, tol)
-        residual = qnorm(convolve(delta - x, inv) - delta, p) - tol
-        nx = qnorm(x, p)
-        bound = nx**2 / (1.0 - nx**p.q) ** (1.0 / p.q)
+        inv = neumann_inverse(x, p, NEUMANN_TOL)
+        residual = qnorm(convolve(delta - x, inv) - delta, p) - NEUMANN_TOL
+        bound = neumann_tail_bound(qnorm(x, p), p.q, 1)
         yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + BOUND_SLACK))
 
 
@@ -230,7 +225,7 @@ def suite_cb_solidity(N, p, rng):
 
 @_suite("metaplectic", 13)
 def suite_metaplectic(N, p, rng):
-    if N == 5:  # all of SL(2, Z_5), in lexicographic order of (a, b, c, d)
+    if N <= 5:  # all of SL(2, Z_N), in lexicographic order of (a, b, c, d)
         m = np.indices((N,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
         mats = m[mp.determinant(m, N) == 1]
     else:

@@ -21,17 +21,19 @@ from .phase_space import GaborSystem, gaussian_window, shift_bank
 
 
 def wigner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cross-Wigner distribution W(f, g) as an (N, N) field indexed (x, xi)."""
+    """Cross-Wigner W(f, g), an (N, N) field indexed (x, xi): the symbol of f g^H."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     if f.shape != g.shape:
         raise ValueError("signal moduli differ")
-    N = f.shape[0]
+    return weyl_dequantize(np.outer(f, np.conj(g)))
+
+
+def _weyl_index(N: int):
+    """(h(x+y), x-y) mod N: where T[x, y] sits in the row-wise inverse FFT of its symbol."""
     h = half_inverse(N)
-    x = np.arange(N)[:, None]
-    t = np.arange(N)[None, :]
-    rows = f[(x + h * t) % N] * np.conj(g[(x - h * t) % N])
-    return np.fft.fft(rows, axis=1)
+    x, y = np.ogrid[:N, :N]
+    return (h * (x + y)) % N, (x - y) % N
 
 
 def weyl_quantize(sigma: np.ndarray) -> np.ndarray:
@@ -40,15 +42,12 @@ def weyl_quantize(sigma: np.ndarray) -> np.ndarray:
     N = sigma.shape[0]
     if sigma.shape != (N, N):
         raise ValueError("symbol must be a square field")
-    h = half_inverse(N)
     # C[a, d] = (1/N) sum_xi sigma[a, xi] e^{2 pi i xi d / N}
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         C = np.fft.ifft(sigma, axis=1)
     if not np.all(np.isfinite(C)):
         raise ValueError("symbol quantizes to a non-finite operator (overflow)")
-    x = np.arange(N)[:, None]
-    y = np.arange(N)[None, :]
-    return C[(h * (x + y)) % N, (x - y) % N]
+    return C[_weyl_index(N)]
 
 
 def weyl_dequantize(T: np.ndarray) -> np.ndarray:
@@ -57,10 +56,8 @@ def weyl_dequantize(T: np.ndarray) -> np.ndarray:
     N = T.shape[0]
     if T.shape != (N, N):
         raise ValueError("operator matrix must be square")
-    h = half_inverse(N)
-    a = np.arange(N)[:, None]
-    d = np.arange(N)[None, :]
-    G = T[(a + h * d) % N, (a - h * d) % N]
+    G = np.empty_like(T)
+    G[_weyl_index(N)] = T
     return np.fft.fft(G, axis=1)
 
 

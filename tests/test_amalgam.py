@@ -35,6 +35,17 @@ def test_gaussian_norm_against_fine_grid_oracle():
     assert abs(n_coarse - n_fine) / n_fine < 0.01
 
 
+@pytest.mark.parametrize("R, M", [(8, 32), (4, 8), (1, 4)])
+def test_sample_field_reads_the_one_grid_bit_for_bit(R, M):
+    """Each preset is sampled on the ij meshgrid of the axis -R + i/M, exactly."""
+    ax = -R + np.arange(2 * R * M) / M
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    for func in (gaussian_field, bump_field, chirped_gaussian_field):
+        F = sample_field(func, R=R, M=M)
+        assert np.array_equal(F.axis(), ax)
+        assert np.array_equal(F.values, func(X, Y))
+
+
 def test_zero_field_norm():
     F = SampledField(R=4, M=8, values=np.zeros((64, 64)))
     assert amalgam_norm(F, P1) == 0.0

@@ -48,9 +48,9 @@ SUITE_CHECKS = {  # all but metaplectic, whose count depends on N
 }
 
 
-@pytest.mark.parametrize("N, metaplectic_checks", [(5, 120), (7, 30)])
+@pytest.mark.parametrize("N, metaplectic_checks", [(3, 24), (5, 120), (7, 30)])
 def test_verify_suite_checks(tmp_path, N, metaplectic_checks):
-    """Suite names and check counts; at N = 5 `metaplectic` sweeps all of SL(2, Z_5)."""
+    """Suite names and check counts; at N <= 5 `metaplectic` sweeps all of SL(2, Z_N)."""
     out = str(tmp_path / "run")
     assert main(["verify", "--N", str(N), "--out", out]) == EXIT_OK
     expected = sorted({**SUITE_CHECKS, "metaplectic": metaplectic_checks}.items())

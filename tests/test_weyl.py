@@ -113,6 +113,43 @@ def test_quantize_dequantize_roundtrip(rng):
     assert np.max(np.abs(weyl_quantize(weyl_dequantize(T)) - T)) < 1e-12
 
 
+def gather_wigner(f, g):
+    """Oracle: the row gather W[x, .] = FFT_t f(x + h t) conj(g(x - h t))."""
+    N = len(f)
+    h = half_inverse(N)
+    x, t = np.arange(N)[:, None], np.arange(N)[None, :]
+    return np.fft.fft(f[(x + h * t) % N] * np.conj(g[(x - h * t) % N]), axis=1)
+
+
+def gather_quantize(sigma):
+    """Oracle: T[x, y] = C[h (x+y), x-y] with C the row-wise inverse FFT of sigma."""
+    N = sigma.shape[0]
+    h = half_inverse(N)
+    x, y = np.arange(N)[:, None], np.arange(N)[None, :]
+    return np.fft.ifft(sigma, axis=1)[(h * (x + y)) % N, (x - y) % N]
+
+
+def gather_dequantize(T):
+    """Oracle: sigma = FFT_d of G[a, d] = T[a + h d, a - h d]."""
+    N = T.shape[0]
+    h = half_inverse(N)
+    a, d = np.arange(N)[:, None], np.arange(N)[None, :]
+    return np.fft.fft(T[(a + h * d) % N, (a - h * d) % N], axis=1)
+
+
+@pytest.mark.parametrize("N", [3, 7, 61])
+def test_one_index_map_equals_the_three_gathers_exactly(N, rng):
+    """wigner, weyl_quantize and weyl_dequantize read one index map; each
+    equals its own gather formula bit for bit."""
+    f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    assert np.array_equal(wigner(f, g), gather_wigner(f, g))
+    assert np.array_equal(weyl_quantize(sigma), gather_quantize(sigma))
+    assert np.array_equal(weyl_dequantize(T), gather_dequantize(T))
+
+
 # ---------------------------------------------------------------- Gabor matrices
 
 

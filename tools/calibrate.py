@@ -14,15 +14,14 @@ import numpy as np
 
 import gmlab as g
 from gmlab import QParams
-from gmlab.presets import gaussian_bump_symbol
+from gmlab.presets import _complex_normal, gaussian_bump_symbol
 from gmlab.verify import random_sympmat
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "calibration.json")
 
 
 def smooth_symbol(rng, N, amplitude=0.25):
-    noise = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return 1.0 + amplitude * noise * gaussian_bump_symbol(N)
+    return 1.0 + amplitude * _complex_normal(rng, (N, N)) * gaussian_bump_symbol(N)
 
 
 def inverse_closedness(N=31):

@@ -15,8 +15,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 import json  # noqa: E402
 import time  # noqa: E402
 
-from gmlab import verify  # noqa: E402
-from gmlab.seq_algebra import QParams  # noqa: E402
+from gmlab import QParams, verify  # noqa: E402
 
 LADDER = (5, 7, 13)
 PARAMS = QParams(0.5, 1.0)
