@@ -1,9 +1,9 @@
 """The conventions of the cyclic lattice Z_N and Z_N x Z_N, decided once: the
-exponent pair (q, s) of every weighted lq class (QParams); the cell budget of
-every array (MAX_CELLS, require_cells); h = (N+1)/2, the inverse of 2 mod odd N
-(half_inverse); centered representatives mod N; the root of unity omega**n,
-read from the table of the N roots; the weight (1 + |z|)**s and the weighted
-lq quasi-norm."""
+exponent pair (q, s) of every weighted lq class (QParams); the side N of every
+array over Z_N (side, matrix_side); the cell budget of every array (MAX_CELLS,
+require_cells); h = (N+1)/2, the inverse of 2 mod odd N (half_inverse);
+centered representatives mod N; the root of unity omega**n, read from the table
+of the N roots; the weight (1 + |z|)**s and the weighted lq quasi-norm."""
 
 import math
 from dataclasses import dataclass
@@ -34,6 +34,24 @@ def require_cells(count: int, what: str) -> None:
     before the array is allocated."""
     if count > MAX_CELLS:
         raise ValueError(f"{what} holds more than {MAX_CELLS} cells")
+
+
+def side(a, what: str, ndim: int = 2) -> int:
+    """N of an array whose ndim axes all have length N: a signal (ndim 1), a
+    symbol or an operator (ndim 2); else ValueError naming `what` and its shape."""
+    shape = np.shape(a)
+    if len(shape) != ndim or len(set(shape)) != 1:
+        raise ValueError(f"{what} of shape {shape} is not {('a vector', 'square')[ndim - 1]}")
+    return shape[0]
+
+
+def matrix_side(A) -> int:
+    """N of an (N^2, N^2) matrix indexed by pairs of lattice points (k*N + l)."""
+    n = side(A, "matrix")
+    N = math.isqrt(n)
+    if N * N != n:
+        raise ValueError("matrix size must be a perfect square (lattice-indexed)")
+    return N
 
 
 def half_inverse(N: int) -> int:
@@ -110,4 +128,4 @@ def lattice_qnorm(values, q, s):
     """Weighted quasi-norm (sum values**q * (1+|mu|)**(s*q))**(1/q) of a
     nonnegative (N, N) field on the centered representatives mu of Z_N^2."""
     values = np.asarray(values, dtype=float)
-    return weighted_qnorm(values, weight(centered_points(values.shape[0]), s), q)
+    return weighted_qnorm(values, weight(centered_points(side(values, "field")), s), q)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import fio, serialize, verify as verify_mod
-from ._lattice import QParams, require_cells
+from ._lattice import QParams, require_cells, side
 from .amalgam import conv_embedding_check, gl_invariance_check
 from .errors import (
     COND_TOL,
@@ -200,7 +200,7 @@ def _seeded_system(cfg: ExperimentConfig):
 def _resolve_operator(symbol: np.ndarray, chi) -> np.ndarray:
     """Op(symbol) U_chi: the Weyl operator of an (N, N) symbol times the
     metaplectic unitary of chi."""
-    return weyl_quantize(symbol) @ metaplectic_operator(chi, symbol.shape[0])
+    return weyl_quantize(symbol) @ metaplectic_operator(chi, side(symbol, "symbol"))
 
 
 def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import QParams, centered_points, centered_radius, weight, weighted_qnorm
+from ._lattice import QParams, centered_points, centered_radius, side, weight, weighted_qnorm
 from .errors import COND_TOL, NotInvertibleError
 from .metaplectic import (
     metaplectic_operator,
@@ -77,7 +77,7 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
-    if T.shape != (N, N):
+    if side(T, "operator matrix") != N:
         raise ValueError("operator matrix and Gabor system moduli differ")
     translates, phases = _shift_tables(sys.parseval_window)
     t = np.arange(N)
@@ -99,7 +99,7 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
     """Quasi-norm, tail fraction beyond |mu| > N/4, and fitted decay exponent."""
     h = np.asarray(env.values, dtype=float)
-    N = h.shape[0]
+    N = side(h, "envelope")
     radius = centered_radius(N)
     w = weight(centered_points(N), p.s)
     quasi_norm = weighted_qnorm(h, w, p.q)
@@ -179,7 +179,7 @@ def invert_fio(
 
 def symbol_pullback(sigma: np.ndarray, chi) -> np.ndarray:
     """(sigma o chi)(z) = sigma(chi z mod N) on the N x N phase space."""
-    N = np.shape(sigma)[0]
+    N = side(sigma, "symbol")
     chi = require_symplectic(chi, N)
     return np.asarray(sigma)[symp_apply(chi, (np.arange(N)[:, None], np.arange(N)), N)]
 
@@ -195,9 +195,7 @@ def factorize_fio(T: np.ndarray, chi) -> tuple[np.ndarray, np.ndarray, dict]:
     read from T, which must be square.
     """
     T = np.asarray(T, dtype=complex)
-    N = T.shape[0]
-    if T.shape != (N, N):
-        raise ValueError(f"operator of shape {T.shape} is not square")
+    N = side(T, "operator")
     chi = require_symplectic(chi, N)
     U = metaplectic_operator(chi, N)
     Uinv = U.conj().T  # unitary by construction

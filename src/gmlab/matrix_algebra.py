@@ -16,23 +16,11 @@ weighted sequence spaces.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ._lattice import QParams, lattice_qnorm
+from ._lattice import QParams, lattice_qnorm, matrix_side, side
 from .errors import RANK_TOL
 from .metaplectic import require_symplectic, symp_apply
-
-
-def _lattice_side(A: np.ndarray) -> int:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    N = math.isqrt(A.shape[0])
-    if N * N != A.shape[0]:
-        raise ValueError("matrix size must be a perfect square (lattice-indexed)")
-    return N
 
 
 def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
@@ -43,7 +31,7 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
 
     One (N^2, N^2) index gathers row flat(chi z + mu) of column flat(z) at
     [flat(mu), flat(z)], so d is the maximum of each gathered row."""
-    N = _lattice_side(A)
+    N = matrix_side(A)
     chi = require_symplectic(np.eye(2, dtype=int) if chi is None else chi, N)
     k, l = np.divmod(np.arange(N * N), N)  # the lattice point at each flat index
     ck, cl = symp_apply(chi, (k, l), N)
@@ -63,9 +51,7 @@ def convolution_matrix(field: np.ndarray) -> np.ndarray:
     exactly |field|.
     """
     field = np.asarray(field)
-    N = field.shape[0]
-    if field.shape != (N, N):
-        raise ValueError("field must be square")
+    N = side(field, "field")
     rows = np.arange(N * N)
     rk, rl = rows // N, rows % N
     return field[(rk[:, None] - rk[None, :]) % N, (rl[:, None] - rl[None, :]) % N]
@@ -75,7 +61,9 @@ def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two (N, N) envelopes (direct double sum)."""
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
-    N = d1.shape[0]
+    N = side(d1, "envelope")
+    if side(d2, "envelope") != N:
+        raise ValueError("envelope moduli differ")
     out = np.zeros((N, N))
     for a in range(N):
         for b in range(N):

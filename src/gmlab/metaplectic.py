@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import half_inverse, root_of_unity
-from .errors import UNITARY_GUARD
+from .errors import PHASE_FLOOR, UNITARY_GUARD
 from .phase_space import tf_shift_matrix
 
 Token = tuple
@@ -144,11 +144,12 @@ def metaplectic_operator(chi, N: int) -> np.ndarray:
 
 def phase_align(U: np.ndarray, V: np.ndarray):
     """Unimodular c maximizing agreement of U with c V (Frobenius sense), 1
-    where U is orthogonal to V; stacks (..., N, N) of U and V give the
-    array (...) of phases, one pair a complex scalar."""
-    inner = np.trace(V.conj().swapaxes(-2, -1) @ U, axis1=-2, axis2=-1)
+    where |<U, V>_F| <= PHASE_FLOOR ||U||_F ||V||_F; stacks (..., N, N) of U
+    and V give the array (...) of phases, one pair a complex scalar."""
+    inner = np.sum(V.conj() * U, axis=(-2, -1))
     size = np.abs(inner)
-    return np.divide(inner, size, out=np.ones_like(inner), where=size != 0)[()]
+    floor = PHASE_FLOOR * np.linalg.norm(U, axis=(-2, -1)) * np.linalg.norm(V, axis=(-2, -1))
+    return np.divide(inner, size, out=np.ones_like(inner), where=size > floor)[()]
 
 
 def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import root_of_unity
+from ._lattice import root_of_unity, side
 
 
 def tf_shift(z, f: np.ndarray) -> np.ndarray:
@@ -23,7 +23,7 @@ def tf_shift(z, f: np.ndarray) -> np.ndarray:
     z = (k, l) with k the translation and l the modulation index.
     """
     f = np.asarray(f)
-    N = f.shape[0]
+    N = side(f, "signal", 1)
     k, l = (int(z[0]), int(z[1]) % N)
     return root_of_unity(l * np.arange(N), N) * np.roll(f, k)
 
@@ -46,7 +46,7 @@ def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    if f.shape != g.shape:
+    if side(f, "signal", 1) != side(g, "window", 1):
         raise ValueError("signal and window moduli differ")
     if not np.any(g):
         raise ValueError("window must be nonzero")
@@ -68,7 +68,7 @@ class GaborSystem:
 
     @property
     def N(self) -> int:
-        return self.window.shape[0]
+        return side(self.window, "window", 1)
 
     @property
     def parseval_window(self) -> np.ndarray:
@@ -78,9 +78,7 @@ class GaborSystem:
 def gabor_system(window: np.ndarray) -> GaborSystem:
     """Build the full-lattice Gabor system of a nonzero window."""
     window = np.asarray(window, dtype=complex)
-    if window.ndim != 1:
-        raise ValueError("window must be a 1-d complex vector")
-    N = window.shape[0]
+    N = side(window, "window", 1)
     with np.errstate(over="ignore"):
         energy = float(np.sum(np.abs(window) ** 2))
     if not 0.0 < N * energy < np.inf:
@@ -103,8 +101,8 @@ def gaussian_window(N: int, width: float = 1.0) -> np.ndarray:
 def _translates(g: np.ndarray) -> np.ndarray:
     """The (N, N) translate table of g: column k is g(. - k)."""
     g = np.asarray(g, dtype=complex)
-    t = np.arange(g.shape[0])
-    return g[(t[:, None] - t[None, :]) % g.shape[0]]
+    t = np.arange(side(g, "window", 1))
+    return g[(t[:, None] - t[None, :]) % t.size]
 
 
 def _shift_tables(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +149,7 @@ def synthesize(coeffs: np.ndarray, sys: GaborSystem) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     N = sys.N
-    if coeffs.shape != (N, N):
+    if side(coeffs, "coefficient field") != N:
         raise ValueError(f"coefficient field must be {N} x {N}")
     # sum_l c(k, l) e^{2 pi i l t / N} = N * ifft over l, then shift by k
     mod_sums = N * np.fft.ifft(coeffs, axis=1)  # rows k, evaluated at t

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ._lattice import centered
+from ._lattice import centered, matrix_side, side
 from .seq_algebra import SparseSeq
 
 
@@ -102,10 +102,10 @@ def _fmt(x: float) -> str:
 
 def envelope_csv(values: np.ndarray) -> str:
     """CSV of an (N, N) nonnegative field indexed mod N, on centered mu."""
-    values = np.asarray(values)
-    mu = centered(np.arange(values.shape[0]), values.shape[0]).tolist()
+    N = side(values, "envelope")
+    mu = centered(np.arange(N), N).tolist()
     lines = ["mu_k,mu_l,value"]
-    for mu_k, row in zip(mu, values.tolist()):
+    for mu_k, row in zip(mu, np.asarray(values).tolist()):
         lines.extend(f"{mu_k},{mu_l},{_fmt(v)}" for mu_l, v in zip(mu, row))
     return "\n".join(lines) + "\n"
 
@@ -121,11 +121,11 @@ def _complex_csv(header: str, M: np.ndarray, labels: list) -> Iterator[str]:
 
 
 def field_csv(field: np.ndarray) -> Iterator[str]:
-    return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(np.shape(field)[0])])
+    return _complex_csv("k,l,re,im", field, [f"{k}," for k in range(side(field, "field"))])
 
 
 def gabor_csv(M: np.ndarray) -> Iterator[str]:
-    N = math.isqrt(np.shape(M)[0])
+    N = matrix_side(M)
     labels = [f"{k},{l}," for k in range(N) for l in range(N)]
     return _complex_csv("mu_k,mu_l,lam_k,lam_l,re,im", M, labels)
 

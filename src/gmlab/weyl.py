@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._lattice import QParams, half_inverse, lattice_qnorm, require_cells
+from ._lattice import QParams, half_inverse, lattice_qnorm, require_cells, side
 from .phase_space import GaborSystem, gaussian_window, shift_bank
 
 
@@ -24,7 +24,7 @@ def wigner(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Cross-Wigner W(f, g), an (N, N) field indexed (x, xi): the symbol of f g^H."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    if f.shape != g.shape:
+    if side(f, "signal", 1) != side(g, "signal", 1):
         raise ValueError("signal moduli differ")
     return weyl_dequantize(np.outer(f, np.conj(g)))
 
@@ -39,9 +39,7 @@ def _weyl_index(N: int):
 def weyl_quantize(sigma: np.ndarray) -> np.ndarray:
     """Operator matrix of the symbol sigma (N x N field indexed (x, xi))."""
     sigma = np.asarray(sigma, dtype=complex)
-    N = sigma.shape[0]
-    if sigma.shape != (N, N):
-        raise ValueError("symbol must be a square field")
+    N = side(sigma, "symbol")
     # C[a, d] = (1/N) sum_xi sigma[a, xi] e^{2 pi i xi d / N}
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
         C = np.fft.ifft(sigma, axis=1)
@@ -53,9 +51,7 @@ def weyl_quantize(sigma: np.ndarray) -> np.ndarray:
 def weyl_dequantize(T: np.ndarray) -> np.ndarray:
     """Exact inverse of `weyl_quantize`; recovers the symbol of a matrix."""
     T = np.asarray(T, dtype=complex)
-    N = T.shape[0]
-    if T.shape != (N, N):
-        raise ValueError("operator matrix must be square")
+    N = side(T, "operator matrix")
     G = np.empty_like(T)
     G[_weyl_index(N)] = T
     return np.fft.fft(G, axis=1)
@@ -63,7 +59,7 @@ def weyl_dequantize(T: np.ndarray) -> np.ndarray:
 
 def duality_pairing(sigma: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     """(1/N) sum sigma . conj(W(g, f)); equals <Op(sigma) f, g> exactly."""
-    N = sigma.shape[0]
+    N = side(sigma, "symbol")
     return complex(np.sum(sigma * np.conj(wigner(g, f))) / N)
 
 
@@ -80,7 +76,7 @@ def gabor_matrix(T: np.ndarray, sys: GaborSystem) -> np.ndarray:
     N = sys.N
     require_cells(N**4, f"the Gabor matrix at N = {N} (N^4 = {N**4})")
     T = np.asarray(T, dtype=complex)
-    if T.shape != (N, N):
+    if side(T, "operator matrix") != N:
         raise ValueError("operator matrix and Gabor system moduli differ")
     P = shift_bank(sys.parseval_window)
     TP = T @ P
@@ -96,14 +92,12 @@ def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = N
     default Phi is the tensor square of the periodized Gaussian window.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    N = sigma.shape[0]
-    if sigma.shape != (N, N):
-        raise ValueError("symbol must be a square field")
+    N = side(sigma, "symbol")
     if window is None:
         g = gaussian_window(N)
         window = np.outer(g, g)
     window = np.asarray(window, dtype=complex)
-    if window.shape != (N, N):
+    if side(window, "window") != N:
         raise ValueError("window must match the symbol shape")
     if not np.any(window):
         raise ValueError("window must be nonzero")

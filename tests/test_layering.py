@@ -1,6 +1,7 @@
 """Module layering of gmlab, read from the source with ast: the conventions
 of Z_N live in `_lattice`, the operator and amalgam layers do not reach
-into the sequence algebra for them, and every tolerance lives in `errors`."""
+into the sequence algebra for them, the side of every array over Z_N is
+read by one guard, and every tolerance lives in `errors`."""
 
 import ast
 from pathlib import Path
@@ -18,8 +19,9 @@ def imported_modules(module: str) -> set:
     return found
 
 
-def max_cells_comparisons() -> list:
-    """(module, enclosing function) of every comparison that reads MAX_CELLS."""
+def comparisons_reading(*read) -> list:
+    """(module, enclosing function) of every comparison that reads one of the
+    names or attributes `read`."""
     found = []
 
     def visit(node, module, func):
@@ -28,7 +30,7 @@ def max_cells_comparisons() -> list:
         if isinstance(node, ast.Compare):
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if "MAX_CELLS" in names:
+            if names & set(read):
                 found.append((module, func))
         for child in ast.iter_child_nodes(node):
             visit(child, module, func)
@@ -48,8 +50,31 @@ def test_metaplectic_does_not_import_weyl():
 
 
 def test_the_cell_budget_is_compared_in_one_guard_and_one_doubling_condition():
-    assert max_cells_comparisons() == [("_lattice", "require_cells"),
-                                       ("seq_algebra", "invert_by_fourier")]
+    assert comparisons_reading("MAX_CELLS") == [("_lattice", "require_cells"),
+                                                ("seq_algebra", "invert_by_fourier")]
+
+
+# Shape comparisons of arrays that are not over Z_N: a sampled field on
+# [-R, R]^2, a real 2 x 2 matrix, the 2 x 2 lattice map, a general matrix,
+# a sequence box (in two places), a frequency point, and the exact shapes of
+# the JSON reader.
+NOT_OVER_Z_N = [
+    ("amalgam", "__post_init__"),
+    ("amalgam", "gl_invariance_check"),
+    ("metaplectic", "_as_sympmat"),
+    ("matrix_algebra", "pseudo_inverse"),
+    ("seq_algebra", "__getitem__"),
+    ("seq_algebra", "_check_int64"),
+    ("seq_algebra", "fourier_series_eval"),
+    ("serialize", "_pairs_from_json"),
+]
+
+
+def test_arrays_over_z_n_are_measured_by_one_guard_and_one_stack_check():
+    # each compares the number of axes and their lengths; `intertwine_defect`
+    # takes stacks (..., N, N), which `side` does not
+    guards = [("_lattice", "side")] * 2 + [("metaplectic", "intertwine_defect")] * 2
+    assert comparisons_reading("shape", "ndim") == sorted(guards + NOT_OVER_Z_N)
 
 
 def stray_tolerances() -> list:

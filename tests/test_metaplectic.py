@@ -156,19 +156,42 @@ def test_intertwine_random(rng):
         assert intertwine_defect(chi, U) < 1e-10
 
 
-def per_point_intertwine_defect(chi, U):
+def frobenius_sum(target, conj):
+    return complex(np.sum(target.conj() * conj))
+
+
+def trace_of_product(target, conj):
+    return complex(np.trace(target.conj().T @ conj))
+
+
+def per_point_intertwine_defect(chi, U, inner_product=frobenius_sum):
     """Oracle: the sweep of intertwine_defect, one lattice point z at a time,
-    with the scalar optimal phase."""
+    with the scalar optimal phase, 1 for a pair orthogonal up to rounding."""
     N = U.shape[0]
     worst = 0.0
     for k in range(N):
         for l in range(N):
             conj = U @ tf_shift_matrix((k, l), N) @ U.conj().T
             target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
-            inner = complex(np.trace(target.conj().T @ conj))
-            c = inner / abs(inner) if inner else 1.0
+            inner = inner_product(target, conj)
+            floor = 1e-8 * np.linalg.norm(conj) * np.linalg.norm(target)
+            c = inner / abs(inner) if abs(inner) > floor else 1.0
             worst = max(worst, float(np.linalg.norm(conj - c * target, 2)))
     return worst
+
+
+@pytest.mark.parametrize("N", [5, 7, 11])
+def test_mismatched_defect_does_not_depend_on_the_summation_order(N):
+    """U of the shear against J: at most z the conjugated shift is orthogonal
+    to the target, so its phase is 1, not the phase of a rounding residue,
+    and the trace of V^H U and the Frobenius sum give one defect, which
+    reads 2 cos(pi / 2N) at these N."""
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    mismatch = intertwine_defect(J_MAT, shear)
+    for inner_product in (frobenius_sum, trace_of_product):
+        assert_allclose(mismatch, per_point_intertwine_defect(J_MAT, shear, inner_product),
+                        rtol=1e-12)
+    assert_allclose(mismatch, 2 * np.cos(np.pi / (2 * N)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("N", [5, 7, 11])
