@@ -1,8 +1,8 @@
 """Metaplectic unitaries of SL(2, Z_N): factorization and intertwining.
 
-Every determinant-one matrix over Z_N (N an odd prime) factors into at
-most four generators; the composed unitary conjugates each lattice shift
-pi(z) to a phase times pi(chi z).
+Every determinant-one matrix over Z_N (N odd) factors into at most nine
+generators, four when N is prime; the composed unitary conjugates each
+lattice shift pi(z) to a phase times pi(chi z).
 """
 
 import numpy as np

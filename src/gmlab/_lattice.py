@@ -1,7 +1,7 @@
 """The conventions of the cyclic lattice Z_N and Z_N x Z_N, decided once: the
-exponent pair (q, s) of every weighted lq class (QParams); the side N of every
-array over Z_N (side, matrix_side); the cell budget of every array (MAX_CELLS,
-require_cells); h = (N+1)/2, the inverse of 2 mod odd N (half_inverse);
+exponent pair (q, s) of every weighted lq class (QParams); the modulus, odd and
+at least 3 (require_modulus); the side N of every array over Z_N (side,
+matrix_side); the cell budget (MAX_CELLS, require_cells); h = (N+1)/2 (half_inverse);
 centered representatives mod N; the root of unity omega**n, read from the table
 of the N roots; the weight (1 + |z|)**s and the weighted lq quasi-norm."""
 
@@ -36,12 +36,21 @@ def require_cells(count: int, what: str) -> None:
         raise ValueError(f"{what} holds more than {MAX_CELLS} cells")
 
 
+def require_modulus(N: int) -> int:
+    """N, the modulus of Z_N, if it is odd and at least 3; else ValueError."""
+    if N < 3 or N % 2 == 0:
+        raise ValueError(f"modulus must be odd and at least 3, got {N}")
+    return N
+
+
 def side(a, what: str, ndim: int = 2) -> int:
-    """N of an array whose ndim axes all have length N: a signal (ndim 1), a
-    symbol or an operator (ndim 2); else ValueError naming `what` and its shape."""
+    """N of an array whose ndim axes all have length N > 0: a signal (ndim 1),
+    a symbol or an operator (ndim 2); else ValueError naming `what` and its shape."""
     shape = np.shape(a)
     if len(shape) != ndim or len(set(shape)) != 1:
         raise ValueError(f"{what} of shape {shape} is not {('a vector', 'square')[ndim - 1]}")
+    if shape[0] == 0:
+        raise ValueError(f"{what} of shape {shape} is empty")
     return shape[0]
 
 
@@ -55,10 +64,8 @@ def matrix_side(A) -> int:
 
 
 def half_inverse(N: int) -> int:
-    """(N+1)/2, the multiplicative inverse of 2 mod N; N must be odd."""
-    if N % 2 == 0:
-        raise ValueError("modulus must be odd so that 2 is invertible")
-    return (N + 1) // 2
+    """(N+1)/2, the multiplicative inverse of 2 mod N (require_modulus)."""
+    return (require_modulus(N) + 1) // 2
 
 
 def centered(idx, N):

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 invalid config, 3 operator not invertible,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import fio, serialize, verify as verify_mod
-from ._lattice import QParams, require_cells, side
+from ._lattice import QParams, require_cells, require_modulus, side
 from .amalgam import conv_embedding_check, gl_invariance_check
 from .errors import (
     COND_TOL,
@@ -42,7 +43,7 @@ from .errors import (
     ToleranceError,
     VanishingFourierError,
 )
-from .metaplectic import metaplectic_operator, require_odd_prime, require_symplectic
+from .metaplectic import metaplectic_operator, require_symplectic
 from .phase_space import gabor_system
 from .presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
 from .seq_algebra import invert_by_fourier
@@ -180,9 +181,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         args.command, values, {k: v for k, v in raw.items() if not OPTIONS[k].flag}
     )
     if cfg.command in ("gabor-matrix", "envelope", "compose", "invert", "factorize", "verify"):
-        # before trial division and any N x N allocation
+        # before any N x N allocation
         require_cells(cfg.N**2, f"N = {cfg.N}: an N x N operator")
-        require_odd_prime(cfg.N)
+        require_modulus(cfg.N)
         require_symplectic(cfg.chi, cfg.N)
     return cfg
 
@@ -383,6 +384,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    gc.freeze()  # the imports live until exit: frozen, the exit collection skips them
     sys.exit(main())
 
 

@@ -1,7 +1,7 @@
-"""SL(2, Z_N) for odd prime N: generator factorizations and unitary models.
+"""SL(2, Z_N) for odd N: generator factorizations and unitary models.
 
 Determinant-one 2x2 matrices over Z_N act on phase-space points
-z = (k, l).  Each factors into at most four generators
+z = (k, l).  Each factors into at most nine generators, four at prime N:
 
     J            (standard rotation [[0, 1], [-1, 0]])
     Chirp(C)     (lower triangular [[1, 0], [C, 1]])
@@ -34,11 +34,6 @@ def _as_sympmat(chi, N: int) -> np.ndarray:
     if chi.shape[-2:] != (2, 2):
         raise ValueError("symplectic matrix must be 2x2")
     return chi % N
-
-
-def require_odd_prime(N: int) -> None:
-    if N < 3 or N % 2 == 0 or any(N % p == 0 for p in range(3, int(N**0.5) + 1, 2)):
-        raise ValueError(f"modulus must be an odd prime, got {N}")
 
 
 def determinant(chi, N: int):
@@ -109,28 +104,25 @@ def word_matrix(word, N: int) -> np.ndarray:
 
 
 def factor_generators(chi, N: int) -> list[Token]:
-    """Factor a determinant-one matrix into at most four generator tokens.
-
-    If the upper-right entry b is zero the matrix is lower triangular and
-    equals Chirp(c d) Dilate(d); otherwise b is invertible (N prime) and
-
-        chi = Chirp(d b^-1) . J . Chirp(a b) . Dilate(b).
-
-    Identity tokens are dropped, so the identity matrix yields the empty
-    word.  The product of the returned word equals chi exactly mod N.
-    """
-    require_odd_prime(N)
+    """Factor a determinant-one matrix into at most nine generator tokens:
+    Chirp(c d) Dilate(d) if b = 0, Chirp(d b^-1) J Chirp(a b) Dilate(b) if b
+    is a unit (always, at prime N), else the word of chi [[1, k], [0, 1]],
+    k least with a k + b a unit (one exists: gcd(a, b, N) = 1), followed by
+    J J J Chirp(k) J = [[1, -k], [0, 1]].  Identity tokens are dropped; the
+    word multiplies back to chi mod N."""
     a, b, c, d = (int(x) for x in require_symplectic(chi, N).flat)
+    k = 0 if b == 0 else next(k for k in range(N) if np.gcd(a * k + b, N) == 1)
+    b, d = (a * k + b) % N, (c * k + d) % N
     if b == 0:
         word = [("chirp", c * d % N), ("dilate", d)]
     else:
         word = [("chirp", d * pow(b, -1, N) % N), ("J",), ("chirp", a * b % N), ("dilate", b)]
+    word += [("J",), ("J",), ("J",), ("chirp", k), ("J",)] if k else []
     return [token for token in word if token not in (("chirp", 0), ("dilate", 1))]
 
 
 def build_metaplectic(word, N: int) -> np.ndarray:
     """Unitary operator of a generator word, composed in word order."""
-    require_odd_prime(N)
     U = np.eye(N, dtype=complex)
     for token in word:
         U = U @ _generator(token, N)[1]()

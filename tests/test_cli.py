@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import inspect
 import json
@@ -120,9 +121,25 @@ def test_envelope_rejects_bad_symplectic(tmp_path):
     assert not out.exists()  # validation precedes any output
 
 
-def test_rejects_composite_modulus(tmp_path):
-    code = main(["envelope", "--N", "9", "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
+N_COMMANDS = ["gabor-matrix", "envelope", "compose", "invert", "factorize", "verify"]
+
+
+@pytest.mark.parametrize("command", N_COMMANDS)
+@pytest.mark.parametrize("N", [9, 15])
+def test_every_n_command_runs_at_composite_n(tmp_path, command, N):
+    # b = 3 is not a unit mod 9 or mod 15
+    out = str(tmp_path / "o")
+    assert main([command, "--N", str(N), "--chi", "1,3,0,1", "--out", out]) == EXIT_OK
+    assert read_report(out)["config"]["N"] == N
+
+
+@pytest.mark.parametrize("command", N_COMMANDS)
+@pytest.mark.parametrize("N", [-3, 0, 1, 2, 4])
+def test_rejects_a_modulus_that_is_not_odd_and_at_least_3(tmp_path, capsys, command, N):
+    out = tmp_path / "o"
+    assert main([command, "--N", str(N), "--out", str(out)]) == EXIT_CONFIG
+    assert config_error_detail(capsys) == f"modulus must be odd and at least 3, got {N}"
+    assert not out.exists()
 
 
 def test_rejects_bad_q(tmp_path):
@@ -444,6 +461,18 @@ def _fresh_interpreter(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.strip()
+
+
+def test_entry_freezes_the_imported_objects_and_main_does_not(tmp_path):
+    # frozen objects are skipped by the collection at interpreter exit
+    code = ("import gc, sys; from gmlab import cli\n"
+            f"sys.argv = ['gml', 'factorize', '--N', '5', '--out', {str(tmp_path / 'o')!r}]\n"
+            "try:\n    cli.entry()\nexcept SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)")
+    assert _fresh_interpreter(code) == "0 True"
+    before = gc.get_freeze_count()
+    assert main(["factorize", "--N", "5", "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert gc.get_freeze_count() == before
 
 
 def test_cli_import_loads_no_scipy():

@@ -84,6 +84,18 @@ def test_envelope_matches_brute_force(rng, N, chi):
     assert_allclose(h, brute_envelope(T, chi, sys), atol=1e-12)
 
 
+@pytest.mark.parametrize("N, chi", [(9, [[1, 3], [0, 1]]), (9, [[7, 6], [3, 4]]),
+                                    (15, [[4, 10], [7, 14]]), (15, [[6, 5], [10, 6]])])
+def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi):
+    # T = Op(sigma) U_chi, whose U_chi is factored through the k-shift
+    sys = gabor_system(gaussian_window(N))
+    sigma = 1.0 + 0.2 * rng.standard_normal((N, N)) * gaussian_bump_symbol(N)
+    T = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
+    h = envelope(T, chi, sys).values
+    ref = diagonal_envelope(gabor_matrix(T, sys), chi)
+    assert np.abs(h - ref).max() <= 1e-13 * ref.max()
+
+
 def test_envelope_never_builds_the_gabor_matrix(rng):
     # the dense N^2 x N^2 Gabor matrix is 52 MiB at N = 43, and its factor T P
     # alone is 16 N^3 bytes (11 MiB at N = 89).  The envelope holds one panel

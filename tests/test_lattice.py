@@ -93,6 +93,24 @@ def test_the_guard_returns_n_and_names_a_non_square_array():
         side(FIELD, "signal", 1)
 
 
+EMPTY = {  # each takes an array of shape (0,) or (0, 0)
+    "tf_shift": lambda a: tf_shift((1, 1), a),
+    "lattice_qnorm": lambda a: lattice_qnorm(a, 0.5, 1),
+    "envelope_csv": envelope_csv,
+    "convolution_matrix": convolution_matrix,
+    "weyl_quantize": weyl_quantize,
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY))
+def test_an_empty_array_has_no_modulus(name):
+    # N = 0 raised ZeroDivisionError, returned 0.0, a header-only CSV or a
+    # (0, 0) matrix, or was refused as an even modulus
+    shape = (0,) if name == "tf_shift" else (0, 0)
+    with pytest.raises(ValueError, match=re.escape(f"of shape {shape} is empty")):
+        EMPTY[name](np.ones(shape))
+
+
 def test_envelopes_of_two_moduli_are_not_convolved():
     # a (1, 1) operand would broadcast against the (N, N) one
     with pytest.raises(ValueError, match="envelope moduli differ"):

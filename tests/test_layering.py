@@ -1,7 +1,8 @@
 """Module layering of gmlab, read from the source with ast: the conventions
 of Z_N live in `_lattice`, the operator and amalgam layers do not reach
-into the sequence algebra for them, the side of every array over Z_N is
-read by one guard, and every tolerance lives in `errors`."""
+into the sequence algebra for them, the parity of N is compared by one
+rule, the side of every array over Z_N is read by one guard, and every
+tolerance lives in `errors`."""
 
 import ast
 from pathlib import Path
@@ -19,25 +20,41 @@ def imported_modules(module: str) -> set:
     return found
 
 
-def comparisons_reading(*read) -> list:
-    """(module, enclosing function) of every comparison that reads one of the
-    names or attributes `read`."""
+def comparisons(matches) -> list:
+    """(module, enclosing function) of every comparison node for which
+    matches(node) holds."""
     found = []
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Compare):
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if names & set(read):
-                found.append((module, func))
+        if isinstance(node, ast.Compare) and matches(node):
+            found.append((module, func))
         for child in ast.iter_child_nodes(node):
             visit(child, module, func)
 
     for module, tree in TREES.items():
         visit(tree, module, None)
     return sorted(found)
+
+
+def comparisons_reading(*read) -> list:
+    """(module, enclosing function) of every comparison that reads one of the
+    names or attributes `read`."""
+
+    def reads(node):
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        return bool(names & set(read))
+
+    return comparisons(reads)
+
+
+def is_parity_of_n(node) -> bool:
+    """node is N % 2, of a name or an attribute N (cfg.N, sys.N)."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and getattr(node.left, "id", getattr(node.left, "attr", None)) == "N"
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
 
 
 def test_operator_and_amalgam_layers_import_nothing_from_the_sequence_algebra():
@@ -52,6 +69,11 @@ def test_metaplectic_does_not_import_weyl():
 def test_the_cell_budget_is_compared_in_one_guard_and_one_doubling_condition():
     assert comparisons_reading("MAX_CELLS") == [("_lattice", "require_cells"),
                                                 ("seq_algebra", "invert_by_fourier")]
+
+
+def test_the_parity_of_n_is_compared_only_in_the_modulus_rule():
+    parity = comparisons(lambda node: any(map(is_parity_of_n, ast.walk(node))))
+    assert parity == [("_lattice", "require_modulus")]
 
 
 # Shape comparisons of arrays that are not over Z_N: a sampled field on
@@ -71,9 +93,10 @@ NOT_OVER_Z_N = [
 
 
 def test_arrays_over_z_n_are_measured_by_one_guard_and_one_stack_check():
-    # each compares the number of axes and their lengths; `intertwine_defect`
-    # takes stacks (..., N, N), which `side` does not
-    guards = [("_lattice", "side")] * 2 + [("metaplectic", "intertwine_defect")] * 2
+    # each compares the number of axes and their lengths, and `side` refuses
+    # an empty axis; `intertwine_defect` takes stacks (..., N, N), which `side`
+    # does not
+    guards = [("_lattice", "side")] * 3 + [("metaplectic", "intertwine_defect")] * 2
     assert comparisons_reading("shape", "ndim") == sorted(guards + NOT_OVER_Z_N)
 
 

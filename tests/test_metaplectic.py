@@ -13,7 +13,7 @@ from gmlab import (
     tf_shift_matrix,
     word_matrix,
 )
-from gmlab.metaplectic import J_MAT, determinant, require_odd_prime, require_symplectic
+from gmlab.metaplectic import J_MAT, determinant, require_symplectic
 from gmlab.verify import random_sympmat
 
 IDENTITY = np.eye(2, dtype=int)
@@ -55,32 +55,80 @@ def test_factor_pinned_words_n7(chi, word):
     assert factor_generators(np.array(chi), 7) == word
 
 
-@pytest.mark.parametrize("N", [3, 5, 7, 11])
-def test_factor_every_map_into_the_four_token_formula(N):
-    """Over all of SL(2, Z_N): the word multiplies back to chi, has at most
-    four tokens, none of them the identity, in the order chirp, J, chirp,
-    dilate of Chirp(d b^-1) J Chirp(a b) Dilate(b) (or Chirp(c d) Dilate(d))."""
-    maps = all_sl2(N)
-    assert len(maps) == N * (N * N - 1)
-    for chi in maps:
-        word = factor_generators(chi, N)
-        assert np.array_equal(word_matrix(word, N), chi)
-        assert len(word) <= 4
-        assert ("chirp", 0) not in word and ("dilate", 1) not in word
-        order = iter(["chirp", "J", "chirp", "dilate"])
-        assert all(token[0] in order for token in word), word
-
-
 def test_factor_rejects_non_symplectic():
     with pytest.raises(ValueError):
         factor_generators(np.array([[1, 0], [0, 2]]), 7)
 
 
-def test_factor_requires_odd_prime():
-    with pytest.raises(ValueError):
-        factor_generators(IDENTITY, 9)
-    with pytest.raises(ValueError):
-        require_odd_prime(15)
+def four_token_word(chi, N):
+    """The factorization at prime N, written out: Chirp(c d) Dilate(d) when
+    b = 0, else Chirp(d b^-1) J Chirp(a b) Dilate(b), identity tokens dropped."""
+    a, b, c, d = (int(x) % N for x in np.ravel(chi))
+    if b == 0:
+        word = [("chirp", c * d % N), ("dilate", d)]
+    else:
+        word = [("chirp", d * pow(b, -1, N) % N), ("J",), ("chirp", a * b % N), ("dilate", b)]
+    return [token for token in word if token not in (("chirp", 0), ("dilate", 1))]
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 11, 13])
+def test_factor_every_map_into_the_four_token_formula(N):
+    """Over all of SL(2, Z_N), N prime: the word multiplies back to chi and is
+    the four-token formula, so it has at most four tokens, none of them the
+    identity, in the order chirp, J, chirp, dilate."""
+    maps = all_sl2(N)
+    assert len(maps) == N * (N * N - 1)
+    for chi in maps:
+        word = factor_generators(chi, N)
+        assert np.array_equal(word_matrix(word, N), chi)
+        assert word == four_token_word(chi, N)
+
+
+@pytest.mark.parametrize("N, order", [(9, 648), (15, 2880)])
+def test_factor_every_map_at_composite_n(N, order):
+    """|SL(2, Z_N)| = N^3 prod_p (1 - p^-2); each map's word multiplies back
+    to it and has at most nine tokens: a map whose b is a nonzero non-unit
+    takes the four-token word of chi [[1, k], [0, 1]], k least with a k + b
+    a unit, then J J J Chirp(k) J; every other map its four-token word."""
+    maps = all_sl2(N)
+    assert len(maps) == order
+    longest = 0
+    for chi in maps:
+        word = factor_generators(chi, N)
+        assert np.array_equal(word_matrix(word, N), chi)
+        longest = max(longest, len(word))
+        a, b = int(chi[0, 0]), int(chi[0, 1])
+        if b == 0 or np.gcd(b, N) == 1:
+            assert word == four_token_word(chi, N)
+        else:
+            k = next(k for k in range(1, N) if np.gcd(a * k + b, N) == 1)
+            shifted = chi @ np.array([[1, k], [0, 1]]) % N
+            assert word == four_token_word(shifted, N) + [("J",)] * 3 + [("chirp", k), ("J",)]
+    assert longest == 9
+
+
+def test_factor_shifts_a_non_unit_b_by_the_least_k():
+    # b = 3 is not a unit mod 9; k = 1 makes a k + b = 4 one, so
+    # chi [[1, 1], [0, 1]] = [[1, 4], [0, 1]] is factored, then J^3 Chirp(1) J
+    word = factor_generators(np.array([[1, 3], [0, 1]]), 9)
+    assert word == [("chirp", 7), ("J",), ("chirp", 4), ("dilate", 4),
+                    ("J",), ("J",), ("J",), ("chirp", 1), ("J",)]
+
+
+NON_UNIT_B = {  # maps whose upper-right entry is a nonzero non-unit mod N
+    9: [[[7, 6], [3, 4]], [[5, 3], [1, 8]], [[1, 3], [0, 1]]],
+    15: [[[4, 10], [7, 14]], [[6, 5], [10, 6]]],
+    25: [[[23, 5], [3, 17]], [[12, 10], [23, 13]]],
+    45: [[[9, 40], [2, 24]], [[40, 3], [13, 1]]],
+}
+
+
+@pytest.mark.parametrize("N", list(NON_UNIT_B))
+def test_intertwine_at_composite_n_with_a_non_unit_b(N):
+    chis = np.array(NON_UNIT_B[N])
+    assert all(np.gcd(b, N) > 1 for b in chis[:, 0, 1])
+    U = np.array([metaplectic_operator(chi, N) for chi in chis])
+    assert np.all(intertwine_defect(chis, U) <= 1e-13)
 
 
 @pytest.mark.parametrize("N", [7, 11])
