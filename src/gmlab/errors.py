@@ -18,7 +18,6 @@ COND_TOL = 1e12  # condition number at which invert_fio raises NotInvertibleErro
 DECAY_CUTOFF = 1e-12  # magnitude below which invert_by_fourier drops an inverse entry
 NEUMANN_TOL = 1e-10  # quasi-norm of the tail that neumann_inverse may omit
 RANK_TOL = 1e-10  # singular values <= RANK_TOL * largest count as zero in pseudo_inverse
-UNITARY_GUARD = 1e-8  # largest ||U^H U - I||_2 that intertwine_defect accepts as unitary
 PHASE_FLOOR = 1e-8  # relative |<U, V>_F| at which phase_align reads U, V as orthogonal
 SINGULAR_DET = 1e-12  # |det M| below which gl_invariance_check rejects M as singular
 

@@ -58,19 +58,14 @@ def convolution_matrix(field: np.ndarray) -> np.ndarray:
 
 
 def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Exact cyclic convolution of two (N, N) envelopes (direct double sum)."""
+    """Exact cyclic convolution of two (N, N) envelopes, (d1 * d2)(mu) =
+    sum_nu d1(nu) d2(mu - nu): the convolution matrix of d2 applied to d1."""
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
     N = side(d1, "envelope")
     if side(d2, "envelope") != N:
         raise ValueError("envelope moduli differ")
-    out = np.zeros((N, N))
-    for a in range(N):
-        for b in range(N):
-            v = d1[a, b]
-            if v != 0.0:
-                out += v * np.roll(np.roll(d2, a, axis=0), b, axis=1)
-    return out
+    return (convolution_matrix(d2) @ d1.ravel()).reshape(N, N)
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:

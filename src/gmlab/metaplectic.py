@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import half_inverse, root_of_unity
-from .errors import PHASE_FLOOR, UNITARY_GUARD
+from .errors import PHASE_FLOOR
 from .phase_space import tf_shift_matrix
 
 Token = tuple
@@ -145,33 +145,31 @@ def phase_align(U: np.ndarray, V: np.ndarray):
 
 
 def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
-    """Worst-case deviation of U pi(z) U^-1 from a phase times pi(chi z).
+    """Worst-case deviation of U pi(z) from a phase times pi(chi z) U.
 
     Sweeps every z in the N x N lattice, one row (k, .) of N points at a
-    time; for each z, the unimodular phase is chosen optimally
-    (phase_align) before taking the operator-norm deviation.  U must be
-    unitary.  Stacks chi (..., 2, 2) and U (..., N, N) are checked pair by
-    pair in the same sweep, their leading axes broadcast together: the
-    result is the array (...) of worst defects, and one pair gives a float.
-    N is read from U, which must be square.  Extra memory is O(stack N^3).
+    time; for each z, the phase c is chosen optimally (phase_align) before
+    taking the operator norm of U pi(z) - c pi(chi z) U.  For unitary U this
+    is the deviation of U pi(z) U^-1 from c pi(chi z), and scaling U by a
+    scalar a scales the defect by |a|.  Stacks chi (..., 2, 2) and U
+    (..., N, N) are checked pair by pair in the same sweep, their leading
+    axes broadcast together: the result is the array (...) of worst
+    defects, and one pair gives a float.  N is read from U, which must be
+    square.  Extra memory is O(stack N^3).
     """
     U = np.asarray(U, dtype=complex)
     N = U.shape[-1]
     if U.ndim < 2 or U.shape[-2] != N:
         raise ValueError(f"operator of shape {U.shape} is not square")
     chi = require_symplectic(chi, N)
-    if np.any(np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1))
-              > UNITARY_GUARD):
-        raise ValueError("operator is not unitary")
     U = U[..., None, :, :]  # against the row axis of the N shifts pi(k, l)
-    Uh = U.conj().swapaxes(-2, -1)
     chi = chi[..., None, :, :]
     l = np.arange(N)
     worst = np.zeros(np.broadcast_shapes(chi.shape[:-3], U.shape[:-3]))
     for k in range(N):
-        conj = U @ tf_shift_matrix((k, l), N) @ Uh
-        target = tf_shift_matrix(symp_apply(chi, (k, l), N), N)
-        c = phase_align(conj, target)[..., None, None]
-        defect = np.linalg.norm(conj - c * target, 2, axis=(-2, -1))
+        left = U @ tf_shift_matrix((k, l), N)
+        right = tf_shift_matrix(symp_apply(chi, (k, l), N), N) @ U
+        c = phase_align(left, right)[..., None, None]
+        defect = np.linalg.norm(left - c * right, 2, axis=(-2, -1))
         worst = np.maximum(worst, defect.max(axis=-1))
     return worst if worst.ndim else float(worst)

@@ -146,6 +146,34 @@ def test_algebra_property(rng):
             assert np.max(excess) < 1e-10
 
 
+def rolled_sum_convolve(d1, d2):
+    """Oracle: the cyclic convolution as a double sum of shifted copies of d2."""
+    N = d1.shape[0]
+    out = np.zeros((N, N))
+    for a in range(N):
+        for b in range(N):
+            v = d1[a, b]
+            if v != 0.0:
+                out += v * np.roll(np.roll(d2, a, axis=0), b, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("N", [3, 5, 13, 31])
+def test_envelope_convolve_matches_the_rolled_sum(N):
+    rng = np.random.default_rng(N)
+    d1, d2 = rng.random((2, N, N)) * (rng.random((2, N, N)) < 0.7)  # about 30% zeros
+    assert np.any(d1 == 0) and np.any(d2 == 0)
+    want = rolled_sum_convolve(d1, d2)
+    assert np.max(np.abs(envelope_convolve(d1, d2) - want)) <= 1e-13 * np.max(want)
+    assert np.max(np.abs(envelope_convolve(d2, d1) - want)) <= 1e-13 * np.max(want)
+    delta = np.zeros((N, N))
+    delta[1, N - 1] = 1.0
+    shifted = rolled_sum_convolve(delta, d2)
+    assert np.array_equal(shifted, np.roll(d2, (1, -1), axis=(0, 1)))
+    assert np.array_equal(envelope_convolve(delta, d2), shifted)
+    assert np.array_equal(envelope_convolve(d2, delta), shifted)
+
+
 def test_solidity(rng):
     N = 5
     p = QParams(0.5, 1.0)

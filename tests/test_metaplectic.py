@@ -296,11 +296,22 @@ def test_chirp_reduces_its_coefficient_before_multiplying():
     assert np.array_equal(word_matrix(big, N), word_matrix(small, N))
 
 
-def test_stacked_intertwine_rejects_one_non_unitary_member():
-    N = 5
-    U = np.array([np.eye(N), 2.0 * np.eye(N), np.eye(N)])
-    with pytest.raises(ValueError, match="not unitary"):
-        intertwine_defect(np.array([IDENTITY] * 3), U)
+@pytest.mark.parametrize("N", [5, 9])
+def test_intertwine_defect_scales_with_the_operator(N):
+    """The relation U pi(z) = c pi(chi z) U is checked as stated, so a
+    scalar multiple a U of a true pair is measured, not refused: its defect
+    is |a| times that of U, alone or in a stack, and a mismatched pair
+    still reads 2 cos(pi / 2N)."""
+    chi = random_sympmat(np.random.default_rng(N), N)
+    U = metaplectic_operator(chi, N)
+    defect = intertwine_defect(chi, U)
+    assert defect < 1e-13
+    for a in (2, 0.5j):
+        assert abs(intertwine_defect(chi, a * U) - abs(a) * defect) <= 1e-15
+    stack = intertwine_defect(chi, np.array([U, 2 * U, U]))
+    assert stack.tolist() == [intertwine_defect(chi, V) for V in (U, 2 * U, U)]
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    assert_allclose(intertwine_defect(J_MAT, shear), 2 * np.cos(np.pi / (2 * N)), rtol=1e-12)
 
 
 def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
@@ -319,12 +330,6 @@ def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
         require_symplectic(bad, N)
     with pytest.raises(ValueError, match="must be 2x2"):
         require_symplectic(np.zeros((3, 2, 3), int), N)
-
-
-def test_intertwine_rejects_non_unitary():
-    N = 5
-    with pytest.raises(ValueError):
-        intertwine_defect(IDENTITY, 2.0 * np.eye(N))
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 7), (5,)])

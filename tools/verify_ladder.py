@@ -17,7 +17,7 @@ import time  # noqa: E402
 
 from gmlab import QParams, verify  # noqa: E402
 
-LADDER = (5, 7, 13)
+LADDER = (5, 7, 13, 31)
 PARAMS = QParams(0.5, 1.0)
 SEED = 0
 REPEATS = 3
