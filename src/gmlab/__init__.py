@@ -57,7 +57,9 @@ from .matrix_algebra import (
 )
 from .metaplectic import (
     build_metaplectic,
+    build_metaplectic_stack,
     factor_generators,
+    intertwine_bound,
     intertwine_defect,
     metaplectic_operator,
     phase_align,

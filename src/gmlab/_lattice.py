@@ -125,7 +125,7 @@ def weighted_qnorm(values, weight, q):
     """(sum values**q * weight**q)**(1/q); ValueError, with no overflow
     warning, when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.sum(values**q * weight**q) ** (1.0 / q))
+        norm = float((values**q * weight**q).sum() ** (1.0 / q))
     if not math.isfinite(norm):
         raise ValueError("weighted quasi-norm is not finite (NaN or overflow)")
     return norm

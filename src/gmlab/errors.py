@@ -27,7 +27,7 @@ DUALITY_TOL = 1e-11  # |<Op(sigma) f, g> - duality_pairing(sigma, f, g)|
 ROUNDTRIP_TOL = 1e-12  # max |weyl_dequantize(weyl_quantize(sigma)) - sigma|
 COMMUTATION_TOL = 1e-10  # ||V(T f) - gabor_matrix(T) V f|| for the Parseval window
 UNITARITY_TOL = 1e-12  # ||U^H U - I||_2 of a build_metaplectic unitary
-INTERTWINE_TOL = 1e-10  # intertwine_defect of a build_metaplectic unitary
+INTERTWINE_TOL = 1e-10  # intertwine_bound (>= intertwine_defect) of a build_metaplectic unitary
 ADJOINT_TOL = 1e-10  # max |envelope of T^H along chi^-1 - pullback of T's along chi|
 FACTOR_TOL = 1e-9  # each factorize_fio residual
 SEQ_FOURIER_TOL = 1e-8  # invert_by_fourier residual of delta minus a tail of l1 norm 0.35

@@ -20,7 +20,6 @@ import numpy as np
 
 from ._lattice import half_inverse, root_of_unity
 from .errors import PHASE_FLOOR
-from .phase_space import tf_shift_matrix
 
 Token = tuple
 
@@ -121,12 +120,28 @@ def factor_generators(chi, N: int) -> list[Token]:
     return [token for token in word if token not in (("chirp", 0), ("dilate", 1))]
 
 
+def _compose(unitaries, N: int) -> np.ndarray:
+    """Product of N x N matrices in the given order, folded from the identity."""
+    U = np.eye(N, dtype=complex)
+    for G in unitaries:
+        U = U @ G
+    return U
+
+
 def build_metaplectic(word, N: int) -> np.ndarray:
     """Unitary operator of a generator word, composed in word order."""
-    U = np.eye(N, dtype=complex)
-    for token in word:
-        U = U @ _generator(token, N)[1]()
-    return U
+    return _compose((_generator(token, N)[1]() for token in word), N)
+
+
+def build_metaplectic_stack(words, N: int) -> np.ndarray:
+    """The stack (len(words), N, N) of the build_metaplectic unitaries of the
+    words, bit for bit; the unitary of each distinct token is built once."""
+    tokens = dict.fromkeys(token for word in words for token in word)
+    unitaries = {token: _generator(token, N)[1]() for token in tokens}
+    out = np.empty((len(words), N, N), dtype=complex)
+    for i, word in enumerate(words):
+        out[i] = _compose((unitaries[token] for token in word), N)
+    return out
 
 
 def metaplectic_operator(chi, N: int) -> np.ndarray:
@@ -138,10 +153,52 @@ def phase_align(U: np.ndarray, V: np.ndarray):
     """Unimodular c maximizing agreement of U with c V (Frobenius sense), 1
     where |<U, V>_F| <= PHASE_FLOOR ||U||_F ||V||_F; stacks (..., N, N) of U
     and V give the array (...) of phases, one pair a complex scalar."""
-    inner = np.sum(V.conj() * U, axis=(-2, -1))
-    size = np.abs(inner)
     floor = PHASE_FLOOR * np.linalg.norm(U, axis=(-2, -1)) * np.linalg.norm(V, axis=(-2, -1))
-    return np.divide(inner, size, out=np.ones_like(inner), where=size > floor)[()]
+    return _phase(np.sum(V.conj() * U, axis=(-2, -1)), floor)[()]
+
+
+def _phase(inner, floor):
+    """inner / |inner| elementwise, 1 where |inner| <= floor."""
+    size = np.abs(inner)
+    return np.divide(inner, size, out=np.ones_like(inner), where=size > floor)
+
+
+def _worst_defect(chi, U, norm) -> float | np.ndarray:
+    """Worst norm(D) over the lattice of D(z) = U pi(z) - c pi(chi z) U, c
+    by the rule of phase_align, for a pair or for stacks (see
+    intertwine_defect).  Both sides have the Frobenius norm of U, so the
+    floor of the phase is PHASE_FLOOR ||U||_F^2 at every z.
+
+    For z = (k, l) and w = chi z, (U pi(z))[r, s] = omega^(l (s + k)) U[r, s + k]
+    and (pi(w) U)[r, s] = omega^(w_2 r) U[r - w_1, s], indices mod N, so each
+    D is a reindexing of U times roots of unity, with no matrix product.
+    One row (k, .) of N points is formed at a time; norm maps a stack
+    (..., N, N) of D to the array (...) of their norms.
+    """
+    U = np.asarray(U, dtype=complex)
+    N = U.shape[-1]
+    if U.ndim < 2 or U.shape[-2] != N:
+        raise ValueError(f"operator of shape {U.shape} is not square")
+    chi = require_symplectic(chi, N)
+    stack = np.broadcast_shapes(chi.shape[:-2], U.shape[:-2])
+    U = np.broadcast_to(U, stack + (N, N)).reshape(-1, N, N)
+    chi = np.broadcast_to(chi, stack + (2, 2)).reshape(-1, 1, 2, 2)
+    pair, t = np.arange(len(U))[:, None, None], np.arange(N)
+    floor = PHASE_FLOOR * np.linalg.norm(U, axis=(-2, -1))[:, None] ** 2
+    worst = np.zeros(len(U))
+    for k in range(N):
+        cols = (t + k) % N
+        left = U[:, None, :, cols] * root_of_unity(t[:, None] * cols, N)[:, None, :]
+        w1, w2 = symp_apply(chi, (k, t), N)  # (pairs, N): chi (k, l) for each l
+        right = U[pair, (t - w1[..., None]) % N]
+        right *= root_of_unity(w2[..., None] * t, N)[..., None]
+        inner = right.conj()
+        inner *= left
+        right *= _phase(inner.sum(axis=(-2, -1)), floor)[..., None, None]
+        left -= right  # D(k, l) for each l
+        worst = np.maximum(worst, norm(left).max(axis=-1))
+    worst = worst.reshape(stack)
+    return worst if worst.ndim else float(worst)
 
 
 def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
@@ -155,21 +212,22 @@ def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
     (..., N, N) are checked pair by pair in the same sweep, their leading
     axes broadcast together: the result is the array (...) of worst
     defects, and one pair gives a float.  N is read from U, which must be
-    square.  Extra memory is O(stack N^3).
+    square.  Extra memory is O(stack N^3); the N^2 operator norms per pair
+    are singular value decompositions, O(N^5) in all.
     """
-    U = np.asarray(U, dtype=complex)
-    N = U.shape[-1]
-    if U.ndim < 2 or U.shape[-2] != N:
-        raise ValueError(f"operator of shape {U.shape} is not square")
-    chi = require_symplectic(chi, N)
-    U = U[..., None, :, :]  # against the row axis of the N shifts pi(k, l)
-    chi = chi[..., None, :, :]
-    l = np.arange(N)
-    worst = np.zeros(np.broadcast_shapes(chi.shape[:-3], U.shape[:-3]))
-    for k in range(N):
-        left = U @ tf_shift_matrix((k, l), N)
-        right = tf_shift_matrix(symp_apply(chi, (k, l), N), N) @ U
-        c = phase_align(left, right)[..., None, None]
-        defect = np.linalg.norm(left - c * right, 2, axis=(-2, -1))
-        worst = np.maximum(worst, defect.max(axis=-1))
-    return worst if worst.ndim else float(worst)
+    return _worst_defect(chi, U, lambda D: np.linalg.norm(D, 2, axis=(-2, -1)))
+
+
+def intertwine_bound(chi, U: np.ndarray) -> float | np.ndarray:
+    """Upper bound on intertwine_defect, with its stack semantics: the worst
+    sqrt(||D||_1 ||D||_inf) over the same defects D, which is at least
+    ||D||_2 and at most sqrt(N) ||D||_2, so a check of the bound can only be
+    stricter than one of the defect.  Both norms are sums of |D|, O(N^4)
+    per pair in all.
+    """
+
+    def norm(D):
+        size = np.abs(D)
+        return np.sqrt(size.sum(axis=-2).max(axis=-1) * size.sum(axis=-1).max(axis=-1))
+
+    return _worst_defect(chi, U, norm)

@@ -19,6 +19,7 @@ Convolution adds one shifted copy of an operand per nonzero of the other.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .errors import (
 
 
 def _key(index, dim: int) -> tuple:
-    idx = tuple(int(v) for v in np.atleast_1d(index))
+    idx = tuple(map(int, np.atleast_1d(index).tolist()))
     if len(idx) != dim:
         raise ValueError(f"index {idx} does not match dimension {dim}")
     return idx
@@ -84,9 +85,15 @@ class SparseSeq:
         self._store(dim, lo, values)
 
     def _store(self, dim: int, lo, values: np.ndarray) -> "SparseSeq":
-        nz = np.argwhere(values)  # an empty sequence gets the corner 0 and an empty box
-        first, end = (nz.min(axis=0), nz.max(axis=0) + 1) if len(nz) else (-lo, -lo)
-        lo, values = lo + first, values[_box(first, end - first)]
+        nonzero, axes = values != 0, range(dim)
+        # the support's box: along each axis, the slices that hold a nonzero
+        hits = [np.logical_or.reduce(nonzero, axis=tuple(b for b in axes if b != a)).nonzero()[0]
+                for a in axes]
+        if hits[0].size:
+            lo = lo + [h[0] for h in hits]
+            values = values[tuple(slice(h[0], h[-1] + 1) for h in hits)]
+        else:  # an empty sequence gets the corner 0 and an empty box
+            lo, values = np.zeros(dim, np.int64), values[(slice(0, 0),) * dim]
         values.flags.writeable = False
         for name, v in (("dim", dim), ("lo", lo), ("values", values)):
             object.__setattr__(self, name, v)
@@ -108,7 +115,7 @@ class SparseSeq:
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices (nnz, m) and values (nnz,) of the support, lexicographically."""
         nz = np.nonzero(self.values)
-        return np.stack(nz, axis=-1) + self.lo, self.values[nz]
+        return np.add(np.transpose(nz), self.lo, order="C"), self.values[nz]
 
     def items(self) -> list:
         """(index tuple, complex value) pairs of the support, lexicographically."""
@@ -136,7 +143,8 @@ class SparseSeq:
         lo = np.minimum(self.lo, other.lo)
         out = _zeros([max(e, f) - o for e, f, o in zip(_ends(self), _ends(other), lo.tolist())])
         for seq in (self, other):
-            out[_box(seq.lo - lo, seq.values.shape)] += seq.values
+            view = out[_box(seq.lo - lo, seq.values.shape)]
+            view += seq.values
         return _from_array(self.dim, lo, out)
 
     def __neg__(self) -> "SparseSeq":
@@ -184,12 +192,33 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
 def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Box array of the convolution of two box arrays: one shifted multiply-add
     of the operand with more nonzeros per nonzero of the other (the first
-    operand on a tie), in lexicographic order of those nonzeros."""
+    operand on a tie), in lexicographic order of those nonzeros.
+
+    The bigger operand sits in the corner of a zero box as wide as the
+    output on every axis but the first, so each shifted copy is one
+    contiguous run of output cells: v times the padded box goes into one
+    reused buffer and is added in place.  A cell outside the shifted box
+    gains v * 0 = +-0, which leaves it as it was, since no cell of a sum
+    from +0 is -0; a non-finite v multiplies the box alone.
+    """
     small, big = (a, b) if np.count_nonzero(a) <= np.count_nonzero(b) else (b, a)
-    out = _zeros(np.add(small.shape, big.shape) - 1)
+    out = _zeros([m + n - 1 for m, n in zip(small.shape, big.shape)])
+    pitch = [stride // out.itemsize for stride in out.strides]  # cells per step on each axis
+    box = tuple(map(slice, big.shape))
+    padded = np.zeros(big.shape[:1] + out.shape[1:], dtype=big.dtype)
+    padded[box] = big
+    product = np.empty(padded.shape, np.result_type(small, big))  # the dtype of v * big
+    run = 1 + sum((n - 1) * step for n, step in zip(big.shape, pitch))
+    flat_padded, flat_product, flat_out = (x.reshape(-1) for x in (padded, product, out))
     nz = np.nonzero(small)
-    for offset, v in zip(np.stack(nz, axis=-1), small[nz]):
-        out[_box(offset, big.shape)] += v * big
+    for start, v in zip(sum(i * step for i, step in zip(nz, pitch)).tolist(), small[nz]):
+        if cmath.isfinite(v):
+            np.multiply(v, flat_padded, out=flat_product)
+        else:  # v * 0 is not 0: the box alone, in a product padded with 0
+            product.fill(0)
+            np.multiply(v, big, out=product[box])
+        view = flat_out[start:start + run]
+        view += flat_product[:run]
     return out
 
 
@@ -253,7 +282,8 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     for j in range(1, n + 1):
         if j > 1:
             power = _shifted_sum(power, x.values)
-        total[_box([j * o - c for o, c in zip(x_lo, lo)], power.shape)] += power
+        view = total[_box([j * o - c for o, c in zip(x_lo, lo)], power.shape)]
+        view += power
     return _from_array(x.dim, np.array(lo, np.int64), total)
 
 

@@ -87,9 +87,19 @@ def random_sympmat(rng, N: int) -> np.ndarray:
 
 def random_decaying_matrix(rng, N: int) -> np.ndarray:
     """Lattice matrix with |entries| <= exp(-0.8 |mu|) along diagonal mu."""
-    prof = ma.convolution_matrix(np.exp(-0.8 * centered_radius(N)))
-    phase = np.exp(2j * np.pi * rng.random((N * N, N * N)))
-    mag = rng.random((N * N, N * N))
+    return _decaying_draw(rng, _decay_profile(N))
+
+
+def _decay_profile(N: int) -> np.ndarray:
+    """The bound exp(-0.8 |mu|) on the entries along each diagonal mu, as an
+    (N^2, N^2) matrix; a suite builds it once and draws against it."""
+    return ma.convolution_matrix(np.exp(-0.8 * centered_radius(N)))
+
+
+def _decaying_draw(rng, prof: np.ndarray) -> np.ndarray:
+    """random_decaying_matrix against a prebuilt _decay_profile: the same draws."""
+    phase = np.exp(2j * np.pi * rng.random(prof.shape))
+    mag = rng.random(prof.shape)
     return prof * mag * phase
 
 
@@ -128,9 +138,10 @@ def suite_seq_hoelder(N, p, rng):
 def suite_seq_inclusion(N, p, rng):
     for _ in range(40):
         a = random_sparse(rng)
+        norm = qnorm(a, p)
         yield max(
-            _rel_excess(qnorm(a, QParams(1.0, p.s)), qnorm(a, p)),
-            _rel_excess(qnorm(a, p), qnorm(a, QParams(p.q / 2, p.s))),
+            _rel_excess(qnorm(a, QParams(1.0, p.s)), norm),
+            _rel_excess(norm, qnorm(a, QParams(p.q / 2, p.s))),
         )
 
 
@@ -207,9 +218,10 @@ def suite_commutation(N, p, rng):
 
 @_suite("cb_algebra", 11, SUITE_SLACK)
 def suite_cb_algebra(N, p, rng):
+    prof = _decay_profile(N)
     for _ in range(15):
-        A = random_decaying_matrix(rng, N)
-        B = random_decaying_matrix(rng, N)
+        A = _decaying_draw(rng, prof)
+        B = _decaying_draw(rng, prof)
         dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
         nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
         yield max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
@@ -217,8 +229,9 @@ def suite_cb_algebra(N, p, rng):
 
 @_suite("cb_solidity", 12, SUITE_SLACK)
 def suite_cb_solidity(N, p, rng):
+    prof = _decay_profile(N)
     for _ in range(15):
-        A = random_decaying_matrix(rng, N)
+        A = _decaying_draw(rng, prof)
         Ap = A * rng.random(A.shape)  # entrywise dominated
         yield ma.cb_norm(Ap, p) - ma.cb_norm(A, p)
 
@@ -231,9 +244,9 @@ def suite_metaplectic(N, p, rng):
     else:
         mats = np.array([random_sympmat(rng, N) for _ in range(30)])
     words = [mp.factor_generators(chi, N) for chi in mats]
-    U = np.array([mp.build_metaplectic(word, N) for word in words])
+    U = mp.build_metaplectic_stack(words, N)
     unitarity = np.linalg.norm(U.conj().swapaxes(-2, -1) @ U - np.eye(N), 2, axis=(-2, -1))
-    defects = mp.intertwine_defect(mats, U)
+    defects = mp.intertwine_bound(mats, U)
     for chi, word, unitary, defect in zip(mats, words, unitarity, defects):
         yield max(
             float(not np.array_equal(mp.word_matrix(word, N), chi)),

@@ -94,9 +94,9 @@ NOT_OVER_Z_N = [
 
 def test_arrays_over_z_n_are_measured_by_one_guard_and_one_stack_check():
     # each compares the number of axes and their lengths, and `side` refuses
-    # an empty axis; `intertwine_defect` takes stacks (..., N, N), which `side`
-    # does not
-    guards = [("_lattice", "side")] * 3 + [("metaplectic", "intertwine_defect")] * 2
+    # an empty axis; `intertwine_defect` and `intertwine_bound` take stacks
+    # (..., N, N), which `side` does not, through the one sweep `_worst_defect`
+    guards = [("_lattice", "side")] * 3 + [("metaplectic", "_worst_defect")] * 2
     assert comparisons_reading("shape", "ndim") == sorted(guards + NOT_OVER_Z_N)
 
 

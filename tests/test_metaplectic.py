@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from gmlab import (
     build_metaplectic,
+    build_metaplectic_stack,
     factor_generators,
+    intertwine_bound,
     intertwine_defect,
     metaplectic_operator,
     phase_align,
@@ -177,6 +179,19 @@ def test_words_reject_singular_dilation_and_unknown_tokens(build, token, message
         build([("J",), token], 5)
 
 
+@pytest.mark.parametrize("N", [5, 9])
+def test_stacked_build_equals_the_single_builds_bit_for_bit(N):
+    rng = np.random.default_rng(N)
+    chis = all_sl2(N) if N == 5 else [random_sympmat(rng, N) for _ in range(30)]
+    words = [factor_generators(chi, N) for chi in chis] + [[], [("chirp", 2**70)]]
+    stack = build_metaplectic_stack(words, N)
+    assert stack.shape == (len(words), N, N)
+    assert all(U.tobytes() == build_metaplectic(word, N).tobytes() for U, word in zip(stack, words))
+    assert build_metaplectic_stack([], N).shape == (0, N, N)
+    with pytest.raises(ValueError, match="unknown generator token"):
+        build_metaplectic_stack([[("J",)], [("J",), ("shear", 1)]], N)
+
+
 def test_build_unitary(rng):
     N = 11
     for _ in range(10):
@@ -312,6 +327,41 @@ def test_intertwine_defect_scales_with_the_operator(N):
     assert stack.tolist() == [intertwine_defect(chi, V) for V in (U, 2 * U, U)]
     shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
     assert_allclose(intertwine_defect(J_MAT, shear), 2 * np.cos(np.pi / (2 * N)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("N", [5, 9, 15])
+def test_intertwine_bound_holds_the_exact_defect_from_above(N):
+    """sqrt(||D||_1 ||D||_inf) is at least ||D||_2 and at most sqrt(N) ||D||_2:
+    over all of SL(2, Z_5) and over sampled maps at N = 9 and 15, the bound
+    is at least the exact defect, less 1e-14 of rounding, and at most
+    sqrt(N) times it; a mismatched pair reads at least 2 cos(pi / 2N)."""
+    rng = np.random.default_rng(N)
+    chis = np.array(all_sl2(N) if N == 5 else [random_sympmat(rng, N) for _ in range(12)])
+    U = build_metaplectic_stack([factor_generators(chi, N) for chi in chis], N)
+    bound, defect = intertwine_bound(chis, U), intertwine_defect(chis, U)
+    assert np.all(bound >= defect - 1e-14) and np.all(bound <= np.sqrt(N) * defect)
+    assert np.all(bound < 1e-13)
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    mismatch, exact = intertwine_bound(J_MAT, shear), intertwine_defect(J_MAT, shear)
+    assert exact <= mismatch <= np.sqrt(N) * exact
+    assert mismatch >= 2 * np.cos(np.pi / (2 * N))
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_stacked_intertwine_bound_equals_the_pairwise_calls(N):
+    rng = np.random.default_rng(N)
+    shear = metaplectic_operator(np.array([[1, 1], [0, 1]]), N)
+    chis = [random_sympmat(rng, N) for _ in range(4)]
+    pairs = [(chi, metaplectic_operator(chi, N)) for chi in chis] + [(J_MAT, shear)]
+    chi_stack = np.array([chi for chi, _ in pairs])
+    U_stack = np.array([U for _, U in pairs])
+    single = [intertwine_bound(chi, U) for chi, U in pairs]
+    assert all(type(b) is float for b in single)
+    assert intertwine_bound(chi_stack, U_stack).tolist() == single  # exactly
+    grid = intertwine_bound(chi_stack.reshape(5, 1, 2, 2), U_stack)
+    assert grid.shape == (5, 5) and np.diag(grid).tolist() == single
+    with pytest.raises(ValueError, match="not square"):
+        intertwine_bound(IDENTITY, np.ones((N, N + 1)))
 
 
 def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):

@@ -197,6 +197,62 @@ def test_convolve_against_dense_oracle(dim):
         assert abs(out[k] - v) < 1e-12
 
 
+def shifted_loop_convolve(a, b):
+    """Oracle: the kernel of convolve written out.  For each nonzero v of the
+    operand with fewer nonzeros (the first on a tie), in lexicographic order,
+    v times the other's box array is added at v's offset; returns the corner
+    and the untrimmed box array."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    out = np.zeros([m + n - 1 for m, n in zip(small.values.shape, big.values.shape)], complex)
+    for index, v in small.items():
+        box = tuple(slice(i - o, i - o + n) for i, o, n in zip(index, small.lo, big.values.shape))
+        out[box] = out[box] + v * big.values
+    return a.lo + b.lo, out
+
+
+def embedded(seq, lo, shape):
+    """The values of seq in a zero box of the given corner and shape."""
+    out = np.zeros(shape, complex)
+    out[tuple(slice(o - c, o - c + n) for o, c, n in zip(seq.lo, lo, seq.values.shape))] = seq.values
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_convolve_equals_the_shifted_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(10 + dim)
+    for case in range(40):
+        a = random_sparse(rng, dim=dim, size=int(rng.integers(1, 9)), box=int(rng.integers(1, 5)))
+        b = random_sparse(rng, dim=dim, size=int(rng.integers(1, 9)), box=int(rng.integers(1, 5)))
+        if case % 4 == 0:  # scales far apart, so the order of the sums shows in the bits
+            b = 1e12 * b + SparseSeq.unit(tuple(rng.integers(-2, 3, dim)), 1e-3)
+        for x, y in ((a, b), (b, a)):
+            lo, expected = shifted_loop_convolve(x, y)
+            out = convolve(x, y)
+            assert embedded(out, lo, expected.shape).tobytes() == expected.tobytes()
+
+
+def test_convolve_loops_over_the_first_operand_on_a_tie():
+    # cell 2 sums 1 + 1e16 - 1e16 over a's nonzeros in order, and reversed over b's
+    a = SparseSeq(1, {0: 1.0, 1: 1e16, 2: -1e16})
+    b = SparseSeq(1, {0: 1.0, 1: 1.0, 2: 1.0})
+    assert len(a) == len(b)
+    assert convolve(a, b)[2] == 0.0 and convolve(b, a)[2] == 1.0
+    for x, y in ((a, b), (b, a)):
+        lo, expected = shifted_loop_convolve(x, y)
+        assert embedded(convolve(x, y), lo, expected.shape).tobytes() == expected.tobytes()
+
+
+def test_convolve_with_non_finite_entries_equals_the_shifted_loop():
+    rng = np.random.default_rng(7)
+    a = random_sparse(rng, dim=2, size=6, box=3)
+    for bad in (np.inf, -np.inf * 1j, complex(np.nan, 1.0)):
+        b = random_sparse(rng, dim=2, size=3, box=1) + SparseSeq.unit((1, -1), bad)
+        with np.errstate(invalid="ignore"):
+            for x, y in ((a, b), (b, a)):
+                lo, expected = shifted_loop_convolve(x, y)
+                np.testing.assert_array_equal(embedded(convolve(x, y), lo, expected.shape), expected)
+
+
 def test_convolve_cancels_to_exact_zero():
     # (delta + e) * (delta - e) = delta - 2e: the middle coefficient is exactly 0
     for e in [(1,), (0, 1), (1, 0, -1)]:
