@@ -190,9 +190,10 @@ def factorize_fio(T: np.ndarray, chi) -> tuple[np.ndarray, np.ndarray, dict]:
     Returns (sigma1, sigma2, residuals) where T = Op(sigma1) U and
     T = U Op(sigma2) with U the metaplectic unitary of chi.  Dequantization
     is an exact linear bijection, so both operator-norm residuals are at
-    rounding level; the sup-norm modulus defect || |sigma2| - |sigma1 o chi| ||_inf
-    is reported as a diagnostic (phases are convention-dependent).  N is
-    read from T, which must be square.
+    rounding level.  As U^* Op(sigma1) U = Op(sigma1 o chi), sigma2 is
+    sigma1 o chi, phases included, to rounding; the report carries its
+    modulus defect max | |sigma2| - |sigma1 o chi| |.  N is read from T,
+    which must be square.
     """
     T = np.asarray(T, dtype=complex)
     N = side(T, "operator")

@@ -120,27 +120,22 @@ def factor_generators(chi, N: int) -> list[Token]:
     return [token for token in word if token not in (("chirp", 0), ("dilate", 1))]
 
 
-def _compose(unitaries, N: int) -> np.ndarray:
-    """Product of N x N matrices in the given order, folded from the identity."""
-    U = np.eye(N, dtype=complex)
-    for G in unitaries:
-        U = U @ G
-    return U
-
-
 def build_metaplectic(word, N: int) -> np.ndarray:
     """Unitary operator of a generator word, composed in word order."""
-    return _compose((_generator(token, N)[1]() for token in word), N)
+    return build_metaplectic_stack([word], N)[0]
 
 
 def build_metaplectic_stack(words, N: int) -> np.ndarray:
-    """The stack (len(words), N, N) of the build_metaplectic unitaries of the
-    words, bit for bit; the unitary of each distinct token is built once."""
+    """The stack (W, N, N) of the unitaries of W words, each its tokens'
+    unitaries (each distinct one built once) multiplied in word order onto
+    the identity; the words, and their sequence, may be one-shot iterables."""
+    words = [list(word) for word in words]
     tokens = dict.fromkeys(token for word in words for token in word)
     unitaries = {token: _generator(token, N)[1]() for token in tokens}
-    out = np.empty((len(words), N, N), dtype=complex)
+    out = np.tile(np.eye(N, dtype=complex), (len(words), 1, 1))
     for i, word in enumerate(words):
-        out[i] = _compose((unitaries[token] for token in word), N)
+        for token in word:
+            out[i] = out[i] @ unitaries[token]
     return out
 
 

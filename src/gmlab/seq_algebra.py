@@ -65,9 +65,11 @@ class SparseSeq:
     """Finitely supported complex sequence on Z^m: values[j] is the entry at
     lo + j, over a box trimmed to the support, so two sequences are equal iff
     their corners and arrays are.  The object behaves as an immutable vector:
-    +, -, and scalar * return new sequences."""
+    +, -, and scalar * return new sequences; numpy scalars defer to them
+    (__array_ufunc__ = None) instead of reading a sequence as an array."""
 
     __slots__ = ("dim", "lo", "values")
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:

@@ -19,12 +19,14 @@ from gmlab import (
     gaussian_window,
     invert_fio,
     metaplectic_operator,
+    phase_align,
     stft,
     symbol_pullback,
     symp_apply,
     symp_inverse,
     tf_shift,
     tf_shift_matrix,
+    weyl_dequantize,
     weyl_quantize,
 )
 from gmlab import fio
@@ -350,6 +352,17 @@ def test_factorize_recovers_right_symbol_with_pullback(rng):
     assert res["op_then_mu"] < 1e-9
 
 
+@pytest.mark.parametrize("N", [5, 9, 31])
+def test_factorize_right_symbol_is_the_left_one_pulled_back_along_chi(N):
+    # U^* Op(sigma1) U = Op(sigma1 o chi): the phases agree too, not only the moduli
+    rng = np.random.default_rng(N)
+    for chi in [np.array([[1, 3], [0, 1]])] + [random_sympmat(rng, N) for _ in range(3)]:
+        T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        s1, s2, res = factorize_fio(T, chi)
+        assert np.max(np.abs(s2 - symbol_pullback(s1, chi))) < 1e-13 * np.max(np.abs(s1))
+        assert res["egorov_modulus_defect"] < 1e-13 * np.max(np.abs(s1))
+
+
 @pytest.mark.parametrize("shape", [(7, 5), (7,), (2, 7, 7)])
 def test_factorize_rejects_a_non_square_operator(shape):
     # N is read from the operator, so a non-square one has no modulus
@@ -372,3 +385,54 @@ def test_window_robustness_of_tail(calibration, rng):
         t1 = fio_report(envelope(T, chi, sys1), p).tail_fraction
         t2 = fio_report(envelope(T, chi, sys2), p).tail_fraction
         assert max(t1 / t2, t2 / t1) <= cal["factor_threshold"]
+
+
+# ---------------------------------------------------------------- symplectic covariance
+
+
+def random_symbol(rng, N):
+    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+
+
+def covariance_maps(N):
+    """Three random maps and, at composite N, maps whose b is not a unit (the
+    shifted branch of factor_generators); involutions are left out, since
+    tau o chi = tau o chi^-1 for them."""
+    fixed = {9: [[[1, 3], [0, 1]], [[2, 3], [3, 5]]], 15: [[[1, 5], [0, 1]], [[4, 5], [3, 4]]]}
+    rng = np.random.default_rng(N)
+    chis = [np.array(m) for m in fixed.get(N, [])] + [random_sympmat(rng, N) for _ in range(3)]
+    return [chi for chi in chis if not np.array_equal(chi @ chi % N, IDENTITY)]
+
+
+def relative_error(A, B):
+    return np.linalg.norm(A - B, 2) / np.linalg.norm(B, 2)
+
+
+@pytest.mark.parametrize("N", [7, 9, 15, 31])
+def test_metaplectic_conjugation_pulls_the_symbol_back_along_chi_inverse(N):
+    # U_chi Op(tau) U_chi^* = Op(tau o chi^-1); the other orientation is off by O(1)
+    rng = np.random.default_rng(N + 1)
+    for chi in covariance_maps(N):
+        tau, U = random_symbol(rng, N), metaplectic_operator(chi, N)
+        conjugate = U @ weyl_quantize(tau) @ U.conj().T
+        pulled = symbol_pullback(tau, symp_inverse(chi, N))
+        assert relative_error(conjugate, weyl_quantize(pulled)) < 1e-12
+        assert relative_error(conjugate, weyl_quantize(symbol_pullback(tau, chi))) > 0.5
+
+
+@pytest.mark.parametrize("N", [7, 9, 15, 31])
+def test_twisted_operators_compose_along_the_product_map(N):
+    # Op(sigma) U_chi1 Op(tau) U_chi2 = c Op(sigma # (tau o chi1^-1)) U_(chi1 chi2), |c| = 1,
+    # with sigma # rho the symbol of Op(sigma) Op(rho)
+    rng = np.random.default_rng(N + 2)
+    for chi1 in covariance_maps(N):
+        chi2 = random_sympmat(rng, N)
+        op_sigma, tau = weyl_quantize(random_symbol(rng, N)), random_symbol(rng, N)
+        U1, U2 = metaplectic_operator(chi1, N), metaplectic_operator(chi2, N)
+        product = op_sigma @ U1 @ weyl_quantize(tau) @ U2
+        pulled = symbol_pullback(tau, symp_inverse(chi1, N))
+        sharp = weyl_dequantize(op_sigma @ weyl_quantize(pulled))  # sigma # (tau o chi1^-1)
+        twisted = weyl_quantize(sharp) @ metaplectic_operator(chi1 @ chi2 % N, N)
+        c = phase_align(product, twisted)
+        assert abs(abs(c) - 1) < 1e-14
+        assert relative_error(product, c * twisted) < 1e-12

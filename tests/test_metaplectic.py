@@ -15,7 +15,7 @@ from gmlab import (
     tf_shift_matrix,
     word_matrix,
 )
-from gmlab.metaplectic import J_MAT, determinant, require_symplectic
+from gmlab.metaplectic import J_MAT, _generator, determinant, require_symplectic
 from gmlab.verify import random_sympmat
 
 IDENTITY = np.eye(2, dtype=int)
@@ -186,7 +186,12 @@ def test_stacked_build_equals_the_single_builds_bit_for_bit(N):
     words = [factor_generators(chi, N) for chi in chis] + [[], [("chirp", 2**70)]]
     stack = build_metaplectic_stack(words, N)
     assert stack.shape == (len(words), N, N)
-    assert all(U.tobytes() == build_metaplectic(word, N).tobytes() for U, word in zip(stack, words))
+    for U, word in zip(stack, words):
+        fold = np.eye(N, dtype=complex)  # the product in word order, written out
+        for token in word:
+            fold = fold @ _generator(token, N)[1]()
+        assert U.tobytes() == fold.tobytes() == build_metaplectic(iter(word), N).tobytes()
+    assert build_metaplectic_stack((iter(word) for word in words), N).tobytes() == stack.tobytes()
     assert build_metaplectic_stack([], N).shape == (0, N, N)
     with pytest.raises(ValueError, match="unknown generator token"):
         build_metaplectic_stack([[("J",)], [("J",), ("shear", 1)]], N)

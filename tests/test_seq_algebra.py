@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import gmlab
 from gmlab import (
     ContractionError,
     QParams,
@@ -573,3 +577,41 @@ def test_quasi_norm_overflow_is_an_error_not_a_warning():
     with pytest.raises(ValueError, match="not finite"):
         lattice_qnorm(np.ones((5, 5)), 0.5, 1000.0)
     assert weighted_qnorm(np.array([3.0, 4.0]), np.ones(2), 1.0) == 7.0
+
+
+# ---------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SparseSeq(0, {}), ValueError, "dimension must be >= 1, got 0"),
+    (lambda: SparseSeq(2, {(1,): 1.0}), ValueError, "index \\(1,\\) does not match dimension 2"),
+    (lambda: SparseSeq(1, {2**63: 1.0}), ValueError, "sequence index out of range"),
+    (lambda: setattr(DELTA1, "dim", 2), AttributeError, "SparseSeq is immutable"),
+    (lambda: DELTA1 + SparseSeq.delta(2), ValueError, "dimension mismatch"),
+    (lambda: pointwise_product(DELTA1, SparseSeq.delta(2)), ValueError, "dimension mismatch"),
+    (lambda: neumann_inverse(0.5 * SparseSeq.unit(1), QParams(1.0), tol=0.0),
+     ValueError, "tol must be positive"),
+    (lambda: fourier_series_eval(SparseSeq.delta(2), 0.5), ValueError, "xi must have 2 coordinates"),
+    (lambda: invert_by_fourier(DELTA1, decay_cutoff=0.0), ValueError, "decay_cutoff must be positive"),
+    (lambda: invert_by_fourier(DELTA1, grid=2), ValueError, "grid must be at least 4"),
+    (lambda: invert_by_fourier(SparseSeq(1, {0: 1e308, 1: 1e308}), grid=4),
+     ValueError, "the Fourier series of the sequence overflows"),
+])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_numpy_scalar_times_a_sequence_is_the_scalar_product():
+    # numpy once read a SparseSeq as a sequence through len and indexing,
+    # and np.float64(2.0) * x never returned: run it in a child with a timeout
+    script = (
+        "import numpy as np\n"
+        "from gmlab import SparseSeq\n"
+        "for x in (SparseSeq(1, {3: 1.0, 5: 2.0}), SparseSeq(2, {(0, 1): 1.0, (2, -1): 3j})):\n"
+        "    for c in (np.float64(2.0), np.complex128(1 - 2j), np.sqrt(2)):\n"
+        "        assert c * x == x * c == complex(c) * x\n"
+    )
+    src = os.path.dirname(os.path.dirname(gmlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
