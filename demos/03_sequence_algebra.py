@@ -29,7 +29,7 @@ print(f"\n(delta - 0.4 shift)^-1 coefficients: "
 resid = g.qnorm(g.convolve(delta - x, inv) - delta, p)
 print(f"residual in quasi-norm: {resid:.3e}")
 nx = g.qnorm(x, p)
-print(f"tail bound ||s - delta - x|| <= {nx**2 / (1 - nx**p.q) ** (1 / p.q):.6f}, "
+print(f"tail bound ||s - delta - x|| <= {g.neumann_tail_bound(nx, p.q, 1):.6f}, "
       f"actual {g.qnorm(inv - delta - x, p):.6f}")
 
 # Fourier-series inversion: works iff F a has no zeros

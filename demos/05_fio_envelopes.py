@@ -22,8 +22,8 @@ chi1, chi2 = random_sympmat(rng, N), random_sympmat(rng, N)
 bump = gaussian_bump_symbol(N)
 s1 = 1.0 + 0.25 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * bump
 s2 = 1.0 + 0.25 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * bump
-T1 = g.weyl_quantize(s1) @ g.metaplectic_operator(chi1, N)
-T2 = g.weyl_quantize(s2) @ g.metaplectic_operator(chi2, N)
+T1 = g.fio_operator(s1, chi1)
+T2 = g.fio_operator(s2, chi2)
 
 rep1 = g.fio_report(g.envelope(T1, chi1, sys), p)
 rep2 = g.fio_report(g.envelope(T2, chi2, sys), p)

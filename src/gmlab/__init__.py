@@ -73,6 +73,7 @@ from .fio import (
     compose_check,
     envelope,
     factorize_fio,
+    fio_operator,
     fio_report,
     invert_fio,
     symbol_pullback,

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import fio, serialize, verify as verify_mod
-from ._lattice import QParams, require_cells, require_modulus, side
+from ._lattice import QParams, require_cells, require_modulus
 from .amalgam import conv_embedding_check, gl_invariance_check
 from .errors import (
     COND_TOL,
@@ -43,7 +43,7 @@ from .errors import (
     ToleranceError,
     VanishingFourierError,
 )
-from .metaplectic import metaplectic_operator, require_symplectic
+from .metaplectic import require_symplectic
 from .phase_space import gabor_system
 from .presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
 from .seq_algebra import invert_by_fourier
@@ -198,12 +198,6 @@ def _seeded_system(cfg: ExperimentConfig):
     return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 
-def _resolve_operator(symbol: np.ndarray, chi) -> np.ndarray:
-    """Op(symbol) U_chi: the Weyl operator of an (N, N) symbol times the
-    metaplectic unitary of chi."""
-    return weyl_quantize(symbol) @ metaplectic_operator(chi, side(symbol, "symbol"))
-
-
 def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
     """Write report.json, then each dataset's CSV file one block at a time.
 
@@ -247,7 +241,7 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
 
 def cmd_envelope(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     env = fio.envelope(T, cfg.chi, sys_)
     datasets = [("envelope", "envelope.csv", serialize.envelope_csv(env.values))]
     emit_report(cfg, asdict(fio.fio_report(env, cfg.qparams)), datasets)
@@ -257,8 +251,8 @@ def cmd_envelope(cfg: ExperimentConfig) -> int:
 def cmd_compose(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
     symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
-    T1 = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
-    T2 = _resolve_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
+    T1 = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    T2 = fio.fio_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
     rep, ratio, env = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
     datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(env.values))]
     emit_report(cfg, {**asdict(rep), "quasi_norm_ratio": ratio}, datasets)
@@ -267,7 +261,7 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
 
 def cmd_invert(cfg: ExperimentConfig) -> int:
     rng, sys_ = _seeded_system(cfg)
-    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     _, rep, env = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi, sys_), cfg.qparams)
     datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(env.values))]
@@ -279,7 +273,7 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
     # the system goes unused, but a random window still takes the first
     # draws before a random symbol, and a bad window still exits 2
     rng, _ = _seeded_system(cfg)
-    T = _resolve_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
+    T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi)
     datasets = [
         ("sigma1", "sigma1.csv", serialize.field_csv(sigma1)),

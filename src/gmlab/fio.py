@@ -166,15 +166,21 @@ def invert_fio(
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] >= cond_tol:
-        cond = math.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
+    cond = np.linalg.cond(T)  # s[0] / s[-1] of the singular values, inf when singular
+    if not cond < cond_tol:
         raise NotInvertibleError(
             f"condition number {cond:.3e} exceeds tolerance {cond_tol:.1e}"
         )
     Tinv = np.linalg.inv(T)
     env = envelope(Tinv, symp_inverse(chi, N), sys)
     return Tinv, fio_report(env, p), env
+
+
+def fio_operator(sigma: np.ndarray, chi) -> np.ndarray:
+    """Op(sigma) U_chi: the Weyl operator of an (N, N) symbol times the
+    metaplectic unitary of chi, symbol on the left.  N is read from sigma;
+    `factorize_fio` splits such an operator back into its symbol."""
+    return weyl_quantize(sigma) @ metaplectic_operator(chi, side(sigma, "symbol"))
 
 
 def symbol_pullback(sigma: np.ndarray, chi) -> np.ndarray:
@@ -185,7 +191,8 @@ def symbol_pullback(sigma: np.ndarray, chi) -> np.ndarray:
 
 
 def factorize_fio(T: np.ndarray, chi) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Split T into a symbol times the metaplectic unitary of chi, both ways.
+    """Split T into a symbol times the metaplectic unitary of chi, both ways;
+    the first way inverts `fio_operator`: fio_operator(sigma1, chi) = T.
 
     Returns (sigma1, sigma2, residuals) where T = Op(sigma1) U and
     T = U Op(sigma2) with U the metaplectic unitary of chi.  Dequantization

@@ -272,7 +272,7 @@ def suite_fio_factorize(N, p, rng):
     for _ in range(3):
         chi = random_sympmat(rng, N)
         sigma = 1.0 + 0.2 * _complex_normal(rng, (N, N)) * gaussian_bump_symbol(N)
-        T = weyl_quantize(sigma) @ mp.metaplectic_operator(chi, N)
+        T = fio.fio_operator(sigma, chi)
         _, _, residuals = fio.factorize_fio(T, chi)
         yield max(residuals["op_then_mu"] - FACTOR_TOL, residuals["mu_then_op"] - FACTOR_TOL)
 

@@ -245,8 +245,8 @@ def test_c10_fio_composition_and_inversion(calibration):
         s2 = 1.0 + 0.25 * (
             rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         ) * gaussian_bump_symbol(N)
-        T1 = g.weyl_quantize(s1) @ g.metaplectic_operator(chi1, N)
-        T2 = g.weyl_quantize(s2) @ g.metaplectic_operator(chi2, N)
+        T1 = g.fio_operator(s1, chi1)
+        T2 = g.fio_operator(s2, chi2)
         t1 = g.fio_report(g.envelope(T1, chi1, sys), p).tail_fraction
         t2 = g.fio_report(g.envelope(T2, chi2, sys), p).tail_fraction
         rep, ratio, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
@@ -266,7 +266,7 @@ def test_c11_factorization():
         sigma = 1.0 + 0.25 * (
             rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         ) * gaussian_bump_symbol(N)
-        T = g.weyl_quantize(sigma) @ g.metaplectic_operator(chi, N)
+        T = g.fio_operator(sigma, chi)
         _, _, res = g.factorize_fio(T, chi)
         assert res["op_then_mu"] < 1e-9
         assert res["mu_then_op"] < 1e-9

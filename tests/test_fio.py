@@ -13,6 +13,7 @@ from gmlab import (
     diagonal_envelope,
     envelope,
     factorize_fio,
+    fio_operator,
     fio_report,
     gabor_matrix,
     gabor_system,
@@ -92,7 +93,7 @@ def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi):
     # T = Op(sigma) U_chi, whose U_chi is factored through the k-shift
     sys = gabor_system(gaussian_window(N))
     sigma = 1.0 + 0.2 * rng.standard_normal((N, N)) * gaussian_bump_symbol(N)
-    T = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
+    T = fio_operator(sigma, chi)
     h = envelope(T, chi, sys).values
     ref = diagonal_envelope(gabor_matrix(T, sys), chi)
     assert np.abs(h - ref).max() <= 1e-13 * ref.max()
@@ -134,6 +135,31 @@ def test_envelope_of_metaplectic_is_transformed_window_correlation(rng):
         U = metaplectic_operator(chi, N)
         env = envelope(U, chi, sys)
         assert_allclose(env.values, np.abs(stft(U @ gamma, gamma)), atol=1e-13)
+
+
+def continuum_envelope(A, w):
+    """F_A(w) = det((A^T A + I)/2)^(-1/4) exp(-pi w^T (A A^T + I)^-1 w), the
+    modulus |V_g(mu(A) g)| of the continuous Gaussian's metaplectic image."""
+    A = np.asarray(A, dtype=float)
+    scale = np.linalg.det((A.T @ A + np.eye(2)) / 2) ** -0.25
+    form = np.linalg.inv(A @ A.T + np.eye(2))
+    return scale * np.exp(-np.pi * np.einsum("...i,ij,...j->...", w, form, w))
+
+
+@pytest.mark.parametrize("A, bound", [(IDENTITY, 1e-10), (J_MAT, 1e-10),
+                                      ([[1, 1], [0, 1]], 1e-6), ([[2, 1], [1, 1]], 1e-3)])
+def test_envelope_of_metaplectic_is_the_continuum_limit(A, bound):
+    # N h_{U_A}(mu) = F_A(d / sqrt N) up to the Gaussian's periodization tail,
+    # d the torus distance from mu_0 = (N/2)(ab mod 2, cd mod 2); the shear
+    # and the cat map pin the two half-period centres
+    N = 61
+    A = np.asarray(A)
+    h = envelope(metaplectic_operator(A, N), A, gabor_system(gaussian_window(N))).values
+    (a, b), (c, d) = A
+    mu_0 = (N / 2) * np.array([a * b % 2, c * d % 2])
+    mu = np.stack(np.meshgrid(np.arange(N), np.arange(N), indexing="ij"), axis=-1)
+    dist = (mu - mu_0 + N / 2) % N - N / 2
+    assert np.max(np.abs(N * h - continuum_envelope(A, dist / np.sqrt(N)))) < bound
 
 
 def test_envelope_of_shift_operator():
@@ -213,7 +239,7 @@ def test_compose_of_a_square_reuses_the_factor_envelope(monkeypatch, rng):
     N = 7
     p = QParams(0.5, 1.0)
     sys = gabor_system(gaussian_window(N))
-    T = weyl_quantize(rng.standard_normal((N, N))) @ metaplectic_operator(J_MAT, N)
+    T = fio_operator(rng.standard_normal((N, N)), J_MAT)
     rep1 = fio_report(envelope(T, J_MAT, sys), p)
     calls = []
 
@@ -242,8 +268,8 @@ def test_compose_random_pairs_bounded(calibration, rng):
         chi1, chi2 = random_sympmat(rng, N), random_sympmat(rng, N)
         s1 = 1.0 + 0.25 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * gaussian_bump_symbol(N)
         s2 = 1.0 + 0.25 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * gaussian_bump_symbol(N)
-        T1 = weyl_quantize(s1) @ metaplectic_operator(chi1, N)
-        T2 = weyl_quantize(s2) @ metaplectic_operator(chi2, N)
+        T1 = fio_operator(s1, chi1)
+        T2 = fio_operator(s2, chi2)
         t1 = fio_report(envelope(T1, chi1, sys), p).tail_fraction
         t2 = fio_report(envelope(T2, chi2, sys), p).tail_fraction
         rep, ratio, _ = compose_check(T1, chi1, T2, chi2, sys, p)
@@ -317,6 +343,18 @@ def test_adjoint_envelope_law(rng):
 # ---------------------------------------------------------------- factorization
 
 
+@pytest.mark.parametrize("N, chi", [(7, [[2, 1], [1, 1]]), (15, [[4, 5], [3, 4]])])
+def test_fio_operator_is_the_symbol_times_the_metaplectic_unitary(rng, N, chi):
+    # at N = 15 the map's b = 5 is not a unit
+    sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    written_out = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
+    assert np.array_equal(fio_operator(sigma, chi), written_out)
+    with pytest.raises(ValueError, match="not square"):
+        fio_operator(sigma[:, :-1], chi)
+    with pytest.raises(ValueError, match="not symplectic"):
+        fio_operator(sigma, [[2, 0], [0, 2]])
+
+
 def test_factorize_metaplectic_itself():
     N = 7
     chi = np.array([[2, 1], [1, 1]])
@@ -332,7 +370,7 @@ def test_factorize_recovers_left_symbol(rng):
     N = 7
     chi = random_sympmat(rng, N)
     sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    T = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
+    T = fio_operator(sigma, chi)
     s1, s2, res = factorize_fio(T, chi)
     assert np.max(np.abs(s1 - sigma)) < 1e-10
     assert res["op_then_mu"] < 1e-9
@@ -381,7 +419,7 @@ def test_window_robustness_of_tail(calibration, rng):
         sigma = 1.0 + 0.25 * (
             rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         ) * gaussian_bump_symbol(N)
-        T = weyl_quantize(sigma) @ metaplectic_operator(chi, N)
+        T = fio_operator(sigma, chi)
         t1 = fio_report(envelope(T, chi, sys1), p).tail_fraction
         t2 = fio_report(envelope(T, chi, sys2), p).tail_fraction
         assert max(t1 / t2, t2 / t1) <= cal["factor_threshold"]
@@ -427,12 +465,11 @@ def test_twisted_operators_compose_along_the_product_map(N):
     rng = np.random.default_rng(N + 2)
     for chi1 in covariance_maps(N):
         chi2 = random_sympmat(rng, N)
-        op_sigma, tau = weyl_quantize(random_symbol(rng, N)), random_symbol(rng, N)
-        U1, U2 = metaplectic_operator(chi1, N), metaplectic_operator(chi2, N)
-        product = op_sigma @ U1 @ weyl_quantize(tau) @ U2
+        sigma, tau = random_symbol(rng, N), random_symbol(rng, N)
+        product = fio_operator(sigma, chi1) @ fio_operator(tau, chi2)
         pulled = symbol_pullback(tau, symp_inverse(chi1, N))
-        sharp = weyl_dequantize(op_sigma @ weyl_quantize(pulled))  # sigma # (tau o chi1^-1)
-        twisted = weyl_quantize(sharp) @ metaplectic_operator(chi1 @ chi2 % N, N)
+        sharp = weyl_dequantize(weyl_quantize(sigma) @ weyl_quantize(pulled))  # sigma # (tau o chi1^-1)
+        twisted = fio_operator(sharp, chi1 @ chi2 % N)
         c = phase_align(product, twisted)
         assert abs(abs(c) - 1) < 1e-14
         assert relative_error(product, c * twisted) < 1e-12

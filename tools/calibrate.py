@@ -53,8 +53,8 @@ def fio_pairs(N=11, count=10):
     for _ in range(count):
         chi1 = random_sympmat(rng, N)
         chi2 = random_sympmat(rng, N)
-        T1 = g.weyl_quantize(smooth_symbol(rng, N)) @ g.metaplectic_operator(chi1, N)
-        T2 = g.weyl_quantize(smooth_symbol(rng, N)) @ g.metaplectic_operator(chi2, N)
+        T1 = g.fio_operator(smooth_symbol(rng, N), chi1)
+        T2 = g.fio_operator(smooth_symbol(rng, N), chi2)
         tf1 = g.fio_report(g.envelope(T1, chi1, sys), p).tail_fraction
         tf2 = g.fio_report(g.envelope(T2, chi2, sys), p).tail_fraction
         rep12, _, _ = g.compose_check(T1, chi1, T2, chi2, sys, p)
@@ -108,7 +108,7 @@ def window_robustness(N=11, count=6):
     factors = []
     for _ in range(count):
         chi = random_sympmat(rng, N)
-        T = g.weyl_quantize(smooth_symbol(rng, N)) @ g.metaplectic_operator(chi, N)
+        T = g.fio_operator(smooth_symbol(rng, N), chi)
         t1 = g.fio_report(g.envelope(T, chi, sys1), p).tail_fraction
         t2 = g.fio_report(g.envelope(T, chi, sys2), p).tail_fraction
         factors.append(max(t1 / t2, t2 / t1))
