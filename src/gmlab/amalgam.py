@@ -45,7 +45,7 @@ def _grid_axis(R: int, M: int) -> np.ndarray:
     return -R + np.arange(2 * R * M) / M
 
 
-def sample_field(func, R: int = 8, M: int = 32) -> SampledField:
+def sample_field(func, R: int, M: int) -> SampledField:
     """Sample a callable func(x, y) (vectorized) on the standard grid."""
     side = 2 * R * M
     require_cells(side**2, f"a {side} x {side} field grid")

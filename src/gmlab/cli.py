@@ -150,21 +150,11 @@ OPTIONS = {
 }
 
 
-class ExperimentConfig:
-    """Every option, as read, as an attribute (cfg.N, cfg.grid, ...); `extra`
-    keeps the config keys without a flag as given, for the report."""
-
-    def __init__(self, command: str, values: dict, extra: dict):
-        self.__dict__.update(values, command=command, extra=extra)
-        self.qparams = QParams(self.q, self.s)
-
-    def to_json(self) -> dict:
-        flags = {name: getattr(self, name) for name, opt in OPTIONS.items() if opt.flag}
-        return {"command": self.command, **flags, "extra": self.extra}
-
-
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config file values overridden by flags, each read through OPTIONS."""
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Config file values overridden by flags, each read through OPTIONS, as
+    the attributes of a namespace (cfg.N, cfg.grid, ...) with the command,
+    `qparams` and `extra`: the config keys without a flag as given, for the
+    report."""
     raw = serialize.load_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
@@ -177,9 +167,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         name: opt.read(given[name], name) if name in given else opt.default
         for name, opt in OPTIONS.items()
     }
-    cfg = ExperimentConfig(
-        args.command, values, {k: v for k, v in raw.items() if not OPTIONS[k].flag}
-    )
+    extra = {k: v for k, v in raw.items() if not OPTIONS[k].flag}
+    cfg = argparse.Namespace(command=args.command, **values, extra=extra,
+                             qparams=QParams(values["q"], values["s"]))
     if cfg.command in ("gabor-matrix", "envelope", "compose", "invert", "factorize", "verify"):
         # before any N x N allocation
         require_cells(cfg.N**2, f"N = {cfg.N}: an N x N operator")
@@ -188,7 +178,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _seeded_system(cfg: ExperimentConfig):
+def _seeded_system(cfg: argparse.Namespace):
     """The seeded generator and the Gabor system of the configured window;
     a random window takes the generator's first draws.  The generator is
     built only when the window or a symbol is the `random` preset (None
@@ -198,7 +188,7 @@ def _seeded_system(cfg: ExperimentConfig):
     return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 
-def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
+def emit_report(cfg: argparse.Namespace, results: dict, datasets: list) -> None:
     """Write report.json, then each dataset's CSV file one block at a time.
 
     datasets is a list of (name, filename, csv) tuples, csv either the whole
@@ -210,7 +200,11 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
     firsts = [next(csv) for csv in blocks]
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_json(),
+        "config": {
+            "command": cfg.command,
+            **{name: getattr(cfg, name) for name, opt in OPTIONS.items() if opt.flag},
+            "extra": cfg.extra,
+        },
         "results": results,
         "datasets": [
             {"name": name, "file": fname, "columns": first.split("\n", 1)[0].split(",")}
@@ -229,7 +223,7 @@ def emit_report(cfg: ExperimentConfig, results: dict, datasets: list) -> None:
             fh.writelines(csv)
 
 
-def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
+def cmd_gabor_matrix(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng))
     M = gabor_matrix(T, sys_)
@@ -239,7 +233,7 @@ def cmd_gabor_matrix(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_envelope(cfg: ExperimentConfig) -> int:
+def cmd_envelope(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     env = fio.envelope(T, cfg.chi, sys_)
@@ -248,7 +242,7 @@ def cmd_envelope(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compose(cfg: ExperimentConfig) -> int:
+def cmd_compose(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
     T1 = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
@@ -259,7 +253,7 @@ def cmd_compose(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_invert(cfg: ExperimentConfig) -> int:
+def cmd_invert(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     _, rep, env = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
@@ -269,7 +263,7 @@ def cmd_invert(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_factorize(cfg: ExperimentConfig) -> int:
+def cmd_factorize(cfg: argparse.Namespace) -> int:
     # the system goes unused, but a random window still takes the first
     # draws before a random symbol, and a bad window still exits 2
     rng, _ = _seeded_system(cfg)
@@ -283,7 +277,7 @@ def cmd_factorize(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_amalgam(cfg: ExperimentConfig) -> int:
+def cmd_amalgam(cfg: argparse.Namespace) -> int:
     F = resolve_field(cfg.field, cfg.R, cfg.samples_per_cell)
     G = resolve_field(cfg.field2, cfg.R, cfg.samples_per_cell)
     ratio = conv_embedding_check(F, G, cfg.qparams)
@@ -295,7 +289,7 @@ def cmd_amalgam(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_seq_invert(cfg: ExperimentConfig) -> int:
+def cmd_seq_invert(cfg: argparse.Namespace) -> int:
     result = invert_by_fourier(resolve_sequence(cfg.sequence), cfg.grid, cfg.decay_cutoff)
     results = {
         "residual_l1": result.residual,
@@ -307,13 +301,13 @@ def cmd_seq_invert(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     results = verify_mod.run_all(cfg.N, cfg.qparams, cfg.seed)
     all_passed = all(r.passed for r in results)
     emit_report(
         cfg,
         {
-            "suites": [r.to_json() for r in results],
+            "suites": [asdict(r) for r in results],
             "suite_count": len(results),
             "all_passed": all_passed,
         },

@@ -17,7 +17,7 @@ FOURIER_FLOOR = 1e-8
 COND_TOL = 1e12  # condition number at which invert_fio raises NotInvertibleError
 DECAY_CUTOFF = 1e-12  # magnitude below which invert_by_fourier drops an inverse entry
 NEUMANN_TOL = 1e-10  # quasi-norm of the tail that neumann_inverse may omit
-RANK_TOL = 1e-10  # singular values <= RANK_TOL * largest count as zero in pseudo_inverse
+RANK_TOL = 1e-10  # pinv's rcond in pseudo_inverse: singular values <= this x largest are zero
 PHASE_FLOOR = 1e-8  # relative |<U, V>_F| at which phase_align reads U, V as orthogonal
 SINGULAR_DET = 1e-12  # |det M| below which gl_invariance_check rejects M as singular
 

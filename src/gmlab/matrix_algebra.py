@@ -1,7 +1,8 @@
 """Matrices with weighted lq off-diagonal decay over the lattice Z_N x Z_N.
 
-A matrix A indexed by pairs of lattice points (flattened k*N + l) is
-summarized by its diagonal envelope
+A matrix A indexed by pairs of lattice points, rows and columns in numpy's
+C order (A.reshape(N, N, N, N)[k, l, k', l'] is the entry at row (k, l) and
+column (k', l')), is summarized by its diagonal envelope
 
     d_A(mu) = sup_lambda |A[lambda, lambda - mu]|,
 
@@ -29,14 +30,15 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
     is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|.  chi must
     have determinant 1 mod N.
 
-    One (N^2, N^2) index gathers row flat(chi z + mu) of column flat(z) at
-    [flat(mu), flat(z)], so d is the maximum of each gathered row."""
+    The 4-D view of |A| is gathered at [chi z + mu, z] into [mu, z], so d is
+    the maximum over its last two axes."""
     N = matrix_side(A)
     chi = require_symplectic(np.eye(2, dtype=int) if chi is None else chi, N)
-    k, l = np.divmod(np.arange(N * N), N)  # the lattice point at each flat index
-    ck, cl = symp_apply(chi, (k, l), N)
-    rows = (ck + k[:, None]) % N * N + (cl + l[:, None]) % N
-    return np.abs(A)[rows, np.arange(N * N)].max(axis=1).reshape(N, N)
+    z = np.arange(N)[:, None], np.arange(N)  # the (N, N) grid of columns
+    ck, cl = symp_apply(chi, z, N)
+    mu = np.arange(N)
+    rows = (ck + mu[:, None, None, None]) % N, (cl + mu[:, None, None]) % N  # [mu, z]
+    return np.abs(A).reshape(N, N, N, N)[(*rows, *z)].max(axis=(2, 3))
 
 
 def cb_norm(A: np.ndarray, p: QParams) -> float:
@@ -52,9 +54,8 @@ def convolution_matrix(field: np.ndarray) -> np.ndarray:
     """
     field = np.asarray(field)
     N = side(field, "field")
-    rows = np.arange(N * N)
-    rk, rl = rows // N, rows % N
-    return field[(rk[:, None] - rk[None, :]) % N, (rl[:, None] - rl[None, :]) % N]
+    d = np.subtract.outer(np.arange(N), np.arange(N)) % N  # (k - k') mod N
+    return field[d[:, None, :, None], d[:, None, :]].reshape(N * N, N * N)
 
 
 def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -69,17 +70,10 @@ def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse through the SVD with small singular values zeroed.
-
-    Singular values at or below RANK_TOL times the largest are treated as
-    zero.  The result inverts A on its retained range and annihilates the
-    orthogonal complement.
-    """
+    """Pseudo-inverse with singular values at or below RANK_TOL times the
+    largest treated as zero: it inverts A on its retained range and
+    annihilates the orthogonal complement."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise ValueError("matrix expected")
-    U, sv, Vh = np.linalg.svd(A, full_matrices=False)
-    keep = sv > RANK_TOL * (float(sv[0]) if sv.size else 1.0)
-    if not np.any(keep):
-        return np.zeros_like(A.conj().T)
-    return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T
+    return np.linalg.pinv(A, rcond=RANK_TOL)

@@ -33,9 +33,11 @@ def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.nda
         return delta_window(N)
     if spec == "random":
         return _complex_normal(rng, N)
-    name, colon, width = spec.partition(":")
-    if name == "gaussian":
-        width = serialize.number(float(width) if colon else 1.0, "gaussian window width")
+    if spec == "gaussian":
+        return gaussian_window(N)
+    name, _, width = spec.partition(":")
+    if name == "gaussian":  # gaussian:WIDTH
+        width = serialize.number(float(width), "gaussian window width")
         if width <= 0:
             raise ValueError(f"gaussian window width must be > 0, got {width}")
         return gaussian_window(N, width)

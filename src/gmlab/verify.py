@@ -14,7 +14,7 @@ reporting.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class SuiteResult:
     passed: bool
     checks: int
     max_violation: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 ALL_SUITES: list = []
@@ -151,7 +148,7 @@ def suite_seq_neumann(N, p, rng):
     for _ in range(10):
         x = random_sparse(rng, size=4, box=2)
         x = (0.5 / qnorm(x, p)) * x
-        inv = neumann_inverse(x, p, NEUMANN_TOL)
+        inv = neumann_inverse(x, p)
         residual = qnorm(convolve(delta - x, inv) - delta, p) - NEUMANN_TOL
         bound = neumann_tail_bound(qnorm(x, p), p.q, 1)
         yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + BOUND_SLACK))

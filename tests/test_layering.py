@@ -1,8 +1,9 @@
 """Module layering of gmlab, read from the source with ast: the conventions
 of Z_N live in `_lattice`, the operator and amalgam layers do not reach
 into the sequence algebra for them, the parity of N is compared by one
-rule, the side of every array over Z_N is read by one guard, and every
-tolerance lives in `errors`."""
+rule, the side of every array over Z_N is read by one guard, the pair
+order of lattice matrices is numpy's C order, and every tolerance lives in
+`errors`."""
 
 import ast
 from pathlib import Path
@@ -50,10 +51,15 @@ def comparisons_reading(*read) -> list:
     return comparisons(reads)
 
 
+def is_named(node, name: str) -> bool:
+    """node is a name or an attribute `name` (N, cfg.N, np.divmod)."""
+    return getattr(node, "id", getattr(node, "attr", None)) == name
+
+
 def is_parity_of_n(node) -> bool:
     """node is N % 2, of a name or an attribute N (cfg.N, sys.N)."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
-            and getattr(node.left, "id", getattr(node.left, "attr", None)) == "N"
+            and is_named(node.left, "N")
             and isinstance(node.right, ast.Constant) and node.right.value == 2)
 
 
@@ -115,3 +121,25 @@ def stray_tolerances() -> list:
 
 def test_every_tolerance_is_named_in_the_errors_table():
     assert stray_tolerances() == []
+
+
+def is_hand_flattened_pair(node) -> bool:
+    """node is divmod(., N), . // N or . * N + . (N on either side of the
+    product): a lattice pair (k, l) split from or folded into the flat index
+    k N + l by hand."""
+    if isinstance(node, ast.Call) and is_named(node.func, "divmod"):
+        return len(node.args) == 2 and is_named(node.args[1], "N")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+        return is_named(node.right, "N")
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    and (is_named(side.left, "N") or is_named(side.right, "N"))
+                    for side in (node.left, node.right)))
+
+
+def test_the_lattice_pair_order_is_numpys_c_order():
+    # every (N^2, N^2) lattice matrix and every flat pair index comes from
+    # reshape and ravel; nothing splits or folds k N + l by hand
+    found = sorted((module, node.lineno) for module, tree in TREES.items()
+                   for node in ast.walk(tree) if is_hand_flattened_pair(node))
+    assert found == []

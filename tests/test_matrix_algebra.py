@@ -17,6 +17,7 @@ from gmlab import (
     shift_bank,
     weyl_quantize,
 )
+from gmlab.errors import RANK_TOL
 from gmlab.metaplectic import symp_apply, symp_inverse
 from gmlab.presets import gaussian_bump_symbol
 from gmlab.verify import random_decaying_matrix
@@ -100,6 +101,39 @@ def test_fio_envelope_matches_two_array_gather(rng, N, chi):
     oracle = two_array_gather_envelope(lambda rk: Ph[rk * N:(rk + 1) * N] @ TP, N, chi)
     h = envelope(T, chi, sys).values
     assert np.abs(h - oracle).max() <= 1e-13 * oracle.max()
+
+
+def flat_index_envelope(A, chi=None):
+    """diagonal_envelope as it was written on flat indices k N + l: one
+    (N^2, N^2) index gathers row flat(chi z + mu) of column flat(z)."""
+    N = int(np.sqrt(A.shape[0]))
+    chi = np.eye(2, dtype=int) if chi is None else np.asarray(chi) % N
+    k, l = np.divmod(np.arange(N * N), N)
+    ck, cl = symp_apply(chi, (k, l), N)
+    rows = (ck + k[:, None]) % N * N + (cl + l[:, None]) % N
+    return np.abs(A)[rows, np.arange(N * N)].max(axis=1).reshape(N, N)
+
+
+def flat_index_convolution_matrix(field):
+    """convolution_matrix as it was written on flat indices k N + l."""
+    N = field.shape[0]
+    rows = np.arange(N * N)
+    rk, rl = rows // N, rows % N
+    return field[(rk[:, None] - rk[None, :]) % N, (rl[:, None] - rl[None, :]) % N]
+
+
+FLAT_CHIS = {"None": None, "cat": [[2, 1], [1, 1]], "b3": [[1, 3], [0, 1]]}
+
+
+@pytest.mark.parametrize("chi", list(FLAT_CHIS.values()), ids=list(FLAT_CHIS))
+@pytest.mark.parametrize("N", [5, 9, 15, 31])
+def test_lattice_matrices_keep_the_flat_index_order_bit_for_bit(rng, N, chi):
+    # at N = 9 and 15, b = 3 of [[1, 3], [0, 1]] is not a unit
+    A = rng.standard_normal((N * N, N * N)) + 1j * rng.standard_normal((N * N, N * N))
+    assert np.array_equal(diagonal_envelope(A, chi), flat_index_envelope(A, chi))
+    for field in (rng.standard_normal((N, N)), A[:N, :N]):
+        got, want = convolution_matrix(field), flat_index_convolution_matrix(field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_envelope_rejects_nonsquare():
@@ -221,3 +255,35 @@ def test_gabor_pseudo_inverse_matches_inverse_operator(calibration):
     ratio = cb_norm(pseudo_inverse(M), p) / cb_norm(M, p)
     print(f"pseudo-inverse decay ratio: {ratio:.4f}")
     assert ratio <= calibration["gabor_pinv_decay"]["ratio_threshold"]
+
+
+def svd_rule_pseudo_inverse(A):
+    """pseudo_inverse written out: the SVD with singular values at or below
+    RANK_TOL times the largest set to zero."""
+    U, sv, Vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=False)
+    keep = sv > RANK_TOL * sv[0]
+    return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T
+
+
+def test_pseudo_inverse_is_the_svd_rule(rng):
+    for A in (rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)),
+              rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))):
+        want = svd_rule_pseudo_inverse(A)
+        assert np.max(np.abs(pseudo_inverse(A) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pseudo_inverse_zeroes_singular_values_up_to_the_cutoff_exactly():
+    at = np.diag([1.0, RANK_TOL])  # exactly RANK_TOL x largest: zeroed
+    above = np.diag([1.0, np.nextafter(RANK_TOL, 1.0)])  # one ulp above: kept
+    for A in (at, above):
+        assert np.array_equal(np.linalg.svd(A, compute_uv=False), np.diag(A))
+    assert np.array_equal(pseudo_inverse(at), np.diag([1.0, 0.0]))
+    assert_allclose(pseudo_inverse(above), np.diag([1.0, 1.0 / above[1, 1]]), rtol=1e-15)
+    assert_allclose(pseudo_inverse(above), svd_rule_pseudo_inverse(above), rtol=1e-15)
+    assert np.array_equal(pseudo_inverse(np.zeros((2, 3))), np.zeros((3, 2)))
+
+
+def test_pseudo_inverse_of_a_real_matrix_is_complex():
+    assert pseudo_inverse(np.eye(3)).dtype == complex
+    with pytest.raises(ValueError, match="matrix expected"):
+        pseudo_inverse(np.ones(3))

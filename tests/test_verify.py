@@ -33,7 +33,7 @@ MUTANTS = {
         verify, "qnorm", lambda qnorm: lambda a, p: qnorm(a, p) ** p.q
     ),
     verify.suite_seq_neumann: (  # the series of -x: 2.69
-        verify, "neumann_inverse", lambda inverse: lambda x, p, tol: inverse(-x, p, tol)
+        verify, "neumann_inverse", lambda inverse: lambda x, p, *tol: inverse(-x, p, *tol)
     ),
     verify.suite_seq_fourier: (  # raises ToleranceError
         verify, "invert_by_fourier", lambda f: functools.partial(f, decay_cutoff=1e-3)
