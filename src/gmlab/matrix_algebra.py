@@ -24,21 +24,34 @@ from .errors import RANK_TOL
 from .metaplectic import require_symplectic, symp_apply
 
 
+_SLAB_BYTES = 2**20  # bytes of the entries of A gathered for one slab of mu_k rows
+
+
 def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
     """Envelope d(mu) = max_z |A[chi z + mu, z]| as an (N, N) field indexed by
     mu mod N per coordinate (read mu on centered representatives); chi=None
     is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|.  chi must
     have determinant 1 mod N.
 
-    The 4-D view of |A| is gathered at [chi z + mu, z] into [mu, z], so d is
-    the maximum over its last two axes."""
+    The entries at [chi z + mu, z] are gathered into [mu, z] one slab of
+    mu_k rows at a time, as many as fit _SLAB_BYTES (at least one), through
+    their flat C-order index in A: the sum of its mu_k part and its
+    (mu_l, z) part, tables of at most N^3 from np.ravel_multi_index.  The
+    moduli of a slab reduce to its rows of d by the maximum over z, so no
+    N^4 array is formed beside A (a copy only when A is not contiguous)."""
     N = matrix_side(A)
-    chi = require_symplectic(np.eye(2, dtype=int) if chi is None else chi, N)
     z = np.arange(N)[:, None], np.arange(N)  # the (N, N) grid of columns
-    ck, cl = symp_apply(chi, z, N)
+    ck, cl = z if chi is None else symp_apply(require_symplectic(chi, N), z, N)
+    A = np.ravel(A)
     mu = np.arange(N)
-    rows = (ck + mu[:, None, None, None]) % N, (cl + mu[:, None, None]) % N  # [mu, z]
-    return np.abs(A).reshape(N, N, N, N)[(*rows, *z)].max(axis=(2, 3))
+    shape = (N,) * 4
+    high = np.ravel_multi_index(((ck + mu[:, None, None, None]) % N, 0, 0, 0), shape)  # [mu_k, ., z]
+    low = np.ravel_multi_index((0, (cl + mu[:, None, None]) % N, *z), shape)  # [mu_l, z]
+    step = max(1, _SLAB_BYTES // (A.itemsize * N**3))  # mu_k rows per slab
+    d = np.empty((N, N), A.real.dtype)
+    for i in range(0, N, step):
+        np.abs(np.take(A, high[i:i + step] + low)).max(axis=(2, 3), out=d[i:i + step])
+    return d
 
 
 def cb_norm(A: np.ndarray, p: QParams) -> float:

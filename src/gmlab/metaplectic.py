@@ -158,6 +158,9 @@ def _phase(inner, floor):
     return np.divide(inner, size, out=np.ones_like(inner), where=size > floor)
 
 
+_BLOCK_BYTES = 2**16  # a block of the sweep: the fewest pairs whose (pairs, N, N, N) arrays reach it
+
+
 def _worst_defect(chi, U, norm) -> float | np.ndarray:
     """Worst norm(D) over the lattice of D(z) = U pi(z) - c pi(chi z) U, c
     by the rule of phase_align, for a pair or for stacks (see
@@ -167,8 +170,15 @@ def _worst_defect(chi, U, norm) -> float | np.ndarray:
     For z = (k, l) and w = chi z, (U pi(z))[r, s] = omega^(l (s + k)) U[r, s + k]
     and (pi(w) U)[r, s] = omega^(w_2 r) U[r - w_1, s], indices mod N, so each
     D is a reindexing of U times roots of unity, with no matrix product.
-    One row (k, .) of N points is formed at a time; norm maps a stack
-    (..., N, N) of D to the array (...) of their norms.
+    One row (k, .) of N points is formed at a time, block by block of
+    pairs: a block is the fewest pairs whose (pairs, N, N, N) arrays reach
+    _BLOCK_BYTES (one pair once a single one does), so that each numpy call
+    of the loop has work enough to pay for itself, and the arrays of a
+    block are allocated once.  The tables of a row, chi (k, l) and its
+    roots of unity, are built once per k for every pair.  Each pair sees
+    the same arithmetic in any block, so the result does not depend on the
+    block size.  norm maps a stack (..., N, N) of D to the array (...) of
+    their norms.
     """
     U = np.asarray(U, dtype=complex)
     N = U.shape[-1]
@@ -178,20 +188,31 @@ def _worst_defect(chi, U, norm) -> float | np.ndarray:
     stack = np.broadcast_shapes(chi.shape[:-2], U.shape[:-2])
     U = np.broadcast_to(U, stack + (N, N)).reshape(-1, N, N)
     chi = np.broadcast_to(chi, stack + (2, 2)).reshape(-1, 1, 2, 2)
-    pair, t = np.arange(len(U))[:, None, None], np.arange(N)
+    t = np.arange(N)
     floor = PHASE_FLOOR * np.linalg.norm(U, axis=(-2, -1))[:, None] ** 2
-    worst = np.zeros(len(U))
+    step = -(-_BLOCK_BYTES // (16 * N**3))  # pairs per block, rounded up
+    left, right, inner = (np.empty((min(step, len(U)), N, N, N), complex) for _ in range(3))
+    norms, worst = np.empty((len(U), N)), np.zeros(len(U))
+    flat, pair = U.reshape(-1, N), np.arange(len(U))[:, None, None]  # the rows of all pairs
     for k in range(N):
         cols = (t + k) % N
-        left = U[:, None, :, cols] * root_of_unity(t[:, None] * cols, N)[:, None, :]
+        shift = root_of_unity(t[:, None] * cols, N)[:, None, :]  # [l, ., s]
         w1, w2 = symp_apply(chi, (k, t), N)  # (pairs, N): chi (k, l) for each l
-        right = U[pair, (t - w1[..., None]) % N]
-        right *= root_of_unity(w2[..., None] * t, N)[..., None]
-        inner = right.conj()
-        inner *= left
-        right *= _phase(inner.sum(axis=(-2, -1)), floor)[..., None, None]
-        left -= right  # D(k, l) for each l
-        worst = np.maximum(worst, norm(left).max(axis=-1))
+        rows = np.ravel_multi_index((pair, (t - w1[..., None]) % N), U.shape[:2])  # [pair, l, r]
+        roots = root_of_unity(w2[..., None] * t, N)[..., None]  # [pair, l, r, .]
+        for i in range(0, len(U), step):
+            block = slice(i, i + step)
+            L, R, I = (a[:len(rows[block])] for a in (left, right, inner))
+            np.multiply(U[block, None, :, cols], shift, out=L)
+            # in range, so "clip" changes no index and spares take its buffered copy
+            np.take(flat, rows[block], axis=0, out=R, mode="clip")
+            R *= roots[block]
+            np.conjugate(R, out=I)
+            I *= L
+            R *= _phase(I.sum(axis=(-2, -1)), floor[block])[..., None, None]
+            L -= R  # D(k, l) for each l
+            norms[block] = norm(L)
+        np.maximum(worst, norms.max(axis=-1), out=worst)
     worst = worst.reshape(stack)
     return worst if worst.ndim else float(worst)
 
@@ -207,7 +228,9 @@ def intertwine_defect(chi, U: np.ndarray) -> float | np.ndarray:
     (..., N, N) are checked pair by pair in the same sweep, their leading
     axes broadcast together: the result is the array (...) of worst
     defects, and one pair gives a float.  N is read from U, which must be
-    square.  Extra memory is O(stack N^3); the N^2 operator norms per pair
+    square.  Extra memory is one block of the sweep, three complex arrays
+    of about _BLOCK_BYTES each (of one pair, O(N^3), when that is more),
+    and the (stack, N, N) tables of a row; the N^2 operator norms per pair
     are singular value decompositions, O(N^5) in all.
     """
     return _worst_defect(chi, U, lambda D: np.linalg.norm(D, 2, axis=(-2, -1)))

@@ -37,7 +37,11 @@ def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.nda
         return gaussian_window(N)
     name, _, width = spec.partition(":")
     if name == "gaussian":  # gaussian:WIDTH
-        width = serialize.number(float(width), "gaussian window width")
+        try:
+            width = float(width)
+        except ValueError:  # still the string, which serialize.number refuses by name
+            pass
+        width = serialize.number(width, "gaussian window width")
         if width <= 0:
             raise ValueError(f"gaussian window width must be > 0, got {width}")
         return gaussian_window(N, width)

@@ -641,6 +641,16 @@ def test_bad_gaussian_width_is_config_error(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", ["abc", ""])
+def test_unparsable_gaussian_width_is_named(tmp_path, capsys, width):
+    out = tmp_path / "o"
+    spec = f"gaussian:{width}"
+    assert main(["envelope", "--N", "5", "--window", spec, "--out", str(out)]) == EXIT_CONFIG
+    detail = config_error_detail(capsys)
+    assert detail == f"gaussian window width must be a finite float, got {width!r}"
+    assert not out.exists()
+
+
 def test_gabor_matrix_operator_norm_is_the_dense_norm(tmp_path):
     out = tmp_path / "run"
     args = ["gabor-matrix", "--N", "5", "--window", "random", "--symbol", "random", "--seed", "4"]

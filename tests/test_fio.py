@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,25 +98,14 @@ def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi):
     assert np.abs(h - ref).max() <= 1e-13 * ref.max()
 
 
-def test_envelope_never_builds_the_gabor_matrix(rng):
+def test_envelope_never_builds_the_gabor_matrix(rng, traced_peak):
     # the dense N^2 x N^2 Gabor matrix is 52 MiB at N = 43, and its factor T P
     # alone is 16 N^3 bytes (11 MiB at N = 89).  The envelope holds one panel
     # of at most 512 KiB and its products, so its peak does not grow with N^3.
     for N in (43, 61, 89):
         sys = gabor_system(gaussian_window(N))
         T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            envelope(T, CHIS["cat"], sys)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert traced_peak(lambda: envelope(T, CHIS["cat"], sys)) < 6 * 2**20
 
 
 @pytest.mark.parametrize("value", [math.nan, 1e307])

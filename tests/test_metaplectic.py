@@ -369,6 +369,31 @@ def test_stacked_intertwine_bound_equals_the_pairwise_calls(N):
         intertwine_bound(IDENTITY, np.ones((N, N + 1)))
 
 
+@pytest.mark.parametrize("N, count", [(5, None), (9, 200)])
+def test_blocked_sweep_equals_one_call_per_map(N, count):
+    """The sweep takes a stack in blocks of maps sized by a byte budget: the
+    120 maps of SL(2, Z_5) in 4 blocks, 200 maps at N = 9 in 34, the last
+    one ragged in both.  Every map reads the bits of a call on that map
+    alone, for true pairs and for the mostly mismatched pairs of the
+    reversed stack."""
+    rng = np.random.default_rng(N)
+    chis = np.array(all_sl2(N) if count is None else [random_sympmat(rng, N) for _ in range(count)])
+    U = build_metaplectic_stack([factor_generators(chi, N) for chi in chis], N)
+    for V in (U, U[::-1]):
+        for check in (intertwine_bound, intertwine_defect):
+            one_by_one = np.array([check(chi, W) for chi, W in zip(chis, V)])
+            assert np.array_equal(check(chis, V), one_by_one)
+
+
+def test_intertwine_sweep_holds_one_block_of_maps(traced_peak):
+    # the whole stack at once held about five (120, 5, 5, 5) complex arrays
+    # per lattice row, a traced peak of 1.2 MB
+    N = 5
+    chis = np.array(all_sl2(N))
+    U = build_metaplectic_stack([factor_generators(chi, N) for chi in chis], N)
+    assert traced_peak(lambda: intertwine_bound(chis, U)) < 0.6 * 2**20
+
+
 def test_stacked_symplectic_helpers_equal_the_per_matrix_results(rng):
     N = 7
     chis = np.array([random_sympmat(rng, N) + N * rng.integers(-2, 3, (2, 2)) for _ in range(6)])

@@ -55,3 +55,5 @@ def test_verify_ladder_rung(monkeypatch):
     assert list(result["suites"]) == sorted(result["suites"])
     assert all(t >= 0.0 for t in result["suites"].values())
     assert result["total_s"] == pytest.approx(sum(result["suites"].values()), abs=1e-3)
+    assert list(result["peak_mb"]) == list(result["suites"])
+    assert all(mb >= 0.0 for mb in result["peak_mb"].values())

@@ -1,9 +1,11 @@
-"""Time of each `verify` suite on a fixed N ladder.
+"""Time and peak memory of each `verify` suite on a fixed N ladder.
 
 For each N in LADDER it prints one JSON line: the best of 3 wall times of
 every suite in `verify.ALL_SUITES` at the CLI defaults (q = 0.5, s = 1,
-seed 0), by suite name, and their sum.  OpenBLAS runs on one thread, so the
-numbers do not depend on the core count:
+seed 0), by suite name, and their sum; then the tracemalloc peak of each
+suite in one more run, made after the timed ones so that no timed run is
+traced.  OpenBLAS runs on one thread, so the numbers do not depend on the
+core count:
 
     PYTHONPATH=src python tools/verify_ladder.py
 """
@@ -14,6 +16,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
 import json  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 from gmlab import QParams, verify  # noqa: E402
 
@@ -32,8 +35,17 @@ def rung(N: int) -> dict:
             name = suite(N, PARAMS, SEED).name
             times.append(time.perf_counter() - start)
         best[name] = min(times)
+    peak = {}
+    for suite in verify.ALL_SUITES:
+        tracemalloc.start()
+        try:
+            name = suite(N, PARAMS, SEED).name
+            peak[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     suites = {name: round(best[name], 4) for name in sorted(best)}
-    return {"N": N, "total_s": round(sum(best.values()), 4), "suites": suites}
+    peak_mb = {name: round(peak[name] / 2**20, 2) for name in sorted(peak)}
+    return {"N": N, "total_s": round(sum(best.values()), 4), "suites": suites, "peak_mb": peak_mb}
 
 
 if __name__ == "__main__":
