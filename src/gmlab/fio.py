@@ -17,7 +17,10 @@ finite computations.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .weyl import weyl_dequantize, weyl_quantize
 
 
 _PANEL_BYTES = 2**19  # one complex panel of `envelope`: cache-sized blocks, never N^3
+_FAN_OUT_N = 21  # the least N whose envelope rows repay a second worker thread
+_BLOCKS_BYTES = 3 * 2**20  # the blocks and moduli of all of `envelope`'s workers together
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,10 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     Since omega^(-mu_l x) omega^(-j x) = omega^(-(mu_l + j) x), row mu_l of
     conj(pi(rk, 0) gamma * phases).T @ panel is the Gabor entry of row
     (rk, mu_l + j), so at mu = (rk - c, mu_l), and the max over the panel's j
-    folds into h.  Extra memory is one panel, at most _PANEL_BYTES for N <= 181,
-    and its products."""
+    folds into h.  The rows rk of each panel are split among `_workers`
+    threads, each folding its own maximum; max is exact, so h is the same
+    bits at any worker count.  Extra memory is one panel, at most
+    _PANEL_BYTES for N <= 181, plus one block and its moduli per worker."""
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
@@ -82,18 +89,84 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     translates, phases = _shift_tables(sys.parseval_window)
     t = np.arange(N)
     zk, zl = symp_apply(symp_inverse(chi, N), (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
-    width = max(1, _PANEL_BYTES // (16 * N * N))
-    d = np.zeros((N, N))
+    width = _panel_width(N)
+    workers = _workers(N)
+    d = np.zeros((workers, N, N))
     for j0 in range(0, N, width):
         js = slice(j0, j0 + width)
         panel = (T @ (translates[:, zk[js].ravel()] * phases[:, zl[js].ravel()])).reshape(N, -1, N)
         panel *= np.conj(phases[:, js, None])
         panel = panel.reshape(N, -1)
-        for rk in range(N):
-            block = np.conj(translates[:, rk, None] * phases).T @ panel
-            e = np.abs(block).reshape(N, -1, N).max(axis=1)  # [mu_l, c]
-            np.maximum(d, e[:, (rk - t) % N].T, out=d)
-    return FioEnvelope(values=d)
+        _fan_out([partial(_fold_rows, range(w, N, workers), panel, translates, phases, d[w])
+                  for w in range(workers)])
+    return FioEnvelope(values=d.max(axis=0))
+
+
+def _fold_rows(rows, panel, translates, phases, d) -> None:
+    """Fold the Gabor rows (rk, .) of one panel, rk in rows, into d[mu_l, mu_k].
+    Every row's block and moduli reuse one buffer each: a fresh block per
+    row costs page faults, which threaded BLAS pays on every core."""
+    N = d.shape[0]
+    t = np.arange(N)
+    block = np.empty(panel.shape, complex)
+    moduli = np.empty(panel.shape)
+    for rk in rows:
+        np.matmul(np.conj(translates[:, rk, None] * phases).T, panel, out=block)
+        e = np.abs(block, out=moduli).reshape(N, -1, N).max(axis=1)  # [mu_l, c]
+        np.maximum(d, e[:, (rk - t) % N].T, out=d)
+
+
+def _panel_width(N: int) -> int:
+    """Values of j in one panel of `envelope`: N^2 complex entries each."""
+    return max(1, _PANEL_BYTES // (16 * N * N))
+
+
+def _workers(N: int) -> int:
+    """Worker threads for the rows of `envelope`: the cores this process may
+    run on over the threads BLAS gives each product, no more than keep their
+    blocks (a panel's shape) and moduli under _BLOCKS_BYTES, and one below
+    _FAN_OUT_N.  BLAS threads are read as OpenBLAS reads them; unset, BLAS
+    already spreads every product over all cores, and one worker runs."""
+    if N < _FAN_OUT_N:
+        return 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    block_bytes = 24 * N * N * min(_panel_width(N), N)
+    return max(1, min(cores // blas, _BLOCKS_BYTES // block_bytes))
+
+
+def _fan_out(calls) -> None:
+    """Run the first call here and each other on a thread of its own, then
+    raise the first exception any of them raised."""
+    errors = []
+
+    def run(call):
+        try:
+            call()
+        except BaseException as exc:  # raised again below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        calls[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def fio_report(env: FioEnvelope, p: QParams) -> FioReport:

@@ -19,7 +19,6 @@ Convolution adds one shifted copy of an operand per nonzero of the other.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -194,33 +193,18 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
 def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Box array of the convolution of two box arrays: one shifted multiply-add
     of the operand with more nonzeros per nonzero of the other (the first
-    operand on a tie), in lexicographic order of those nonzeros.
-
-    The bigger operand sits in the corner of a zero box as wide as the
-    output on every axis but the first, so each shifted copy is one
-    contiguous run of output cells: v times the padded box goes into one
-    reused buffer and is added in place.  A cell outside the shifted box
-    gains v * 0 = +-0, which leaves it as it was, since no cell of a sum
-    from +0 is -0; a non-finite v multiplies the box alone.
+    operand on a tie), in lexicographic order of those nonzeros.  Each v times
+    the contiguous bigger operand goes into one reused buffer and is added
+    into its box view of the output, so no cell outside the box is touched.
     """
     small, big = (a, b) if np.count_nonzero(a) <= np.count_nonzero(b) else (b, a)
     out = _zeros([m + n - 1 for m, n in zip(small.shape, big.shape)])
-    pitch = [stride // out.itemsize for stride in out.strides]  # cells per step on each axis
-    box = tuple(map(slice, big.shape))
-    padded = np.zeros(big.shape[:1] + out.shape[1:], dtype=big.dtype)
-    padded[box] = big
-    product = np.empty(padded.shape, np.result_type(small, big))  # the dtype of v * big
-    run = 1 + sum((n - 1) * step for n, step in zip(big.shape, pitch))
-    flat_padded, flat_product, flat_out = (x.reshape(-1) for x in (padded, product, out))
+    big = np.ascontiguousarray(big)
+    product = np.empty(big.shape, np.result_type(small, big))  # the dtype of v * big
     nz = np.nonzero(small)
-    for start, v in zip(sum(i * step for i, step in zip(nz, pitch)).tolist(), small[nz]):
-        if cmath.isfinite(v):
-            np.multiply(v, flat_padded, out=flat_product)
-        else:  # v * 0 is not 0: the box alone, in a product padded with 0
-            product.fill(0)
-            np.multiply(v, big, out=product[box])
-        view = flat_out[start:start + run]
-        view += flat_product[:run]
+    for corner, v in zip(zip(*(i.tolist() for i in nz)), small[nz]):
+        view = out[_box(corner, big.shape)]
+        view += np.multiply(v, big, out=product)
     return out
 
 

@@ -227,6 +227,7 @@ def suite_cb_algebra(N, p, rng):
         A = _decaying_draw(rng, prof)
         B = _decaying_draw(rng, prof)
         dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
+        del A, B  # before the next check draws its own
         nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
         yield max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
 
@@ -238,7 +239,9 @@ def suite_cb_solidity(N, p, rng):
         A = _decaying_draw(rng, prof)
         norm = ma.cb_norm(A, p)
         A *= rng.random(A.shape)  # entrywise dominated
-        yield ma.cb_norm(A, p) - norm
+        violation = ma.cb_norm(A, p) - norm
+        del A  # before the next check draws its own
+        yield violation
 
 
 @_suite("metaplectic", 13)

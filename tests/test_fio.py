@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -98,10 +101,115 @@ def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi):
     assert np.abs(h - ref).max() <= 1e-13 * ref.max()
 
 
-def test_envelope_never_builds_the_gabor_matrix(rng, traced_peak):
+@pytest.fixture
+def pretend_cores(monkeypatch):
+    """A function that makes `envelope` see `cores` cores and the given BLAS
+    thread variables (None unsets one), and returns the list of worker
+    counts its panels run with."""
+    counts = []
+    fan_out = fio._fan_out
+
+    def counted(calls):
+        counts.append(len(calls))
+        fan_out(calls)
+
+    def pretend(cores, openblas="1", omp=None):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        monkeypatch.setattr(fio, "_fan_out", counted)
+        return counts
+
+    return pretend
+
+
+@pytest.mark.parametrize("chi", [IDENTITY, CHIS["cat"]], ids=["I", "cat"])
+@pytest.mark.parametrize("N", [21, 43, 61])
+def test_envelope_is_the_same_bits_at_any_worker_count(rng, pretend_cores, N, chi):
+    sys = gabor_system(gaussian_window(N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    runs = {}
+    for cores in (1, 2, 3):
+        counts = pretend_cores(cores)
+        counts.clear()
+        runs[cores] = envelope(T, chi, sys).values.tobytes()
+        assert set(counts) == {cores}
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def test_envelope_with_more_workers_than_cores_and_fast_thread_switches(rng, pretend_cores):
+    # each worker folds into its own accumulator, so no row may be lost
+    # however often the threads switch
+    N = 21
+    sys = gabor_system(gaussian_window(N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    counts = pretend_cores(1)
+    want = envelope(T, CHIS["cat"], sys).values.tobytes()
+    pretend_cores(8)
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert envelope(T, CHIS["cat"], sys).values.tobytes() == want
+    finally:
+        setswitchinterval(interval)
+    assert counts == [1] + [8] * 5
+
+
+@pytest.mark.parametrize("openblas, omp, workers", [
+    (None, None, 1),  # unset: BLAS already spreads every product over the cores
+    (None, "1", 4),
+    ("2", "1", 2),  # OPENBLAS_NUM_THREADS first, as OpenBLAS reads them
+    ("4", None, 1),
+    ("0", "2", 2),  # not a positive count: the next variable
+    ("auto", None, 1),
+])
+def test_envelope_workers_are_the_cores_blas_leaves_idle(pretend_cores, openblas, omp, workers):
+    N = 31
+    counts = pretend_cores(4, openblas, omp)
+    envelope(np.eye(N), IDENTITY, gabor_system(gaussian_window(N)))
+    assert set(counts) == {workers}
+
+
+def test_envelope_runs_one_worker_below_the_cut_over(pretend_cores):
+    counts = pretend_cores(8)
+    for N in (fio._FAN_OUT_N - 2, fio._FAN_OUT_N):
+        sys = gabor_system(gaussian_window(N))
+        counts.clear()
+        envelope(np.eye(N), IDENTITY, sys)
+        assert set(counts) == {1 if N < fio._FAN_OUT_N else 8}
+
+
+def test_an_exception_in_a_worker_comes_out_of_envelope(monkeypatch, pretend_cores):
+    # a bare thread would only print it and leave a partial maximum
+    fold_rows = fio._fold_rows
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        fold_rows(*args)
+
+    pretend_cores(2)
+    monkeypatch.setattr(fio, "_fold_rows", failing)
+    N = 31
+    sys = gabor_system(gaussian_window(N))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        envelope(np.eye(N), IDENTITY, sys)
+    assert threading.active_count() == threads
+
+
+def test_envelope_never_builds_the_gabor_matrix(rng, traced_peak, pretend_cores):
     # the dense N^2 x N^2 Gabor matrix is 52 MiB at N = 43, and its factor T P
     # alone is 16 N^3 bytes (11 MiB at N = 89).  The envelope holds one panel
-    # of at most 512 KiB and its products, so its peak does not grow with N^3.
+    # of at most 512 KiB and its products, plus one block and its moduli per
+    # worker, as many as fit _BLOCKS_BYTES on 8 cores, so its peak does not
+    # grow with N^3 or with the core count.
+    pretend_cores(8)
     for N in (43, 61, 89):
         sys = gabor_system(gaussian_window(N))
         T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))

@@ -41,9 +41,12 @@ def test_calibrate_reproduces_the_frozen_figures(calibration, section):
 
 def test_envelope_ladder_rung(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it; undone after
-    result = load_tool("envelope_ladder").rung(11)
-    assert result["N"] == 11
-    assert result["envelope_s"] >= 0.0 and result["peak_mb"] > 0.0
+    tool = load_tool("envelope_ladder")
+    result = tool.rung(11)
+    assert list(result) == ["N", "workers", "envelope_s", "cpu_s", "peak_mb"]
+    assert result["N"] == 11 and result["workers"] == 1  # below the cut-over
+    assert result["envelope_s"] >= 0.0 and result["cpu_s"] >= 0.0 and result["peak_mb"] > 0.0
+    assert tool.rung(21)["workers"] == tool.fio._workers(21) >= 1
 
 
 def test_verify_ladder_rung(monkeypatch):
