@@ -38,7 +38,18 @@ from .weyl import weyl_dequantize, weyl_quantize
 
 _PANEL_BYTES = 2**19  # one complex panel of `envelope`: cache-sized blocks, never N^3
 _FAN_OUT_N = 21  # the least N whose envelope rows repay a second worker thread
-_BLOCKS_BYTES = 3 * 2**20  # the blocks and moduli of all of `envelope`'s workers together
+_ROWS_BYTES = 2**20  # one worker's fold buffers for a block of `envelope` rows: cache-sized
+_BLOCKS_BYTES = 3 * 2**20  # the fold buffers of all of `envelope`'s workers together
+
+# Window matrix entry [i, k] of a row rk at x is _SIGNS[i, k] times component
+# _PICK[i, k] of (Re g(x), Im g(x), Re g(x), Im g(x), Re g(-x), Im g(-x), ...),
+# g = conj(gamma(. - rk)) at the folded panel's rows: it maps (Re P[x], Im P[x],
+# Re P[-x], Im P[-x]) to the even part's real and imaginary parts and the odd
+# part's imaginary part and negated real part.
+_PICK = np.array([[0, 1, 4, 5], [1, 0, 5, 4], [1, 0, 5, 4], [0, 1, 4, 5]])
+_SIGNS = np.array([[1, -1, 1, -1], [1, 1, 1, 1], [1, 1, -1, -1], [-1, 1, 1, -1]])
+_SIDES = np.array([1, 1, -1, -1])  # the panel rows x, x, -x, -x of a folded panel
+_PARTS = np.array([0, 1, 0, 1])  # and their real, imaginary, real, imaginary parts
 
 
 @dataclass(frozen=True)
@@ -73,47 +84,126 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     computed without that matrix, its factor T P or a gather index.
 
     The columns z = chi^-1 (c, j) come in panels of a few values of j: column
-    (j, c) of a panel is omega^(-j x) (T pi(z) gamma)(x), omega = e^(2 pi i / N).
-    Since omega^(-mu_l x) omega^(-j x) = omega^(-(mu_l + j) x), row mu_l of
-    conj(pi(rk, 0) gamma * phases).T @ panel is the Gabor entry of row
-    (rk, mu_l + j), so at mu = (rk - c, mu_l), and the max over the panel's j
-    folds into h.  The rows rk of each panel are split among `_workers`
-    threads, each folding its own maximum; max is exact, so h is the same
-    bits at any worker count.  Extra memory is one panel, at most
-    _PANEL_BYTES for N <= 181, plus one block and its moduli per worker."""
+    (j, c) of a panel P is omega^(-j x) (T pi(z) gamma)(x), omega = e^(2 pi i / N).
+    Since omega^(-mu_l x) omega^(-j x) = omega^(-(mu_l + j) x), entry mu_l of
+    the length-N DFT y of v(x) = conj(gamma(x - rk)) P[x, (j, c)] is the Gabor
+    entry of row (rk, mu_l + j), so at mu = (rk - c, mu_l), and the max over
+    the panel's j folds into h.
+
+    The DFT is folded by both of its symmetries.  With h = (N - 1) / 2, the
+    even part e(x) = v(x) + v(-x) and the odd part o(x) = v(x) - v(-x),
+    x = 0..h, give y(+-l) = C e -+ i S o for l = 0..h, C and S the real cos
+    and sin tables of omega on 0..h with C's column x = 0 halved, as
+    e(0) = 2 v(0): four real half-size products per row, a quarter of the
+    multiply-adds of one complex DFT product.  One batched 4 x 4 window
+    matrix per x forms the parts of e and o from the panel's entries at x
+    and -x, re-laid once per panel.  The max is taken over squared moduli,
+    summed from the squared real and imaginary parts of y(+-l) (the
+    expansion |C e|^2 + |S o|^2 -+ 2 Im(...) would cancel), and one sqrt,
+    monotone and correctly rounded, ends it, so h matches the unfolded DFT
+    to rounding, about 1e-15 of its maximum.  T is first scaled by a power
+    of two, which moves no bit, so that the squares stay in float range.
+
+    The rows rk of each panel are split among `_workers` threads, each
+    folding its own maximum a block of rows at a time; max is exact, so h is
+    the same bits at any worker count and block size.  Extra memory is one
+    panel and its folded copy, about _PANEL_BYTES each for N <= 181, the
+    window matrices (8 N^2 floats) and each worker's fold buffers."""
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
     if side(T, "operator matrix") != N:
         raise ValueError("operator matrix and Gabor system moduli differ")
+    # a power of two brings T's largest entry near 1, exactly, so that the
+    # squared moduli stay in float range
+    scale = math.ldexp(1.0, min(-math.frexp(np.abs(T).max())[1], 1000))
+    T = T * scale
     translates, phases = _shift_tables(sys.parseval_window)
     t = np.arange(N)
     zk, zl = symp_apply(symp_inverse(chi, N), (t, t[:, None]), N)  # z = chi^-1 (c, j) at [j, c]
+    half = N // 2
+    roots = phases[:half + 1, :half + 1]
+    cos, sin = np.ascontiguousarray(roots.real), np.ascontiguousarray(roots.imag)  # [l, x], l, x = 0..h
+    cos[:, 0] = 0.5  # e(0) = 2 v(0)
+    pairs = t[:half + 1, None] * _SIDES  # [x, (x, x, -x, -x)]
+    windows = _window_matrices(translates, pairs)
     width = _panel_width(N)
     workers = _workers(N)
-    d = np.zeros((workers, N, N))
+    blocks = _row_blocks(N, workers)
+    shifts = blocks[..., None] - t  # row rk folds column c = rk - mu_k mod N into d[mu_k]
+    d = np.zeros((workers, N, N))  # squared moduli, [mu_k, mu_l]
     for j0 in range(0, N, width):
         js = slice(j0, j0 + width)
         panel = (T @ (translates[:, zk[js].ravel()] * phases[:, zl[js].ravel()])).reshape(N, -1, N)
         panel *= np.conj(phases[:, js, None])
-        panel = panel.reshape(N, -1)
-        _fan_out([partial(_fold_rows, range(w, N, workers), panel, translates, phases, d[w])
+        folded = panel.view(float).reshape(N, -1, 2)[pairs, :, _PARTS]  # [x, part, col]
+        del panel
+        _fan_out([partial(_fold_rows, blocks[w], shifts[w], folded, windows, cos, sin, d[w])
                   for w in range(workers)])
-    return FioEnvelope(values=d.max(axis=0))
+    values = d.max(axis=0)
+    np.sqrt(values, out=values)
+    values /= scale
+    return FioEnvelope(values=values)
 
 
-def _fold_rows(rows, panel, translates, phases, d) -> None:
-    """Fold the Gabor rows (rk, .) of one panel, rk in rows, into d[mu_l, mu_k].
-    Every row's block and moduli reuse one buffer each: a fresh block per
-    row costs page faults, which threaded BLAS pays on every core."""
+def _window_matrices(translates, pairs) -> np.ndarray:
+    """(N, h + 1, 4, 4) window matrices [rk, x] of `_PICK` and `_SIGNS`, from
+    the translates gamma(x - rk) at [x, rk] and the folded panel's rows."""
+    g = np.conj(translates[pairs].transpose(2, 0, 1), order="C")  # [rk, x, (x, x, -x, -x)]
+    return g.view(float)[..., _PICK] * _SIGNS
+
+
+def _row_blocks(N: int, workers: int) -> np.ndarray:
+    """(workers, blocks, size) rows of `envelope`: worker w folds rows w,
+    w + workers, ... in blocks of `size` rows, no more than keep its fold
+    buffers within its share of _BLOCKS_BYTES and within _ROWS_BYTES.  A
+    short last block wraps round to rows of other workers, which the
+    maximum takes twice, to no effect; the size keeps the rows so folded
+    plus the blocks (a block costs about a row in calls) least."""
+    most = max(1, min(_ROWS_BYTES, _BLOCKS_BYTES // workers) // _fold_bytes(N))
+    count = -(-N // workers)
+    size = min(range(min(most, count), 0, -1), key=lambda s: -(-count // s) * (s + 1))
+    blocks = -(-count // size)
+    return (np.arange(workers * blocks * size).reshape(-1, workers).T % N).reshape(workers, blocks, size)
+
+
+def _fold_rows(blocks, shifts, folded, windows, cos, sin, d) -> None:
+    """Fold the squared Gabor rows (rk, .) of one folded panel, rk in the
+    blocks, into d[mu_k, mu_l], one block of rows per step.  The rows of y
+    are l = 0..h, then -h..-0, so the first N are in the order of mu_l;
+    y(-0) = y(0) is computed once more, as S[0] = 0, and not folded.  Every
+    step reuses two buffers and views of them, each part a contiguous block
+    (strided halves run numpy's slow general loop): eo holds the parts of e
+    and o, then S o over the dead parts of e and y(-l) over those of o,
+    then y(l) over S o, and a holds C e, then the squared moduli.  A fresh
+    buffer per step costs page faults, which threaded BLAS pays on every
+    core."""
     N = d.shape[0]
-    t = np.arange(N)
-    block = np.empty(panel.shape, complex)
-    moduli = np.empty(panel.shape)
-    for rk in rows:
-        np.matmul(np.conj(translates[:, rk, None] * phases).T, panel, out=block)
-        e = np.abs(block, out=moduli).reshape(N, -1, N).max(axis=1)  # [mu_l, c]
-        np.maximum(d, e[:, (rk - t) % N].T, out=d)
+    size = blocks.shape[1]
+    rows_e, _, M = folded.shape  # h + 1
+    eo = np.empty((size, 4, rows_e, M))  # Re e, Im e, Im o, -Re o
+    a = np.empty((size, 2, rows_e, M))  # C Re e, C Im e
+    e = np.empty((size, N, N))  # maxima over the panel's j at [rk, c, mu_l]
+    eo_out, even, odd = eo.transpose(0, 2, 1, 3), eo[:, :2], eo[:, 2:]
+    minus, re, im = odd[:, :, ::-1], eo[:, ::2], eo[:, 1::2]  # y(-l); Re and Im of y(l), y(-l)
+    by_j, to_e = a.reshape(size, N + 1, -1, N)[:, :N], e.transpose(0, 2, 1)
+    at = np.arange(size)[:, None]
+    for block, shift in zip(blocks, shifts):
+        np.matmul(windows[block], folded, out=eo_out)
+        np.matmul(cos, even, out=a)
+        np.matmul(sin, odd, out=even)  # S Im o, -S Re o
+        np.subtract(a, even, out=minus)
+        np.add(a, even, out=even)
+        np.square(eo, out=eo)
+        np.add(re, im, out=a)
+        np.maximum.reduce(by_j, axis=2, out=to_e)
+        np.maximum(d, e[at, shift].max(axis=0), out=d)  # a negative c counts from N
+
+
+def _fold_bytes(N: int) -> int:
+    """Bytes of the fold buffers of one row of `envelope`: 6 (h + 1) floats
+    per panel column."""
+    return 24 * (N + 1) * N * min(_panel_width(N), N)
 
 
 def _panel_width(N: int) -> int:
@@ -123,8 +213,8 @@ def _panel_width(N: int) -> int:
 
 def _workers(N: int) -> int:
     """Worker threads for the rows of `envelope`: the cores this process may
-    run on over the threads BLAS gives each product, no more than keep their
-    blocks (a panel's shape) and moduli under _BLOCKS_BYTES, and one below
+    run on over the threads BLAS gives each product, no more than keep the
+    fold buffers of one row each under _BLOCKS_BYTES, and one below
     _FAN_OUT_N.  BLAS threads are read as OpenBLAS reads them; unset, BLAS
     already spreads every product over all cores, and one worker runs."""
     if N < _FAN_OUT_N:
@@ -142,8 +232,7 @@ def _workers(N: int) -> int:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    block_bytes = 24 * N * N * min(_panel_width(N), N)
-    return max(1, min(cores // blas, _BLOCKS_BYTES // block_bytes))
+    return max(1, min(cores // blas, _BLOCKS_BYTES // _fold_bytes(N)))
 
 
 def _fan_out(calls) -> None:

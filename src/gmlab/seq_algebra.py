@@ -240,10 +240,16 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     Returns s_n = delta + x + ... + x^n with the degree n chosen from the
     closed-form geometric tail so that the omitted part of the series has
     quasi-norm at most `tol`.  Consequently (delta - x) * s_n differs from
-    delta by at most tol in the same quasi-norm.  Each power x^j is one box
-    array, multiplied by x through the kernel of `convolve` and added into
-    one box spanning 0 and n lo ... n hi, so s_n equals the term-by-term sum
-    of sequences exactly.
+    delta by at most tol in the same quasi-norm.  The sum fills one box
+    spanning 0 and n lo ... n hi, and every power x^j is kept flat in that
+    box's row layout, so that it is one contiguous run of the flat box from
+    its corner: x^j is multiplied by x through the kernel of `convolve` on
+    such runs, and each product and each add touches one run, not a box of
+    rows (numpy adds runs several times faster).  Between the rows of a
+    power a run holds +0, as no sum from +0 is -0, and x is finite, as its
+    quasi-norm is, so those cells add +-0 to cells that are never -0, which
+    leaves them as they were: s_n equals the term-by-term sum of sequences
+    exactly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -264,11 +270,16 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     _check_int64(lo, shape)
     total = _zeros(shape)
     total[tuple(-o for o in lo)] = 1.0
-    power = x.values
+    pitch = [stride // total.itemsize for stride in total.strides]  # cells per step on each axis
+    rows = _zeros(x.values.shape[:1] + total.shape[1:])  # x in the rows of the box
+    rows[_box([0] * x.dim, x.values.shape)] = x.values
+    x_run = rows.reshape(-1)[:1 + sum((m - 1) * step for m, step in zip(x.values.shape, pitch))]
+    flat, power = total.reshape(-1), x_run
     for j in range(1, n + 1):
         if j > 1:
-            power = _shifted_sum(power, x.values)
-        view = total[_box([j * o - c for o, c in zip(x_lo, lo)], power.shape)]
+            power = _shifted_sum(power, x_run)
+        start = sum((j * o - c) * step for o, c, step in zip(x_lo, lo, pitch))
+        view = flat[start:start + power.size]
         view += power
     return _from_array(x.dim, np.array(lo, np.int64), total)
 

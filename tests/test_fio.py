@@ -34,7 +34,7 @@ from gmlab import (
 )
 from gmlab import fio
 from gmlab.metaplectic import J_MAT
-from gmlab.presets import gaussian_bump_symbol
+from gmlab.presets import _complex_normal, gaussian_bump_symbol
 from gmlab.verify import random_sympmat
 
 IDENTITY = np.eye(2, dtype=int)
@@ -76,24 +76,43 @@ CHIS = {
 }
 
 
+def rippled_window(rng, N):
+    """Periodized Gaussian with a 10% complex ripple, the benchmark's window."""
+    t = np.arange(N)
+    g = sum(np.exp(-np.pi * (t - j * N) ** 2 * 1.1 / N) for j in range(-4, 5))
+    return g * (1.0 + 0.1 * _complex_normal(rng, N) / np.sqrt(2))
+
+
+# A real, even window leaves the imaginary and odd window terms of the folded
+# kernel at zero; the complex ones catch a sign slip there (a conjugated
+# window is off by 0.32 of the maximum at N = 11).
+WINDOWS = {
+    "gaussian": lambda rng, N: gaussian_window(N),
+    "normal": _complex_normal,
+    "rippled": rippled_window,
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
 @pytest.mark.parametrize("chi", list(CHIS.values()), ids=list(CHIS))
-@pytest.mark.parametrize("N", [5, 7, 11, 31])
-def test_envelope_matches_brute_force(rng, N, chi):
-    sys = gabor_system(gaussian_window(N))
+@pytest.mark.parametrize("N", [3, 5, 7, 9, 11, 15, 21, 31])
+def test_envelope_matches_brute_force(rng, N, chi, window):
+    sys = gabor_system(WINDOWS[window](rng, N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     h = envelope(T, chi, sys).values
-    # the panels demodulate omega^(-(mu_l + j) x) as a product of two phases,
-    # so they agree with the dense oracle to rounding, not bit for bit
+    # the folded DFT rounds otherwise than the Gabor matrix's inner
+    # products, so they agree to rounding, not bit for bit
     ref = diagonal_envelope(gabor_matrix(T, sys), chi)
     assert np.abs(h - ref).max() <= 1e-13 * ref.max()
     assert_allclose(h, brute_envelope(T, chi, sys), atol=1e-12)
 
 
+@pytest.mark.parametrize("window", list(WINDOWS))
 @pytest.mark.parametrize("N, chi", [(9, [[1, 3], [0, 1]]), (9, [[7, 6], [3, 4]]),
                                     (15, [[4, 10], [7, 14]]), (15, [[6, 5], [10, 6]])])
-def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi):
+def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi, window):
     # T = Op(sigma) U_chi, whose U_chi is factored through the k-shift
-    sys = gabor_system(gaussian_window(N))
+    sys = gabor_system(WINDOWS[window](rng, N))
     sigma = 1.0 + 0.2 * rng.standard_normal((N, N)) * gaussian_bump_symbol(N)
     T = fio_operator(sigma, chi)
     h = envelope(T, chi, sys).values
@@ -139,6 +158,30 @@ def test_envelope_is_the_same_bits_at_any_worker_count(rng, pretend_cores, N, ch
         runs[cores] = envelope(T, chi, sys).values.tobytes()
         assert set(counts) == {cores}
     assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("N", [11, 21])
+def test_envelope_is_the_same_bits_at_any_row_block(rng, monkeypatch, pretend_cores, N):
+    # one row per step against the blocks of a cache-sized budget: all 11
+    # rows in one, and at N = 21 on 2 workers blocks of 4 rows, the last
+    # filled up with rows of the other worker
+    pretend_cores(2)
+    sys = gabor_system(rippled_window(rng, N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    blocks = envelope(T, CHIS["cat"], sys).values.tobytes()
+    monkeypatch.setattr(fio, "_ROWS_BYTES", 0)
+    assert envelope(T, CHIS["cat"], sys).values.tobytes() == blocks
+
+
+@pytest.mark.parametrize("k", [-600, 560])
+def test_envelope_of_an_operator_scaled_by_a_power_of_two_is_scaled_bit_for_bit(rng, k):
+    # squared moduli of 2^560 T overflow and those of 2^-600 T underflow,
+    # unless the kernel scales T back first
+    N = 11
+    sys = gabor_system(rippled_window(rng, N))
+    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    h = envelope(T, CHIS["cat"], sys).values
+    assert np.array_equal(envelope(np.ldexp(1.0, k) * T, CHIS["cat"], sys).values, np.ldexp(h, k))
 
 
 def test_envelope_with_more_workers_than_cores_and_fast_thread_switches(rng, pretend_cores):

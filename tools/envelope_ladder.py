@@ -6,7 +6,7 @@ For each N in LADDER it prints one JSON line: the worker threads
 with a Gaussian window and the CPU seconds of that best call, and the
 tracemalloc peak of one more, traced call.  OpenBLAS runs on one thread, so
 from N = 21 on the kernel runs one worker per core this process may use (up
-to its memory cap, 4 from N = 31 to 181), and one below: wall time depends
+to its memory cap, 4 from N = 31 to 127), and one below: wall time depends
 on the core count, and CPU over wall seconds reads how well the workers use
 the cores:
 
