@@ -38,7 +38,6 @@ from .phase_space import (
     stft,
     synthesize,
     tf_shift,
-    tf_shift_matrix,
 )
 from .weyl import (
     duality_pairing,
@@ -53,7 +52,6 @@ from .matrix_algebra import (
     convolution_matrix,
     diagonal_envelope,
     envelope_convolve,
-    pseudo_inverse,
 )
 from .metaplectic import (
     build_metaplectic,

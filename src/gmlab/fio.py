@@ -37,9 +37,7 @@ from .weyl import weyl_dequantize, weyl_quantize
 
 
 _PANEL_BYTES = 2**19  # one complex panel of `envelope`: cache-sized blocks, never N^3
-_FAN_OUT_N = 21  # the least N whose envelope rows repay a second worker thread
-_ROWS_BYTES = 2**20  # one worker's fold buffers for a block of `envelope` rows: cache-sized
-_BLOCKS_BYTES = 3 * 2**20  # the fold buffers of all of `envelope`'s workers together
+_WORKERS_BYTES = 2**22  # the panels and fold buffers of all of `envelope`'s workers together
 
 # Window matrix entry [i, k] of a row rk at x is _SIGNS[i, k] times component
 # _PICK[i, k] of (Re g(x), Im g(x), Re g(x), Im g(x), Re g(-x), Im g(-x), ...),
@@ -104,11 +102,11 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     to rounding, about 1e-15 of its maximum.  T is first scaled by a power
     of two, which moves no bit, so that the squares stay in float range.
 
-    The rows rk of each panel are split among `_workers` threads, each
-    folding its own maximum a block of rows at a time; max is exact, so h is
-    the same bits at any worker count and block size.  Extra memory is one
-    panel and its folded copy, about _PANEL_BYTES each for N <= 181, the
-    window matrices (8 N^2 floats) and each worker's fold buffers."""
+    Worker w of `_workers` builds panels w, w + workers, ... and folds every
+    row rk of each into its own maximum; max is exact, so h is the same bits
+    at any worker count.  Extra memory is the window matrices (8 N^2 floats)
+    and, per worker, one panel and its folded copy, about _PANEL_BYTES each
+    for N <= 181, and the fold buffers of one row."""
     N = sys.N
     chi = require_symplectic(chi, N)
     T = np.asarray(T, dtype=complex)
@@ -129,18 +127,23 @@ def envelope(T: np.ndarray, chi, sys: GaborSystem) -> FioEnvelope:
     windows = _window_matrices(translates, pairs)
     width = _panel_width(N)
     workers = _workers(N)
-    blocks = _row_blocks(N, workers)
-    shifts = blocks[..., None] - t  # row rk folds column c = rk - mu_k mod N into d[mu_k]
-    d = np.zeros((workers, N, N))  # squared moduli, [mu_k, mu_l]
-    for j0 in range(0, N, width):
-        js = slice(j0, j0 + width)
-        panel = (T @ (translates[:, zk[js].ravel()] * phases[:, zl[js].ravel()])).reshape(N, -1, N)
-        panel *= np.conj(phases[:, js, None])
-        folded = panel.view(float).reshape(N, -1, 2)[pairs, :, _PARTS]  # [x, part, col]
-        del panel
-        _fan_out([partial(_fold_rows, blocks[w], shifts[w], folded, windows, cos, sin, d[w])
-                  for w in range(workers)])
-    values = d.max(axis=0)
+    d = np.zeros((workers, N + 1, N))  # squared moduli at [l = 0..h, then -0..-h; mu_k]
+
+    def fold(w):
+        for j0 in range(w * width, N, workers * width):
+            js = slice(j0, j0 + width)
+            panel = translates[:, zk[js].ravel()]  # the atoms pi(z) gamma, then T pi(z) gamma
+            panel *= phases[:, zl[js].ravel()]
+            panel = (T @ panel).reshape(N, -1, N)
+            panel *= np.conj(phases[:, js, None])
+            folded = panel.view(float).reshape(N, -1, 2)[pairs, :, _PARTS]  # [x, part, col]
+            del panel
+            _fold_rows(folded, windows, cos, sin, d[w])
+            del folded  # before the next panel is built
+
+    _fan_out([partial(fold, w) for w in range(workers)])
+    d = d.max(axis=0)
+    values = np.concatenate((d[:half + 1], d[:half + 1:-1])).T.copy()  # [mu_k, mu_l]
     np.sqrt(values, out=values)
     values /= scale
     return FioEnvelope(values=values)
@@ -153,57 +156,33 @@ def _window_matrices(translates, pairs) -> np.ndarray:
     return g.view(float)[..., _PICK] * _SIGNS
 
 
-def _row_blocks(N: int, workers: int) -> np.ndarray:
-    """(workers, blocks, size) rows of `envelope`: worker w folds rows w,
-    w + workers, ... in blocks of `size` rows, no more than keep its fold
-    buffers within its share of _BLOCKS_BYTES and within _ROWS_BYTES.  A
-    short last block wraps round to rows of other workers, which the
-    maximum takes twice, to no effect; the size keeps the rows so folded
-    plus the blocks (a block costs about a row in calls) least."""
-    most = max(1, min(_ROWS_BYTES, _BLOCKS_BYTES // workers) // _fold_bytes(N))
-    count = -(-N // workers)
-    size = min(range(min(most, count), 0, -1), key=lambda s: -(-count // s) * (s + 1))
-    blocks = -(-count // size)
-    return (np.arange(workers * blocks * size).reshape(-1, workers).T % N).reshape(workers, blocks, size)
-
-
-def _fold_rows(blocks, shifts, folded, windows, cos, sin, d) -> None:
-    """Fold the squared Gabor rows (rk, .) of one folded panel, rk in the
-    blocks, into d[mu_k, mu_l], one block of rows per step.  The rows of y
-    are l = 0..h, then -h..-0, so the first N are in the order of mu_l;
-    y(-0) = y(0) is computed once more, as S[0] = 0, and not folded.  Every
-    step reuses two buffers and views of them, each part a contiguous block
-    (strided halves run numpy's slow general loop): eo holds the parts of e
-    and o, then S o over the dead parts of e and y(-l) over those of o,
-    then y(l) over S o, and a holds C e, then the squared moduli.  A fresh
-    buffer per step costs page faults, which threaded BLAS pays on every
-    core."""
-    N = d.shape[0]
-    size = blocks.shape[1]
+def _fold_rows(folded, windows, cos, sin, d) -> None:
+    """Fold the squared Gabor rows (rk, .) of one folded panel into d[., mu_k],
+    one row rk per step.  The rows of y, and of d, are l = 0..h, then
+    -0..-h; y(-0) = y(0), as S[0] = 0.  Every step reuses two buffers and
+    views of them, each part a contiguous block (strided halves run numpy's
+    slow general loop): eo holds the parts of e and o, then S o over the dead
+    parts of e and y(-l) over those of o, then y(l) over S o, and a holds
+    C e, then the squared moduli."""
+    N = d.shape[1]
     rows_e, _, M = folded.shape  # h + 1
-    eo = np.empty((size, 4, rows_e, M))  # Re e, Im e, Im o, -Re o
-    a = np.empty((size, 2, rows_e, M))  # C Re e, C Im e
-    e = np.empty((size, N, N))  # maxima over the panel's j at [rk, c, mu_l]
-    eo_out, even, odd = eo.transpose(0, 2, 1, 3), eo[:, :2], eo[:, 2:]
-    minus, re, im = odd[:, :, ::-1], eo[:, ::2], eo[:, 1::2]  # y(-l); Re and Im of y(l), y(-l)
-    by_j, to_e = a.reshape(size, N + 1, -1, N)[:, :N], e.transpose(0, 2, 1)
-    at = np.arange(size)[:, None]
-    for block, shift in zip(blocks, shifts):
-        np.matmul(windows[block], folded, out=eo_out)
+    eo = np.empty((4, rows_e, M))  # Re e, Im e, Im o, -Re o
+    a = np.empty((2, rows_e, M))  # C Re e, C Im e
+    e = np.empty((N + 1, N))  # maxima over the panel's j at [l, c]
+    eo_out, even, odd = eo.transpose(1, 0, 2), eo[:2], eo[2:]
+    re, im = eo[::2], eo[1::2]  # Re and Im of y(l), y(-l)
+    by_j = a.reshape(N + 1, -1, N)
+    t = np.arange(N)
+    for window, shift in zip(windows, t[:, None] - t):
+        np.matmul(window, folded, out=eo_out)
         np.matmul(cos, even, out=a)
         np.matmul(sin, odd, out=even)  # S Im o, -S Re o
-        np.subtract(a, even, out=minus)
+        np.subtract(a, even, out=odd)
         np.add(a, even, out=even)
         np.square(eo, out=eo)
         np.add(re, im, out=a)
-        np.maximum.reduce(by_j, axis=2, out=to_e)
-        np.maximum(d, e[at, shift].max(axis=0), out=d)  # a negative c counts from N
-
-
-def _fold_bytes(N: int) -> int:
-    """Bytes of the fold buffers of one row of `envelope`: 6 (h + 1) floats
-    per panel column."""
-    return 24 * (N + 1) * N * min(_panel_width(N), N)
+        np.maximum.reduce(by_j, axis=1, out=e)
+        np.maximum(d, e[:, shift], out=d)  # row rk folds column c = rk - mu_k into mu_k
 
 
 def _panel_width(N: int) -> int:
@@ -212,13 +191,12 @@ def _panel_width(N: int) -> int:
 
 
 def _workers(N: int) -> int:
-    """Worker threads for the rows of `envelope`: the cores this process may
-    run on over the threads BLAS gives each product, no more than keep the
-    fold buffers of one row each under _BLOCKS_BYTES, and one below
-    _FAN_OUT_N.  BLAS threads are read as OpenBLAS reads them; unset, BLAS
+    """Worker threads of `envelope`: the cores this process may run on over
+    the threads BLAS gives each product, no more than the panels, and no
+    more than keep what the workers hold under _WORKERS_BYTES, each a panel
+    or its folded copy with its fold buffers, 5 (N + 1) floats per panel
+    column.  BLAS threads are read as OpenBLAS reads them; unset, BLAS
     already spreads every product over all cores, and one worker runs."""
-    if N < _FAN_OUT_N:
-        return 1
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(name, ""))
@@ -232,7 +210,8 @@ def _workers(N: int) -> int:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return max(1, min(cores // blas, _BLOCKS_BYTES // _fold_bytes(N)))
+    width = min(_panel_width(N), N)
+    return max(1, min(cores // blas, -(-N // width), _WORKERS_BYTES // (40 * (N + 1) * N * width)))
 
 
 def _fan_out(calls) -> None:

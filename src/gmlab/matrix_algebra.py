@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import QParams, lattice_qnorm, matrix_side, side
-from .errors import RANK_TOL
 from .metaplectic import require_symplectic, symp_apply
 
 
@@ -80,13 +79,3 @@ def envelope_convolve(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     if side(d2, "envelope") != N:
         raise ValueError("envelope moduli differ")
     return (convolution_matrix(d2) @ d1.ravel()).reshape(N, N)
-
-
-def pseudo_inverse(A: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse with singular values at or below RANK_TOL times the
-    largest treated as zero: it inverts A on its retained range and
-    annihilates the orthogonal complement."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError("matrix expected")
-    return np.linalg.pinv(A, rcond=RANK_TOL)

@@ -28,14 +28,6 @@ def tf_shift(z, f: np.ndarray) -> np.ndarray:
     return root_of_unity(l * np.arange(N), N) * np.roll(f, k)
 
 
-def tf_shift_matrix(z, N: int) -> np.ndarray:
-    """The N x N unitary matrix of pi(z); k and l of z = (k, l) may be
-    broadcasting index arrays, giving the stack (..., N, N) of matrices."""
-    k, l = (np.asarray(v, dtype=np.int64)[..., None, None] for v in z)
-    t = np.arange(N)[:, None]
-    return root_of_unity(l % N * t, N) * ((t - t.T - k % N) % N == 0)
-
-
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Short-time Fourier transform V_g f(k, l) = <f, pi(k, l) g>.
 

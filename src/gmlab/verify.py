@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fio, matrix_algebra as ma, metaplectic as mp
-from ._lattice import QParams, centered_radius, lattice_qnorm
+from ._lattice import QParams, centered, centered_radius, lattice_qnorm
 from .errors import (
     ADJOINT_TOL, BOUND_SLACK, BUMP_NORM_TOL, COMMUTATION_TOL, DUALITY_TOL, FACTOR_TOL,
     FRAME_TOL, INTERTWINE_TOL, NEUMANN_TOL, ROUNDTRIP_TOL, SEQ_FOURIER_TOL, SUITE_SLACK,
@@ -82,11 +82,6 @@ def random_sympmat(rng, N: int) -> np.ndarray:
             return m
 
 
-def random_decaying_matrix(rng, N: int) -> np.ndarray:
-    """Lattice matrix with |entries| <= exp(-0.8 |mu|) along diagonal mu."""
-    return _decaying_draw(rng, _decay_profile(N))
-
-
 def _decay_profile(N: int) -> np.ndarray:
     """The bound exp(-0.8 |mu|) on the entries along each diagonal mu, as an
     (N^2, N^2) matrix; a suite builds it once and draws against it."""
@@ -94,7 +89,7 @@ def _decay_profile(N: int) -> np.ndarray:
 
 
 def _decaying_draw(rng, prof: np.ndarray) -> np.ndarray:
-    """random_decaying_matrix against a prebuilt _decay_profile: the same draws.
+    """A lattice matrix with |entries| <= prof, prof a prebuilt _decay_profile.
 
     The entries are (prof * mag) * exp(2 pi i theta), theta and then mag
     drawn uniform on [0, 1) over the whole matrix.  Both draws land in one
@@ -224,12 +219,22 @@ def suite_commutation(N, p, rng):
 def suite_cb_algebra(N, p, rng):
     prof = _decay_profile(N)
     for _ in range(15):
-        A = _decaying_draw(rng, prof)
-        B = _decaying_draw(rng, prof)
-        dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
-        del A, B  # before the next check draws its own
-        nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
-        yield max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
+        yield _algebra_excess(_decaying_draw(rng, prof), _decaying_draw(rng, prof), p)
+    # convolution matrices, prof among them, attain d_AB = d_A * d_B, so a
+    # wrong convolution shows; the envelope of each is its field exactly,
+    # and the asymmetric b shows a transposed envelope
+    a = np.exp(-0.8 * centered_radius(N))
+    b = a * np.exp(-0.3 * centered(np.arange(N), N))[:, None]
+    A, B = prof, ma.convolution_matrix(b)
+    yield _algebra_excess(A, B, p)
+    yield float(max(np.max(np.abs(ma.diagonal_envelope(A) - a)), np.max(np.abs(ma.diagonal_envelope(B) - b))))
+
+
+def _algebra_excess(A, B, p) -> float:
+    """Violation of ||d_AB|| <= ||d_A|| ||d_B|| or of d_AB <= d_A * d_B."""
+    dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
+    nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
+    return max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
 
 
 @_suite("cb_solidity", 12, SUITE_SLACK)

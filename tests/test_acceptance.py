@@ -14,7 +14,8 @@ import gmlab as g
 from gmlab import QParams, SparseSeq
 from gmlab.metaplectic import J_MAT
 from gmlab.presets import delta_window, gaussian_bump_symbol
-from gmlab.verify import random_decaying_matrix, random_sparse, random_sympmat
+from gmlab.verify import random_sparse, random_sympmat
+from reference import random_decaying_matrix
 
 IDENTITY = np.eye(2, dtype=int)
 

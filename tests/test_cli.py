@@ -42,7 +42,7 @@ def test_verify_passes(tmp_path):
 
 
 SUITE_CHECKS = {  # all but metaplectic, whose count depends on N
-    "amalgam_basic": 3, "cb_algebra": 15, "cb_solidity": 15, "fio_adjoint": 3,
+    "amalgam_basic": 3, "cb_algebra": 17, "cb_solidity": 15, "fio_adjoint": 3,
     "fio_factorize": 3, "frame_tight": 6, "seq_fourier_inverse": 6, "seq_hoelder": 40,
     "seq_inclusion": 40, "seq_neumann": 10, "seq_qtriangle": 40, "seq_young": 40,
     "weyl_commutation": 10, "weyl_duality": 10, "weyl_roundtrip": 5,

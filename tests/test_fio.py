@@ -28,7 +28,6 @@ from gmlab import (
     symp_apply,
     symp_inverse,
     tf_shift,
-    tf_shift_matrix,
     weyl_dequantize,
     weyl_quantize,
 )
@@ -36,6 +35,7 @@ from gmlab import fio
 from gmlab.metaplectic import J_MAT
 from gmlab.presets import _complex_normal, gaussian_bump_symbol
 from gmlab.verify import random_sympmat
+from reference import tf_shift_matrix
 
 IDENTITY = np.eye(2, dtype=int)
 
@@ -124,7 +124,7 @@ def test_envelope_at_composite_n_along_a_non_unit_b(rng, N, chi, window):
 def pretend_cores(monkeypatch):
     """A function that makes `envelope` see `cores` cores and the given BLAS
     thread variables (None unsets one), and returns the list of worker
-    counts its panels run with."""
+    counts of its `_fan_out` calls."""
     counts = []
     fan_out = fio._fan_out
 
@@ -147,30 +147,35 @@ def pretend_cores(monkeypatch):
 
 
 @pytest.mark.parametrize("chi", [IDENTITY, CHIS["cat"]], ids=["I", "cat"])
-@pytest.mark.parametrize("N", [21, 43, 61])
+@pytest.mark.parametrize("N", [43, 61])
 def test_envelope_is_the_same_bits_at_any_worker_count(rng, pretend_cores, N, chi):
-    sys = gabor_system(gaussian_window(N))
+    # 3 panels at N = 43, split 2 + 1 on 2 workers, and 8 at N = 61
+    sys = gabor_system(rippled_window(rng, N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     runs = {}
     for cores in (1, 2, 3):
         counts = pretend_cores(cores)
         counts.clear()
         runs[cores] = envelope(T, chi, sys).values.tobytes()
-        assert set(counts) == {cores}
+        assert counts == [cores]
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
-@pytest.mark.parametrize("N", [11, 21])
-def test_envelope_is_the_same_bits_at_any_row_block(rng, monkeypatch, pretend_cores, N):
-    # one row per step against the blocks of a cache-sized budget: all 11
-    # rows in one, and at N = 21 on 2 workers blocks of 4 rows, the last
-    # filled up with rows of the other worker
-    pretend_cores(2)
-    sys = gabor_system(rippled_window(rng, N))
-    T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    blocks = envelope(T, CHIS["cat"], sys).values.tobytes()
-    monkeypatch.setattr(fio, "_ROWS_BYTES", 0)
-    assert envelope(T, CHIS["cat"], sys).values.tobytes() == blocks
+def test_envelope_fans_out_once_and_folds_each_panel_once(rng, monkeypatch, pretend_cores):
+    N = 61
+    fold_rows, folds = fio._fold_rows, []
+
+    def recorded(folded, *args):
+        folds.append(folded.tobytes())
+        fold_rows(folded, *args)
+
+    counts = pretend_cores(3)
+    monkeypatch.setattr(fio, "_fold_rows", recorded)
+    sys = gabor_system(gaussian_window(N))
+    envelope(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), CHIS["cat"], sys)
+    panels = -(-N // fio._panel_width(N))
+    assert counts == [3] and panels == 8
+    assert len(folds) == len(set(folds)) == panels
 
 
 @pytest.mark.parametrize("k", [-600, 560])
@@ -186,8 +191,8 @@ def test_envelope_of_an_operator_scaled_by_a_power_of_two_is_scaled_bit_for_bit(
 
 def test_envelope_with_more_workers_than_cores_and_fast_thread_switches(rng, pretend_cores):
     # each worker folds into its own accumulator, so no row may be lost
-    # however often the threads switch
-    N = 21
+    # however often the threads switch; N = 43 has 3 panels, one a worker
+    N = 43
     sys = gabor_system(gaussian_window(N))
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     counts = pretend_cores(1)
@@ -200,31 +205,32 @@ def test_envelope_with_more_workers_than_cores_and_fast_thread_switches(rng, pre
             assert envelope(T, CHIS["cat"], sys).values.tobytes() == want
     finally:
         setswitchinterval(interval)
-    assert counts == [1] + [8] * 5
+    assert counts == [1] + [3] * 5
 
 
 @pytest.mark.parametrize("openblas, omp, workers", [
     (None, None, 1),  # unset: BLAS already spreads every product over the cores
-    (None, "1", 4),
-    ("2", "1", 2),  # OPENBLAS_NUM_THREADS first, as OpenBLAS reads them
+    (None, "1", 3),  # 6 workers would hold more than _WORKERS_BYTES
+    ("3", "1", 2),  # OPENBLAS_NUM_THREADS first, as OpenBLAS reads them
     ("4", None, 1),
-    ("0", "2", 2),  # not a positive count: the next variable
+    ("0", "3", 2),  # not a positive count: the next variable
     ("auto", None, 1),
 ])
 def test_envelope_workers_are_the_cores_blas_leaves_idle(pretend_cores, openblas, omp, workers):
-    N = 31
-    counts = pretend_cores(4, openblas, omp)
+    N = 61  # 8 panels
+    counts = pretend_cores(6, openblas, omp)
     envelope(np.eye(N), IDENTITY, gabor_system(gaussian_window(N)))
-    assert set(counts) == {workers}
+    assert counts == [workers]
 
 
-def test_envelope_runs_one_worker_below_the_cut_over(pretend_cores):
+def test_envelope_runs_no_more_workers_than_panels(monkeypatch, pretend_cores):
     counts = pretend_cores(8)
-    for N in (fio._FAN_OUT_N - 2, fio._FAN_OUT_N):
-        sys = gabor_system(gaussian_window(N))
+    monkeypatch.setattr(fio, "_WORKERS_BYTES", 2**30)  # the panels, not the budget, bound them
+    for N, panels in ((31, 1), (43, 3)):
+        assert -(-N // fio._panel_width(N)) == panels
         counts.clear()
-        envelope(np.eye(N), IDENTITY, sys)
-        assert set(counts) == {1 if N < fio._FAN_OUT_N else 8}
+        envelope(np.eye(N), IDENTITY, gabor_system(gaussian_window(N)))
+        assert counts == [panels]
 
 
 def test_an_exception_in_a_worker_comes_out_of_envelope(monkeypatch, pretend_cores):
@@ -238,7 +244,7 @@ def test_an_exception_in_a_worker_comes_out_of_envelope(monkeypatch, pretend_cor
 
     pretend_cores(2)
     monkeypatch.setattr(fio, "_fold_rows", failing)
-    N = 31
+    N = 43
     sys = gabor_system(gaussian_window(N))
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
@@ -248,10 +254,10 @@ def test_an_exception_in_a_worker_comes_out_of_envelope(monkeypatch, pretend_cor
 
 def test_envelope_never_builds_the_gabor_matrix(rng, traced_peak, pretend_cores):
     # the dense N^2 x N^2 Gabor matrix is 52 MiB at N = 43, and its factor T P
-    # alone is 16 N^3 bytes (11 MiB at N = 89).  The envelope holds one panel
-    # of at most 512 KiB and its products, plus one block and its moduli per
-    # worker, as many as fit _BLOCKS_BYTES on 8 cores, so its peak does not
-    # grow with N^3 or with the core count.
+    # alone is 16 N^3 bytes (11 MiB at N = 89).  Each worker of the envelope
+    # holds one panel of at most 512 KiB or its folded copy and the products
+    # of one row, as many workers as fit _WORKERS_BYTES on 8 cores, so its
+    # peak does not grow with N^3 or with the core count.
     pretend_cores(8)
     for N in (43, 61, 89):
         sys = gabor_system(gaussian_window(N))

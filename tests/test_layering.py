@@ -2,8 +2,8 @@
 of Z_N live in `_lattice`, the operator and amalgam layers do not reach
 into the sequence algebra for them, the parity of N is compared by one
 rule, the side of every array over Z_N is read by one guard, the pair
-order of lattice matrices is numpy's C order, and every tolerance lives in
-`errors`."""
+order of lattice matrices is numpy's C order, every tolerance lives in
+`errors`, and every name gmlab exports has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -83,14 +83,12 @@ def test_the_parity_of_n_is_compared_only_in_the_modulus_rule():
 
 
 # Shape comparisons of arrays that are not over Z_N: a sampled field on
-# [-R, R]^2, a real 2 x 2 matrix, the 2 x 2 lattice map, a general matrix,
-# a sequence box (in two places), a frequency point, and the exact shapes of
-# the JSON reader.
+# [-R, R]^2, a real 2 x 2 matrix, the 2 x 2 lattice map, a sequence box (in
+# two places), a frequency point, and the exact shapes of the JSON reader.
 NOT_OVER_Z_N = [
     ("amalgam", "__post_init__"),
     ("amalgam", "gl_invariance_check"),
     ("metaplectic", "_as_sympmat"),
-    ("matrix_algebra", "pseudo_inverse"),
     ("seq_algebra", "__getitem__"),
     ("seq_algebra", "_check_int64"),
     ("seq_algebra", "fourier_series_eval"),
@@ -143,3 +141,16 @@ def test_the_lattice_pair_order_is_numpys_c_order():
     found = sorted((module, node.lineno) for module, tree in TREES.items()
                    for node in ast.walk(tree) if is_hand_flattened_pair(node))
     assert found == []
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a name that only tests call belongs in tests/ (see tests/reference.py)
+    root = SRC.parents[1]
+    callers = [tree for module, tree in TREES.items() if module != "__init__"]
+    callers += [ast.parse(path.read_text()) for folder in ("demos", "tools")
+                for path in (root / folder).glob("*.py")]
+    read = {getattr(node, "id", getattr(node, "attr", None)) for tree in callers
+            for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)}
+    exports = {alias.asname or alias.name for node in TREES["__init__"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(exports - read) == []

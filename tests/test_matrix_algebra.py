@@ -9,18 +9,13 @@ from gmlab import (
     diagonal_envelope,
     envelope,
     envelope_convolve,
-    gabor_matrix,
     gabor_system,
     gaussian_window,
     lattice_qnorm,
-    pseudo_inverse,
     shift_bank,
-    weyl_quantize,
 )
-from gmlab.errors import RANK_TOL
 from gmlab.metaplectic import symp_apply, symp_inverse
-from gmlab.presets import gaussian_bump_symbol
-from gmlab.verify import random_decaying_matrix
+from reference import random_decaying_matrix
 
 
 def test_envelope_of_identity():
@@ -225,74 +220,3 @@ def test_solidity(rng):
         dominated = A * rng.random(A.shape)
         assert cb_norm(dominated, p) <= cb_norm(A, p) + 1e-12
 
-
-# ---------------------------------------------------------------- pseudo-inverse
-
-
-def test_pseudo_inverse_of_projection():
-    P = np.diag([1.0, 0.0, 0.0, 0.0])
-    assert_allclose(pseudo_inverse(P), P)
-
-
-def test_pseudo_inverse_of_invertible(rng):
-    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert np.max(np.abs(pseudo_inverse(A) - np.linalg.inv(A))) < 1e-9
-
-
-def test_pseudo_inverse_range_kernel_laws(rng):
-    # rank-deficient: A = B C with inner dimension 3
-    B = rng.standard_normal((6, 3))
-    C = rng.standard_normal((3, 6))
-    A = B @ C
-    Adag = pseudo_inverse(A)
-    # A Adag and Adag A are orthogonal projections reproducing A and Adag
-    assert np.max(np.abs(A @ Adag @ A - A)) < 1e-9
-    assert np.max(np.abs(Adag @ A @ Adag - Adag)) < 1e-9
-    assert np.max(np.abs((A @ Adag).conj().T - A @ Adag)) < 1e-9
-    assert np.max(np.abs((Adag @ A).conj().T - Adag @ A)) < 1e-9
-
-
-def test_gabor_pseudo_inverse_matches_inverse_operator(calibration):
-    N = 7
-    p = QParams(0.8, 1.0)
-    sys = gabor_system(gaussian_window(N))
-    sigma = 1.0 + 0.1 * gaussian_bump_symbol(N)
-    T = weyl_quantize(sigma)
-    M = gabor_matrix(T, sys)
-    M_inv_op = gabor_matrix(np.linalg.inv(T), sys)
-    assert np.max(np.abs(pseudo_inverse(M) - M_inv_op)) < 1e-8
-    ratio = cb_norm(pseudo_inverse(M), p) / cb_norm(M, p)
-    print(f"pseudo-inverse decay ratio: {ratio:.4f}")
-    assert ratio <= calibration["gabor_pinv_decay"]["ratio_threshold"]
-
-
-def svd_rule_pseudo_inverse(A):
-    """pseudo_inverse written out: the SVD with singular values at or below
-    RANK_TOL times the largest set to zero."""
-    U, sv, Vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=False)
-    keep = sv > RANK_TOL * sv[0]
-    return (Vh[keep].conj().T * (1.0 / sv[keep])) @ U[:, keep].conj().T
-
-
-def test_pseudo_inverse_is_the_svd_rule(rng):
-    for A in (rng.standard_normal((6, 3)) @ rng.standard_normal((3, 9)),
-              rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))):
-        want = svd_rule_pseudo_inverse(A)
-        assert np.max(np.abs(pseudo_inverse(A) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_pseudo_inverse_zeroes_singular_values_up_to_the_cutoff_exactly():
-    at = np.diag([1.0, RANK_TOL])  # exactly RANK_TOL x largest: zeroed
-    above = np.diag([1.0, np.nextafter(RANK_TOL, 1.0)])  # one ulp above: kept
-    for A in (at, above):
-        assert np.array_equal(np.linalg.svd(A, compute_uv=False), np.diag(A))
-    assert np.array_equal(pseudo_inverse(at), np.diag([1.0, 0.0]))
-    assert_allclose(pseudo_inverse(above), np.diag([1.0, 1.0 / above[1, 1]]), rtol=1e-15)
-    assert_allclose(pseudo_inverse(above), svd_rule_pseudo_inverse(above), rtol=1e-15)
-    assert np.array_equal(pseudo_inverse(np.zeros((2, 3))), np.zeros((3, 2)))
-
-
-def test_pseudo_inverse_of_a_real_matrix_is_complex():
-    assert pseudo_inverse(np.eye(3)).dtype == complex
-    with pytest.raises(ValueError, match="matrix expected"):
-        pseudo_inverse(np.ones(3))

@@ -12,11 +12,11 @@ from gmlab import (
     phase_align,
     symp_apply,
     symp_inverse,
-    tf_shift_matrix,
     word_matrix,
 )
 from gmlab.metaplectic import J_MAT, _generator, determinant, require_symplectic
 from gmlab.verify import random_sympmat
+from reference import tf_shift_matrix
 
 IDENTITY = np.eye(2, dtype=int)
 

@@ -9,9 +9,9 @@ from gmlab import (
     stft,
     synthesize,
     tf_shift,
-    tf_shift_matrix,
 )
 from gmlab._lattice import centered, root_of_unity
+from reference import tf_shift_matrix
 
 
 def brute_stft(f, g):

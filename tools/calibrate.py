@@ -18,6 +18,7 @@ from gmlab.presets import _complex_normal, gaussian_bump_symbol
 from gmlab.verify import random_sympmat
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "calibration.json")
+RANK_TOL = 1e-10  # pinv's rcond in pseudo_inverse: singular values <= this x largest are zero
 
 
 def smooth_symbol(rng, N, amplitude=0.25):
@@ -137,12 +138,22 @@ def almost_diagonalization(N=31):
     }
 
 
+def pseudo_inverse(A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse with singular values at or below RANK_TOL times the
+    largest treated as zero: it inverts A on its retained range and
+    annihilates the orthogonal complement."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2:
+        raise ValueError("matrix expected")
+    return np.linalg.pinv(A, rcond=RANK_TOL)
+
+
 def gabor_pinv_decay(N=7):
     p = QParams(0.8, 1.0)
     sys = g.gabor_system(g.gaussian_window(N))
     sigma = 1.0 + 0.1 * gaussian_bump_symbol(N)
     M = g.gabor_matrix(g.weyl_quantize(sigma), sys)
-    ratio = g.cb_norm(g.pseudo_inverse(M), p) / g.cb_norm(M, p)
+    ratio = g.cb_norm(pseudo_inverse(M), p) / g.cb_norm(M, p)
     return {
         "N": N,
         "observed_ratio": ratio,

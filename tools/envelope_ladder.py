@@ -1,14 +1,14 @@
 """Time and peak memory of the envelope kernel on a fixed N ladder.
 
 For each N in LADDER it prints one JSON line: the worker threads
-`fio.envelope` splits its rows among, the best of 3 wall times of
+`fio.envelope` hands its panels to, the best of 3 wall times of
 `fio.envelope` on one random operator along the cat map [[2, 1], [1, 1]]
 with a Gaussian window and the CPU seconds of that best call, and the
 tracemalloc peak of one more, traced call.  OpenBLAS runs on one thread, so
-from N = 21 on the kernel runs one worker per core this process may use (up
-to its memory cap, 4 from N = 31 to 127), and one below: wall time depends
-on the core count, and CPU over wall seconds reads how well the workers use
-the cores:
+the kernel runs one worker per core this process may use, no more than its
+panels (one up to N = 31) and its memory budget allow (3 from N = 43 to
+127): wall time depends on the core count, and CPU over wall seconds reads
+how well the workers use the cores:
 
     PYTHONPATH=src python tools/envelope_ladder.py > BENCH_envelope.json
 """
