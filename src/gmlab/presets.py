@@ -29,6 +29,8 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
     'random') or a path to a JSON signal; only 'random' draws from rng."""
+    if not isinstance(spec, str):  # an int would name an open file descriptor
+        raise ValueError(f"unknown window preset {spec!r}")
     if spec == "delta":
         return delta_window(N)
     if spec == "random":
@@ -67,7 +69,7 @@ def resolve_symbol(spec: str, N: int, rng: np.random.Generator | None) -> np.nda
         return 1.0 + 0.1 * gaussian_bump_symbol(N)
     if spec == "random":
         return _complex_normal(rng, (N, N))
-    if os.path.exists(spec):
+    if isinstance(spec, str) and os.path.exists(spec):
         return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
     raise ValueError(f"unknown symbol preset {spec!r}")
 

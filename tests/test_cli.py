@@ -678,6 +678,19 @@ def test_keys_of_other_commands_are_checked(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolve, what", [(resolve_window, "window"), (resolve_symbol, "symbol")])
+def test_resolvers_refuse_an_int_spec(tmp_path, resolve, what):
+    # an int names an open file descriptor, here of a readable symbol file,
+    # which the resolver must neither parse nor close
+    fd = os.open(write(tmp_path / "symbol.json", [[[1.0, 0.0]] * 5] * 5), os.O_RDONLY)
+    try:
+        with pytest.raises(ValueError, match=f"^unknown {what} preset {fd}$"):
+            resolve(fd, 5, np.random.default_rng(0))
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+
+
 def test_presets_win_over_files_of_the_same_name(tmp_path, monkeypatch):
     # files named like the presets, holding a window and a symbol that are not them
     crowded, empty = tmp_path / "crowded", tmp_path / "empty"

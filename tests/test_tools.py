@@ -2,9 +2,12 @@
 API, the calibration figures they produce are the frozen ones, and the
 pseudo-inverse that tools/calibrate.py owns keeps its laws."""
 
+import glob
 import importlib.util
+import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from numpy.testing import assert_allclose
 from gmlab import QParams, cb_norm, gabor_matrix, gabor_system, gaussian_window, weyl_quantize
 from gmlab.presets import gaussian_bump_symbol
 
-TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def load_tool(name):
@@ -45,27 +49,37 @@ def test_calibrate_reproduces_the_frozen_figures(calibration, section):
         assert math.isclose(got[path], value, rel_tol=1e-9), path
 
 
-def test_envelope_ladder_rung(monkeypatch):
+@pytest.mark.parametrize("kind", ["envelope", "verify"])
+def test_ladder_first_rung(monkeypatch, kind):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it; undone after
-    tool = load_tool("envelope_ladder")
-    result = tool.rung(11)
-    assert list(result) == ["N", "workers", "envelope_s", "cpu_s", "peak_mb"]
-    assert result["N"] == 11 and result["workers"] == 1  # one panel
-    assert result["envelope_s"] >= 0.0 and result["cpu_s"] >= 0.0 and result["peak_mb"] > 0.0
-    assert tool.rung(21)["workers"] == tool.fio._workers(21) >= 1
-
-
-def test_verify_ladder_rung(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it; undone after
-    tool = load_tool("verify_ladder")
+    tool = load_tool("ladder")
     monkeypatch.setattr(tool, "REPEATS", 1)
-    result = tool.rung(5)
-    assert result["N"] == 5 and len(result["suites"]) == 16
-    assert list(result["suites"]) == sorted(result["suites"])
-    assert all(t >= 0.0 for t in result["suites"].values())
-    assert result["total_s"] == pytest.approx(sum(result["suites"].values()), abs=1e-3)
-    assert list(result["peak_mb"]) == list(result["suites"])
-    assert all(mb >= 0.0 for mb in result["peak_mb"].values())
+    ladder, rung = tool.KINDS[kind]
+    result = rung(ladder[0])
+    assert result["N"] == ladder[0]
+    assert all(value >= 0.0 for _, value in leaves(result))
+    if kind == "envelope":
+        assert list(result) == ["N", "workers", "envelope_s", "cpu_s", "peak_mb"]
+        assert result["workers"] == tool.fio._workers(ladder[0]) == 1  # one panel
+        assert result["peak_mb"] > 0.0
+    else:
+        assert list(result) == ["N", "total_s", "suites", "peak_mb"]
+        assert len(result["suites"]) == 16 and list(result["suites"]) == sorted(result["suites"])
+        assert result["total_s"] == pytest.approx(sum(result["suites"].values()), abs=1e-3)
+        assert list(result["peak_mb"]) == list(result["suites"])
+
+
+def test_bench_files_name_committed_commands():
+    kinds = load_tool("ladder").KINDS
+    benches = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    assert benches
+    for bench in benches:
+        with open(bench) as fh:
+            words = shlex.split(json.load(fh)["command"])
+        (at,) = [i for i, word in enumerate(words) if word.endswith(".py")]
+        assert os.path.isfile(os.path.join(ROOT, words[at])), bench
+        if words[at] == "tools/ladder.py":
+            assert words[at + 1:] and words[at + 1] in kinds, bench
 
 
 # ---------------------------------------------------------------- calibrate's pseudo-inverse
