@@ -99,13 +99,8 @@ def centered_points(N) -> np.ndarray:
 
 def radius(points) -> np.ndarray:
     """Euclidean norm over the last axis of an (..., m) point array: hypot
-    folded from 0, bit for bit np.hypot.reduce(points, axis=-1, initial=0.0)
-    but faster on a short axis (sqrt(sum z_i^2) differs in the last bit)."""
-    points = np.asarray(points, dtype=float)
-    r = 0.0
-    for i in range(points.shape[-1]):
-        r = np.hypot(r, points[..., i])
-    return r
+    folded from 0 (sqrt(sum z_i^2) differs in the last bit)."""
+    return np.hypot.reduce(points, axis=-1, initial=0.0)
 
 
 def weight(points, s) -> np.ndarray:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .metaplectic import require_symplectic
 from .phase_space import gabor_system
-from .presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
+from .presets import _spec, resolve_field, resolve_sequence, resolve_symbol, resolve_window
 from .seq_algebra import invert_by_fourier
 from .weyl import gabor_matrix, weyl_quantize
 
@@ -64,15 +64,8 @@ def _string(value, name: str) -> str:
     return value
 
 
-def _preset(value, name: str) -> str:
-    """A preset name or path, resolved by its command."""
-    if not isinstance(value, str):
-        raise ValueError(f"unknown {name} preset {value!r}")
-    return value
-
-
 def _sequence(value, name: str):
-    return value if isinstance(value, dict) else _preset(value, name)
+    return value if isinstance(value, dict) else _spec(value, name)
 
 
 def _matrix(value, name: str, kind=int) -> list:
@@ -125,20 +118,20 @@ OPTIONS = {
     "q": Option(_float, 0.5, flag=float),
     "s": Option(_float, 1.0, flag=float),
     "chi": Option(_matrix, [[1, 0], [0, 1]], flag=_chi_flag, help="symplectic matrix 'a,b,c,d'"),
-    "window": Option(_string, "gaussian", flag=str, help="window preset or JSON path"),
-    "symbol": Option(_string, "near-identity", flag=str, help="symbol preset or JSON path"),
+    "window": Option(_spec, "gaussian", flag=str, help="window preset or JSON path"),
+    "symbol": Option(_spec, "near-identity", flag=str, help="symbol preset or JSON path"),
     "out": Option(_string, ".", flag=str, help="output directory"),
     "seed": Option(_seed, 0, flag=int),
     # compose
     "chi2": Option(_matrix, [[1, 0], [0, 1]]),
-    "symbol2": Option(_string, None),  # None: the first symbol
+    "symbol2": Option(_spec, None),  # None: the first symbol
     # invert
     "cond_tol": Option(_float, COND_TOL),
     # amalgam
     "R": Option(_int, 8),
     "samples_per_cell": Option(_int, 32),
-    "field": Option(_preset, "gaussian"),
-    "field2": Option(_preset, "bump"),
+    "field": Option(_spec, "gaussian"),
+    "field2": Option(_spec, "bump"),
     "matrices": Option(_matrices, [
         [[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 0.5]],
         [[1.0, 1.0], [0.0, 1.0]], [[0.8, -0.6], [0.6, 0.8]],
@@ -188,15 +181,22 @@ def _seeded_system(cfg: argparse.Namespace):
     return rng, gabor_system(resolve_window(cfg.window, cfg.N, rng))
 
 
+def _nulled(results: dict) -> dict:
+    """results with JSON null for the documented inf of a decay fit on fewer
+    than two points or of a ratio over a zero norm; any other NaN or inf stays."""
+    fits = ("decay_rate", "decay_exponent", "quasi_norm_ratio")
+    return {**results, **{key: None for key in fits if results.get(key) == np.inf}}
+
+
 def emit_report(cfg: argparse.Namespace, results: dict, datasets: list) -> None:
     """Write report.json, then each dataset's CSV file one block at a time.
 
-    datasets is a list of (name, filename, csv) tuples, csv either the whole
-    text or an iterable of text blocks; the columns are read from the header
-    line that starts the first block.  Nothing is written until the report
-    is known to hold no NaN or infinity, which JSON cannot represent.
+    datasets is a list of (name, csv) pairs, written to name.csv, csv either
+    the whole text or an iterable of text blocks; the columns are read from
+    the header line that starts the first block.  Nothing is written until
+    the report is known to hold no NaN or infinity, which JSON cannot represent.
     """
-    blocks = [iter([csv] if isinstance(csv, str) else csv) for _, _, csv in datasets]
+    blocks = [iter([csv] if isinstance(csv, str) else csv) for _, csv in datasets]
     firsts = [next(csv) for csv in blocks]
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -207,8 +207,8 @@ def emit_report(cfg: argparse.Namespace, results: dict, datasets: list) -> None:
         },
         "results": results,
         "datasets": [
-            {"name": name, "file": fname, "columns": first.split("\n", 1)[0].split(",")}
-            for (name, fname, _), first in zip(datasets, firsts)
+            {"name": name, "file": f"{name}.csv", "columns": first.split("\n", 1)[0].split(",")}
+            for (name, _), first in zip(datasets, firsts)
         ],
     }
     try:
@@ -217,8 +217,8 @@ def emit_report(cfg: argparse.Namespace, results: dict, datasets: list) -> None:
         raise ValueError(f"report.json cannot hold NaN or infinity ({exc})") from None
     os.makedirs(cfg.out, exist_ok=True)
     serialize.dump_json(report, os.path.join(cfg.out, "report.json"))
-    for (_, fname, _), first, csv in zip(datasets, firsts, blocks):
-        with open(os.path.join(cfg.out, fname), "w", newline="") as fh:
+    for (name, _), first, csv in zip(datasets, firsts, blocks):
+        with open(os.path.join(cfg.out, f"{name}.csv"), "w", newline="") as fh:
             fh.write(first)
             fh.writelines(csv)
 
@@ -227,7 +227,7 @@ def cmd_gabor_matrix(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = weyl_quantize(resolve_symbol(cfg.symbol, cfg.N, rng))
     M = gabor_matrix(T, sys_)
-    datasets = [("gabor_matrix", "gabor_matrix.csv", serialize.gabor_csv(M))]
+    datasets = [("gabor_matrix", serialize.gabor_csv(M))]
     # the Parseval window gives P P^H = I, so ||P^H T P||_2 = ||T||_2
     emit_report(cfg, {"operator_norm": float(np.linalg.norm(T, 2))}, datasets)
     return EXIT_OK
@@ -237,8 +237,8 @@ def cmd_envelope(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
     T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     env = fio.envelope(T, cfg.chi, sys_)
-    datasets = [("envelope", "envelope.csv", serialize.envelope_csv(env.values))]
-    emit_report(cfg, asdict(fio.fio_report(env, cfg.qparams)), datasets)
+    datasets = [("envelope", serialize.envelope_csv(env.values))]
+    emit_report(cfg, _nulled(asdict(fio.fio_report(env, cfg.qparams))), datasets)
     return EXIT_OK
 
 
@@ -248,8 +248,8 @@ def cmd_compose(cfg: argparse.Namespace) -> int:
     T1 = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     T2 = fio.fio_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
     rep, ratio, env = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
-    datasets = [("composite_envelope", "composite_envelope.csv", serialize.envelope_csv(env.values))]
-    emit_report(cfg, {**asdict(rep), "quasi_norm_ratio": ratio}, datasets)
+    datasets = [("composite_envelope", serialize.envelope_csv(env.values))]
+    emit_report(cfg, _nulled({**asdict(rep), "quasi_norm_ratio": ratio}), datasets)
     return EXIT_OK
 
 
@@ -258,8 +258,9 @@ def cmd_invert(cfg: argparse.Namespace) -> int:
     T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     _, rep, env = fio.invert_fio(T, cfg.chi, sys_, cfg.qparams, cfg.cond_tol)
     forward = fio.fio_report(fio.envelope(T, cfg.chi, sys_), cfg.qparams)
-    datasets = [("inverse_envelope", "inverse_envelope.csv", serialize.envelope_csv(env.values))]
-    emit_report(cfg, {"inverse": asdict(rep), "forward": asdict(forward)}, datasets)
+    datasets = [("inverse_envelope", serialize.envelope_csv(env.values))]
+    results = {"inverse": _nulled(asdict(rep)), "forward": _nulled(asdict(forward))}
+    emit_report(cfg, results, datasets)
     return EXIT_OK
 
 
@@ -270,8 +271,8 @@ def cmd_factorize(cfg: argparse.Namespace) -> int:
     T = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
     sigma1, sigma2, residuals = fio.factorize_fio(T, cfg.chi)
     datasets = [
-        ("sigma1", "sigma1.csv", serialize.field_csv(sigma1)),
-        ("sigma2", "sigma2.csv", serialize.field_csv(sigma2)),
+        ("sigma1", serialize.field_csv(sigma1)),
+        ("sigma2", serialize.field_csv(sigma2)),
     ]
     emit_report(cfg, {"residuals": residuals}, datasets)
     return EXIT_OK
@@ -297,7 +298,7 @@ def cmd_seq_invert(cfg: argparse.Namespace) -> int:
         "support_size": len(result.seq),
         "inverse": serialize.seq_to_json(result.seq),
     }
-    emit_report(cfg, results, [])
+    emit_report(cfg, _nulled(results), [])
     return EXIT_OK
 
 

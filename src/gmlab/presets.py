@@ -1,11 +1,12 @@
 """Named windows, symbols, fields, and sequences used by the CLI and demos.
 
-Each resolver reads its spec as a preset name first and as a path only when
-it names no preset, so a file called like a preset never replaces it."""
+Each resolver is a preset table and a loader under the one rule `_resolve`:
+a preset name first, so a file called like a preset never replaces it."""
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -26,19 +27,28 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _spec(spec, what: str) -> str:
+    """spec if it is a string, else the unknown-preset error (an int names an fd)."""
+    if not isinstance(spec, str):
+        raise ValueError(f"unknown {what} preset {spec!r}")
+    return spec
+
+
+def _resolve(spec, what: str, table: dict, load):
+    """The one preset rule: `table[spec]()` when spec names a preset, else
+    `load(spec)` when it is an existing path, else the unknown-preset error."""
+    if _spec(spec, what) in table:
+        return table[spec]()
+    if os.path.exists(spec):
+        return load(spec)
+    raise ValueError(f"unknown {what} preset {spec!r}")
+
+
 def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Window from a preset name ('gaussian', 'gaussian:WIDTH', 'delta',
     'random') or a path to a JSON signal; only 'random' draws from rng."""
-    if not isinstance(spec, str):  # an int would name an open file descriptor
-        raise ValueError(f"unknown window preset {spec!r}")
-    if spec == "delta":
-        return delta_window(N)
-    if spec == "random":
-        return _complex_normal(rng, N)
-    if spec == "gaussian":
-        return gaussian_window(N)
-    name, _, width = spec.partition(":")
-    if name == "gaussian":  # gaussian:WIDTH
+    if _spec(spec, "window").startswith("gaussian:"):
+        width = spec.partition(":")[2]
         try:
             width = float(width)
         except ValueError:  # still the string, which serialize.number refuses by name
@@ -47,9 +57,11 @@ def resolve_window(spec: str, N: int, rng: np.random.Generator | None) -> np.nda
         if width <= 0:
             raise ValueError(f"gaussian window width must be > 0, got {width}")
         return gaussian_window(N, width)
-    if os.path.exists(spec):
-        return serialize.signal_from_json(serialize.load_json(spec), N, "window file")
-    raise ValueError(f"unknown window preset {spec!r}")
+    return _resolve(spec, "window", {
+        "gaussian": lambda: gaussian_window(N),
+        "delta": lambda: delta_window(N),
+        "random": lambda: _complex_normal(rng, N),
+    }, lambda path: serialize.signal_from_json(serialize.load_json(path), N, "window file"))
 
 
 def gaussian_bump_symbol(N: int) -> np.ndarray:
@@ -61,17 +73,12 @@ def gaussian_bump_symbol(N: int) -> np.ndarray:
 def resolve_symbol(spec: str, N: int, rng: np.random.Generator | None) -> np.ndarray:
     """Symbol from a preset name ('one', 'gaussian-bump', 'near-identity',
     'random') or a path to a JSON field; only 'random' draws from rng."""
-    if spec == "one":
-        return np.ones((N, N), dtype=complex)
-    if spec == "gaussian-bump":
-        return gaussian_bump_symbol(N)
-    if spec == "near-identity":
-        return 1.0 + 0.1 * gaussian_bump_symbol(N)
-    if spec == "random":
-        return _complex_normal(rng, (N, N))
-    if isinstance(spec, str) and os.path.exists(spec):
-        return serialize.field_from_json(serialize.load_json(spec), N, "symbol file")
-    raise ValueError(f"unknown symbol preset {spec!r}")
+    return _resolve(spec, "symbol", {
+        "one": lambda: np.ones((N, N), dtype=complex),
+        "gaussian-bump": lambda: gaussian_bump_symbol(N),
+        "near-identity": lambda: 1.0 + 0.1 * gaussian_bump_symbol(N),
+        "random": lambda: _complex_normal(rng, (N, N)),
+    }, lambda path: serialize.field_from_json(serialize.load_json(path), N, "symbol file"))
 
 
 def load_field_csv(path: str) -> SampledField:
@@ -100,19 +107,14 @@ def load_field_csv(path: str) -> SampledField:
 
 def resolve_field(spec: str, R: int, M: int) -> SampledField:
     """Field from a preset name (gaussian, bump, chirped-gaussian) or CSV path."""
-    if isinstance(spec, str) and spec in FIELD_PRESETS:
-        return sample_field(FIELD_PRESETS[spec], R=R, M=M)
-    if isinstance(spec, str) and os.path.exists(spec):
-        return load_field_csv(spec)
-    raise ValueError(f"unknown field preset {spec!r}")
+    table = {name: partial(sample_field, f, R=R, M=M) for name, f in FIELD_PRESETS.items()}
+    return _resolve(spec, "field", table, load_field_csv)
 
 
 def resolve_sequence(spec) -> SparseSeq:
     """Sequence from the preset 'geometric', an inline JSON object, or a path."""
     if isinstance(spec, dict):
         return serialize.seq_from_json(spec)
-    if spec == "geometric":
-        return SparseSeq.delta(1) - 0.5 * SparseSeq.unit(1)
-    if isinstance(spec, str) and os.path.exists(spec):
-        return serialize.seq_from_json(serialize.load_json(spec))
-    raise ValueError(f"unknown sequence preset {spec!r}")
+    return _resolve(spec, "sequence", {
+        "geometric": lambda: SparseSeq.delta(1) - 0.5 * SparseSeq.unit(1),
+    }, lambda path: serialize.seq_from_json(serialize.load_json(path)))

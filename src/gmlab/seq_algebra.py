@@ -67,7 +67,7 @@ class SparseSeq:
     +, -, and scalar * return new sequences; numpy scalars defer to them
     (__array_ufunc__ = None) instead of reading a sequence as an array."""
 
-    __slots__ = ("dim", "lo", "values")
+    __slots__ = ("lo", "values")
     __array_ufunc__ = None
 
     def __init__(self, dim: int, entries=None):
@@ -83,10 +83,10 @@ class SparseSeq:
         # box widths in Python ints: in int64 they wrap for indices far apart
         values = _zeros([h + 1 - o for h, o in zip(hi.tolist(), lo.tolist())])
         np.add.at(values, tuple((idx - lo).T), [complex(v) for _, v in items])
-        self._store(dim, lo, values)
+        self._store(lo, values)
 
-    def _store(self, dim: int, lo, values: np.ndarray) -> "SparseSeq":
-        nonzero, axes = values != 0, range(dim)
+    def _store(self, lo, values: np.ndarray) -> "SparseSeq":
+        nonzero, axes = values != 0, range(values.ndim)
         # the support's box: along each axis, the slices that hold a nonzero
         hits = [np.logical_or.reduce(nonzero, axis=tuple(b for b in axes if b != a)).nonzero()[0]
                 for a in axes]
@@ -94,11 +94,13 @@ class SparseSeq:
             lo = lo + [h[0] for h in hits]
             values = values[tuple(slice(h[0], h[-1] + 1) for h in hits)]
         else:  # an empty sequence gets the corner 0 and an empty box
-            lo, values = np.zeros(dim, np.int64), values[(slice(0, 0),) * dim]
+            lo, values = np.zeros(values.ndim, np.int64), values[(slice(0, 0),) * values.ndim]
         values.flags.writeable = False
-        for name, v in (("dim", dim), ("lo", lo), ("values", values)):
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "values", values)
         return self
+
+    dim = property(lambda self: self.values.ndim, doc="m of Z^m, the number of axes of values")
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeq is immutable")
@@ -146,16 +148,16 @@ class SparseSeq:
         for seq in (self, other):
             view = out[_box(seq.lo - lo, seq.values.shape)]
             view += seq.values
-        return _from_array(self.dim, lo, out)
+        return _from_array(lo, out)
 
     def __neg__(self) -> "SparseSeq":
-        return _from_array(self.dim, self.lo, -self.values)
+        return _from_array(self.lo, -self.values)
 
     def __sub__(self, other: "SparseSeq") -> "SparseSeq":
         return self + (-other)
 
     def __mul__(self, scalar) -> "SparseSeq":
-        return _from_array(self.dim, self.lo, scalar * self.values)
+        return _from_array(self.lo, scalar * self.values)
 
     __rmul__ = __mul__
 
@@ -163,9 +165,9 @@ class SparseSeq:
         return f"SparseSeq(dim={self.dim}, nnz={len(self)})"
 
 
-def _from_array(dim: int, lo, values: np.ndarray) -> SparseSeq:
+def _from_array(lo, values: np.ndarray) -> SparseSeq:
     """Sequence with values[j] at index lo + j."""
-    return object.__new__(SparseSeq)._store(dim, lo, values)
+    return object.__new__(SparseSeq)._store(lo, values)
 
 
 def qnorm(a: SparseSeq, p: QParams) -> float:
@@ -187,7 +189,7 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     lo = np.maximum(a.lo, b.lo)
     shape = [max(min(e, f) - o, 0) for e, f, o in zip(_ends(a), _ends(b), lo.tolist())]
     product = a.values[_box(lo - a.lo, shape)] * b.values[_box(lo - b.lo, shape)]
-    return _from_array(a.dim, lo, product)
+    return _from_array(lo, product)
 
 
 def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,7 +227,7 @@ def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
         return b if a.values.size else a
     lo = [o + p for o, p in zip(a.lo.tolist(), b.lo.tolist())]  # Python ints: may leave int64
     _check_int64(lo, [m + n - 1 for m, n in zip(a.values.shape, b.values.shape)])
-    return _from_array(a.dim, np.array(lo, np.int64), _shifted_sum(a.values, b.values))
+    return _from_array(np.array(lo, np.int64), _shifted_sum(a.values, b.values))
 
 
 def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:
@@ -270,18 +272,17 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     _check_int64(lo, shape)
     total = _zeros(shape)
     total[tuple(-o for o in lo)] = 1.0
-    pitch = [stride // total.itemsize for stride in total.strides]  # cells per step on each axis
     rows = _zeros(x.values.shape[:1] + total.shape[1:])  # x in the rows of the box
     rows[_box([0] * x.dim, x.values.shape)] = x.values
-    x_run = rows.reshape(-1)[:1 + sum((m - 1) * step for m, step in zip(x.values.shape, pitch))]
+    x_run = rows.reshape(-1)[:1 + np.ravel_multi_index(np.subtract(x.values.shape, 1), total.shape)]
     flat, power = total.reshape(-1), x_run
     for j in range(1, n + 1):
         if j > 1:
             power = _shifted_sum(power, x_run)
-        start = sum((j * o - c) * step for o, c, step in zip(x_lo, lo, pitch))
+        start = np.ravel_multi_index([j * o - c for o, c in zip(x_lo, lo)], total.shape)
         view = flat[start:start + power.size]
         view += power
-    return _from_array(x.dim, np.array(lo, np.int64), total)
+    return _from_array(np.array(lo, np.int64), total)
 
 
 def fourier_series_eval(a: SparseSeq, xi) -> complex:
@@ -384,7 +385,7 @@ def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float) -> tuple:
     coeff = np.fft.fftn(1.0 / samples) / grid**m
     coeff = np.where(np.abs(coeff) > decay_cutoff, coeff, 0)
     # fftshift puts index n at n + grid // 2, so the corner is -(grid // 2)
-    b = _from_array(m, np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
+    b = _from_array(np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
     return b, qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
 
 

@@ -2,13 +2,13 @@
 
 A suite is one generator `(N, p, rng) -> violations` that yields one
 violation per check: how far the checked quantity exceeds its bound (a
-negative number when it holds with room to spare).  The `_suite(name, tag,
+negative number when it holds with room to spare).  The `_suite(tag,
 slack)` line above it registers the generator in `ALL_SUITES` and turns it
-into the runner `(N, p, seed) -> SuiteResult`: the runner draws from
-`default_rng([seed, tag])`, counts the checks and reports the worst
-violation (at least 0.0); the suite passes when that is at most `slack`.
-Suites run in definition order; results are sorted by name before
-reporting.
+into the runner `(N, p, seed) -> SuiteResult` named after the generator
+without `suite_`: it draws from `default_rng([seed, tag])` (a tag written
+out, so a new suite moves no other's draws), counts the checks and reports
+the worst violation (at least 0.0); the suite passes when that is at most
+`slack`.  Suites run in definition order; results are sorted by name.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class SuiteResult:
 ALL_SUITES: list = []
 
 
-def _suite(name: str, tag: int, slack: float = 0.0):
-    """Register the check generator below as the suite `name` (see above)."""
+def _suite(tag: int, slack: float = 0.0):
+    """Register the check generator below as a suite (see above)."""
 
     def register(checks):
         @functools.wraps(checks)
@@ -60,7 +60,7 @@ def _suite(name: str, tag: int, slack: float = 0.0):
             worst, n = 0.0, 0
             for violation in checks(N, p, np.random.default_rng([seed, tag])):
                 worst, n = max(worst, violation), n + 1
-            return SuiteResult(name, worst <= slack, n, worst)
+            return SuiteResult(checks.__name__.removeprefix("suite_"), worst <= slack, n, worst)
 
         ALL_SUITES.append(run)
         return run
@@ -107,7 +107,7 @@ def _rel_excess(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(1.0, abs(rhs))
 
 
-@_suite("seq_young", 1, SUITE_SLACK)
+@_suite(1, SUITE_SLACK)
 def suite_seq_young(N, p, rng):
     for _ in range(40):
         a = random_sparse(rng)
@@ -115,7 +115,7 @@ def suite_seq_young(N, p, rng):
         yield _rel_excess(qnorm(convolve(a, b), p), qnorm(a, p) * qnorm(b, p))
 
 
-@_suite("seq_qtriangle", 2, SUITE_SLACK)
+@_suite(2, SUITE_SLACK)
 def suite_seq_qtriangle(N, p, rng):
     for _ in range(40):
         a = random_sparse(rng)
@@ -123,7 +123,7 @@ def suite_seq_qtriangle(N, p, rng):
         yield _rel_excess(qnorm(a + b, p) ** p.q, qnorm(a, p) ** p.q + qnorm(b, p) ** p.q)
 
 
-@_suite("seq_hoelder", 3, SUITE_SLACK)
+@_suite(3, SUITE_SLACK)
 def suite_seq_hoelder(N, p, rng):
     for _ in range(40):
         a = random_sparse(rng)
@@ -133,7 +133,7 @@ def suite_seq_hoelder(N, p, rng):
         yield _rel_excess(lhs, rhs)
 
 
-@_suite("seq_inclusion", 4, SUITE_SLACK)
+@_suite(4, SUITE_SLACK)
 def suite_seq_inclusion(N, p, rng):
     for _ in range(40):
         a = random_sparse(rng)
@@ -144,7 +144,7 @@ def suite_seq_inclusion(N, p, rng):
         )
 
 
-@_suite("seq_neumann", 5, SUITE_SLACK)
+@_suite(5, SUITE_SLACK)
 def suite_seq_neumann(N, p, rng):
     delta = SparseSeq.delta(2)
     for _ in range(10):
@@ -156,8 +156,8 @@ def suite_seq_neumann(N, p, rng):
         yield max(residual, qnorm(inv - delta - x, p) - bound * (1 + BOUND_SLACK))
 
 
-@_suite("seq_fourier_inverse", 6, SUITE_SLACK)
-def suite_seq_fourier(N, p, rng):
+@_suite(6, SUITE_SLACK)
+def suite_seq_fourier_inverse(N, p, rng):
     for _ in range(4):
         tail = random_sparse(rng, dim=1, size=3, box=3)
         tail = (0.35 / qnorm(tail, QParams(1.0, 0.0))) * tail
@@ -173,7 +173,7 @@ def suite_seq_fourier(N, p, rng):
             yield 0.0
 
 
-@_suite("frame_tight", 7)
+@_suite(7)
 def suite_frame_tight(N, p, rng):
     for g in [delta_window(N), gaussian_window(N), _complex_normal(rng, N)]:
         sys = gabor_system(g)
@@ -185,7 +185,7 @@ def suite_frame_tight(N, p, rng):
         yield float(np.linalg.norm(rec - f)) - FRAME_TOL
 
 
-@_suite("weyl_duality", 8)
+@_suite(8)
 def suite_weyl_duality(N, p, rng):
     for _ in range(10):
         sigma = _complex_normal(rng, (N, N))
@@ -195,15 +195,15 @@ def suite_weyl_duality(N, p, rng):
         yield abs(lhs - duality_pairing(sigma, f, g)) - DUALITY_TOL
 
 
-@_suite("weyl_roundtrip", 9)
+@_suite(9)
 def suite_weyl_roundtrip(N, p, rng):
     for _ in range(5):
         sigma = _complex_normal(rng, (N, N))
         yield float(np.max(np.abs(weyl_dequantize(weyl_quantize(sigma)) - sigma))) - ROUNDTRIP_TOL
 
 
-@_suite("weyl_commutation", 10)
-def suite_commutation(N, p, rng):
+@_suite(10)
+def suite_weyl_commutation(N, p, rng):
     sys = gabor_system(gaussian_window(N))
     gamma = sys.parseval_window
     for _ in range(10):
@@ -215,7 +215,7 @@ def suite_commutation(N, p, rng):
         yield float(np.linalg.norm(lhs - rhs)) - COMMUTATION_TOL
 
 
-@_suite("cb_algebra", 11, SUITE_SLACK)
+@_suite(11, SUITE_SLACK)
 def suite_cb_algebra(N, p, rng):
     prof = _decay_profile(N)
     for _ in range(15):
@@ -237,7 +237,7 @@ def _algebra_excess(A, B, p) -> float:
     return max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
 
 
-@_suite("cb_solidity", 12, SUITE_SLACK)
+@_suite(12, SUITE_SLACK)
 def suite_cb_solidity(N, p, rng):
     prof = _decay_profile(N)
     for _ in range(15):
@@ -249,7 +249,7 @@ def suite_cb_solidity(N, p, rng):
         yield violation
 
 
-@_suite("metaplectic", 13)
+@_suite(13)
 def suite_metaplectic(N, p, rng):
     if N <= 5:  # all of SL(2, Z_N), in lexicographic order of (a, b, c, d)
         m = np.indices((N,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
@@ -268,7 +268,7 @@ def suite_metaplectic(N, p, rng):
         )
 
 
-@_suite("fio_adjoint", 14)
+@_suite(14)
 def suite_fio_adjoint(N, p, rng):
     sys = gabor_system(gaussian_window(N))
     for _ in range(3):
@@ -280,7 +280,7 @@ def suite_fio_adjoint(N, p, rng):
         yield float(np.max(np.abs(h_adj - h_back))) - ADJOINT_TOL
 
 
-@_suite("fio_factorize", 15)
+@_suite(15)
 def suite_fio_factorize(N, p, rng):
     for _ in range(3):
         chi = random_sympmat(rng, N)
@@ -290,8 +290,8 @@ def suite_fio_factorize(N, p, rng):
         yield max(residuals["op_then_mu"] - FACTOR_TOL, residuals["mu_then_op"] - FACTOR_TOL)
 
 
-@_suite("amalgam_basic", 16, SUITE_SLACK)  # draws nothing
-def suite_amalgam(N, p, rng):
+@_suite(16, SUITE_SLACK)  # draws nothing
+def suite_amalgam_basic(N, p, rng):
     from .amalgam import SampledField, amalgam_norm, bump_field, gaussian_field, sample_field
 
     bump = sample_field(bump_field, R=4, M=8)

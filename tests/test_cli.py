@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gmlab
-from gmlab import fio, seq_algebra, serialize, verify
+from gmlab import cli, fio, seq_algebra, serialize, verify
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
@@ -21,7 +21,7 @@ from gmlab.cli import (
     OPTIONS,
     main,
 )
-from gmlab.presets import resolve_symbol, resolve_window
+from gmlab.presets import resolve_field, resolve_sequence, resolve_symbol, resolve_window
 from gmlab.weyl import weyl_quantize
 
 
@@ -63,7 +63,7 @@ def test_verify_failing_suite_exits_tolerance(tmp_path, monkeypatch, capsys):
     """One suite in place of the first: its registration appends it to the patched list."""
     monkeypatch.setattr(verify, "ALL_SUITES", verify.ALL_SUITES[1:])
 
-    @verify._suite("always_fails", 99)
+    @verify._suite(99)
     def suite_always_fails(N, p, rng):
         yield 0.0
         yield 1.0
@@ -427,8 +427,8 @@ def test_invert_linalg_error_exits_not_invertible(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize(
     "command, key, detail",
     [
-        ("envelope", "window", "window must be a string, got 0"),
-        ("envelope", "symbol", "symbol must be a string, got 0"),
+        ("envelope", "window", "unknown window preset 0"),
+        ("envelope", "symbol", "unknown symbol preset 0"),
         ("envelope", "out", "out must be a string, got 0"),
         ("amalgam", "field", "unknown field preset 0"),
     ],
@@ -566,7 +566,7 @@ PROBES = {
     "chi2-fraction": (["compose"], {"chi2": [[1.9, 0], [0, 1]]}, "chi2 must be a finite int64"),
     "N-overflow": (["envelope"], '{"N": 1e400}', "N must be a finite int64, got inf"),
     "seed-overflow": (["envelope"], '{"seed": 1e400}', "seed must be a finite int64, got inf"),
-    "symbol2-number": (["compose"], {"symbol2": 0}, "symbol2 must be a string, got 0"),
+    "symbol2-number": (["compose"], {"symbol2": 0}, "unknown symbol2 preset 0"),
     "unknown-key": (["seq-invert"], {"gird": 64}, "unknown config key 'gird'"),
     "matrices-number": (["amalgam"], {"matrices": 5}, "matrices must be a list of 2x2"),
     "window-numbers": (["envelope", "--window", "tmp/w.json"], {}, "window file must be"),
@@ -678,17 +678,73 @@ def test_keys_of_other_commands_are_checked(tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("resolve, what", [(resolve_window, "window"), (resolve_symbol, "symbol")])
-def test_resolvers_refuse_an_int_spec(tmp_path, resolve, what):
+RESOLVERS = {
+    "window": lambda spec: resolve_window(spec, 5, np.random.default_rng(0)),
+    "symbol": lambda spec: resolve_symbol(spec, 5, np.random.default_rng(0)),
+    "field": lambda spec: resolve_field(spec, 2, 4),
+    "sequence": resolve_sequence,
+}
+
+
+@pytest.mark.parametrize("what", list(RESOLVERS))
+def test_resolvers_refuse_an_int_spec(tmp_path, what):
     # an int names an open file descriptor, here of a readable symbol file,
-    # which the resolver must neither parse nor close
+    # which the resolver must neither parse nor close; a float, a list and
+    # None are refused alike
     fd = os.open(write(tmp_path / "symbol.json", [[[1.0, 0.0]] * 5] * 5), os.O_RDONLY)
     try:
-        with pytest.raises(ValueError, match=f"^unknown {what} preset {fd}$"):
-            resolve(fd, 5, np.random.default_rng(0))
+        for spec in (fd, 1.5, ["one"], None):
+            with pytest.raises(ValueError) as exc:
+                RESOLVERS[what](spec)
+            assert str(exc.value) == f"unknown {what} preset {spec!r}"
         os.fstat(fd)  # still open
     finally:
         os.close(fd)
+
+
+# every spec option is read by the one preset rule, so a non-string reads alike
+@pytest.mark.parametrize("value", [0, 1.5, ["one"], None], ids=["int", "float", "list", "null"])
+@pytest.mark.parametrize("command, key", [
+    ("envelope", "window"), ("envelope", "symbol"), ("compose", "symbol2"),
+    ("amalgam", "field"), ("amalgam", "field2"), ("seq-invert", "sequence"),
+])
+def test_spec_options_refuse_a_non_string(tmp_path, capsys, command, key, value):
+    out = tmp_path / "o"
+    cfg = write(tmp_path / "c.json", {key: value})
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert config_error_detail(capsys) == f"unknown {key} preset {value!r}"
+    assert not out.exists()
+
+
+# a fit with fewer than two points, or a ratio over a zero norm, is the
+# library's inf, which report.json writes as null
+@pytest.mark.parametrize("command, config, nulls", [
+    ("seq-invert", {"sequence": {"dim": 1, "entries": [[[0], 2, 0]]}}, ["decay_rate"]),
+    ("seq-invert", {"sequence": {"dim": 1, "entries": [[[3], 1, 0]]}}, ["decay_rate"]),
+    ("envelope", {"symbol": "zeros"}, ["decay_exponent"]),
+    ("compose", {"symbol": "zeros"}, ["decay_exponent", "quasi_norm_ratio"]),
+], ids=["half-delta", "shift", "zero-envelope", "zero-compose"])
+def test_a_fit_without_points_reports_null(tmp_path, command, config, nulls):
+    zeros = write(tmp_path / "zeros.json", [[[0.0, 0.0]] * 5] * 5)
+    cfg = write(tmp_path / "c.json", {k: zeros if v == "zeros" else v for k, v in config.items()})
+    out = str(tmp_path / "o")
+    assert main([command, "--N", "5", "--config", cfg, "--out", out]) == EXIT_OK
+    results = read_report(out)["results"]
+    assert sorted(k for k, v in results.items() if v is None) == nulls
+
+
+@pytest.mark.parametrize("decay_rate, residual", [(math.nan, 0.0), (math.inf, math.inf)],
+                         ids=["nan-rate", "inf-residual"])
+def test_other_non_finite_results_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                    decay_rate, residual):
+    def fake(a, grid, decay_cutoff):
+        return seq_algebra.FourierInverse(a, residual, decay_rate)
+
+    monkeypatch.setattr(cli, "invert_by_fourier", fake)
+    out = tmp_path / "o"
+    assert main(["seq-invert", "--out", str(out)]) == EXIT_CONFIG
+    assert config_error_detail(capsys).startswith("report.json cannot hold NaN or infinity")
+    assert not out.exists()
 
 
 def test_presets_win_over_files_of_the_same_name(tmp_path, monkeypatch):

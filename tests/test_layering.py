@@ -2,8 +2,9 @@
 of Z_N live in `_lattice`, the operator and amalgam layers do not reach
 into the sequence algebra for them, the parity of N is compared by one
 rule, the side of every array over Z_N is read by one guard, the pair
-order of lattice matrices is numpy's C order, every tolerance lives in
-`errors`, and every name gmlab exports has a caller outside the tests."""
+order of lattice matrices is numpy's C order (no flat offset is summed from
+strides), every tolerance lives in `errors`, and every name gmlab exports
+has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,15 @@ def test_the_lattice_pair_order_is_numpys_c_order():
     # reshape and ravel; nothing splits or folds k N + l by hand
     found = sorted((module, node.lineno) for module, tree in TREES.items()
                    for node in ast.walk(tree) if is_hand_flattened_pair(node))
+    assert found == []
+
+
+def test_no_flat_offset_is_read_from_strides():
+    # a flat offset into a box comes from np.ravel_multi_index, not from
+    # byte strides summed by hand
+    found = sorted((module, node.lineno) for module, tree in TREES.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "strides")
     assert found == []
 
 

@@ -40,13 +40,13 @@ MUTANTS = {
     verify.suite_seq_neumann: (  # the series of -x: 2.69
         verify, "neumann_inverse", lambda inverse: lambda x, p, *tol: inverse(-x, p, *tol)
     ),
-    verify.suite_seq_fourier: (  # raises ToleranceError
+    verify.suite_seq_fourier_inverse: (  # raises ToleranceError
         verify, "invert_by_fourier", lambda f: functools.partial(f, decay_cutoff=1e-3)
     ),
     verify.suite_frame_tight: (verify, "synthesize", scaled(1.001)),  # 3.8e-3
     verify.suite_weyl_duality: (verify, "duality_pairing", transposed_first),  # 14.8
     verify.suite_weyl_roundtrip: (verify, "weyl_dequantize", transposed_first),  # 3.5
-    verify.suite_commutation: (verify, "gabor_matrix", transposed_first),  # 9.4
+    verify.suite_weyl_commutation: (verify, "gabor_matrix", transposed_first),  # 9.4
     verify.suite_cb_algebra: (  # rolled by one cell: 0.59
         matrix_algebra, "envelope_convolve", lambda conv: lambda d1, d2: np.roll(conv(d1, d2), 1, axis=0)
     ),
@@ -62,7 +62,7 @@ MUTANTS = {
         fio, "symbol_pullback", lambda pullback: lambda sigma, chi: pullback(sigma, -chi)
     ),
     verify.suite_fio_factorize: (fio, "weyl_dequantize", transposed_first),  # 0.134
-    verify.suite_amalgam: (amalgam, "cell_maxima", scaled(1.01)),  # 0.01
+    verify.suite_amalgam_basic: (amalgam, "cell_maxima", scaled(1.01)),  # 0.01
 }
 
 # more mutants of a suite, (suite, label, namespace, name, mutate): the
@@ -76,6 +76,11 @@ MORE_MUTANTS = [
 
 def test_every_suite_has_a_mutant():
     assert set(MUTANTS) == set(verify.ALL_SUITES)
+
+
+@pytest.mark.parametrize("suite", verify.ALL_SUITES, ids=lambda suite: suite.__name__)
+def test_every_suite_reports_its_generators_name(suite):
+    assert suite(3, P, 0).name == suite.__name__.removeprefix("suite_")
 
 
 @pytest.mark.parametrize(
