@@ -126,8 +126,8 @@ def weighted_qnorm(values, weight, q):
     return norm
 
 
-def lattice_qnorm(values, q, s):
-    """Weighted quasi-norm (sum values**q * (1+|mu|)**(s*q))**(1/q) of a
-    nonnegative (N, N) field on the centered representatives mu of Z_N^2."""
+def lattice_qnorm(values, p: QParams):
+    """Weighted quasi-norm (sum values**q * (1+|mu|)**(s*q))**(1/q), (q, s) = p,
+    of a nonnegative (N, N) field on the centered representatives mu of Z_N^2."""
     values = np.asarray(values, dtype=float)
-    return weighted_qnorm(values, weight(centered_points(side(values, "field")), s), q)
+    return weighted_qnorm(values, weight(centered_points(side(values, "field")), p.s), p.q)

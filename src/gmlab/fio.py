@@ -231,11 +231,9 @@ def _fan_out(calls) -> None:
     threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
     for thread in threads:
         thread.start()
-    try:
-        calls[0]()
-    finally:
-        for thread in threads:
-            thread.join()
+    run(calls[0])
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
 

@@ -7,12 +7,13 @@ column (k', l')), is summarized by its diagonal envelope
     d_A(mu) = sup_lambda |A[lambda, lambda - mu]|,
 
 the supremum of entry moduli along the mu-th diagonal (index arithmetic
-mod N per coordinate, mu read on centered representatives); taken along the
-graph of a lattice map chi it is the envelope of `fio`.  The envelope
-quasi-norm ||d_A||_{l^q_{v_s}} is submultiplicative under matrix products
-because d_{AB} <= d_A * d_B pointwise (cyclic convolution), so these
-matrices form a solid quasi-algebra that acts boundedly on l2 and on the
-weighted sequence spaces.
+mod N per coordinate, mu read on centered representatives).  The envelope
+of `fio` along the graph of a lattice map chi, max_z |A[chi z + mu, z]|, is
+d_A' bit for bit, A' the matrix whose column z' is column chi^-1 z' of A,
+so no map enters here.  The envelope quasi-norm ||d_A||_{l^q_{v_s}} is
+submultiplicative under matrix products because d_{AB} <= d_A * d_B
+pointwise (cyclic convolution), so these matrices form a solid
+quasi-algebra that acts boundedly on l2 and on the weighted sequences.
 """
 
 from __future__ import annotations
@@ -20,32 +21,29 @@ from __future__ import annotations
 import numpy as np
 
 from ._lattice import QParams, lattice_qnorm, matrix_side, side
-from .metaplectic import require_symplectic, symp_apply
 
 
 _SLAB_BYTES = 2**20  # bytes of the entries of A gathered for one slab of mu_k rows
 
 
-def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
-    """Envelope d(mu) = max_z |A[chi z + mu, z]| as an (N, N) field indexed by
-    mu mod N per coordinate (read mu on centered representatives); chi=None
-    is the identity, d_A(mu) = sup_lambda |A[lambda, lambda - mu]|.  chi must
-    have determinant 1 mod N.
+def diagonal_envelope(A: np.ndarray) -> np.ndarray:
+    """Envelope d_A(mu) = max_z |A[z + mu, z]| = sup_lambda |A[lambda, lambda - mu]|
+    as an (N, N) field indexed by mu mod N per coordinate (read mu on
+    centered representatives).
 
-    The entries at [chi z + mu, z] are gathered into [mu, z] one slab of
+    The entries at [z + mu, z] are gathered into [mu, z] one slab of
     mu_k rows at a time, as many as fit _SLAB_BYTES (at least one), through
     their flat C-order index in A: the sum of its mu_k part and its
     (mu_l, z) part, tables of at most N^3 from np.ravel_multi_index.  The
     moduli of a slab reduce to its rows of d by the maximum over z, so no
     N^4 array is formed beside A (a copy only when A is not contiguous)."""
     N = matrix_side(A)
-    z = np.arange(N)[:, None], np.arange(N)  # the (N, N) grid of columns
-    ck, cl = z if chi is None else symp_apply(require_symplectic(chi, N), z, N)
+    k, l = z = np.arange(N)[:, None], np.arange(N)  # the (N, N) grid of columns
     A = np.ravel(A)
     mu = np.arange(N)
     shape = (N,) * 4
-    high = np.ravel_multi_index(((ck + mu[:, None, None, None]) % N, 0, 0, 0), shape)  # [mu_k, ., z]
-    low = np.ravel_multi_index((0, (cl + mu[:, None, None]) % N, *z), shape)  # [mu_l, z]
+    high = np.ravel_multi_index(((k + mu[:, None, None, None]) % N, 0, 0, 0), shape)  # [mu_k, ., z]
+    low = np.ravel_multi_index((0, (l + mu[:, None, None]) % N, *z), shape)  # [mu_l, z]
     step = max(1, _SLAB_BYTES // (A.itemsize * N**3))  # mu_k rows per slab
     d = np.empty((N, N), A.real.dtype)
     for i in range(0, N, step):
@@ -55,7 +53,7 @@ def diagonal_envelope(A: np.ndarray, chi=None) -> np.ndarray:
 
 def cb_norm(A: np.ndarray, p: QParams) -> float:
     """Decay quasi-norm ||d_A||_{l^q_{v_s}} with the weight on centered mu."""
-    return lattice_qnorm(diagonal_envelope(A), p.q, p.s)
+    return lattice_qnorm(diagonal_envelope(A), p)
 
 
 def convolution_matrix(field: np.ndarray) -> np.ndarray:

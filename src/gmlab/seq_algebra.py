@@ -20,6 +20,7 @@ Convolution adds one shifted copy of an operand per nonzero of the other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
 
 
 def _key(index, dim: int) -> tuple:
-    idx = tuple(map(int, np.atleast_1d(index).tolist()))
+    idx = tuple(map(operator.index, np.atleast_1d(index).tolist()))
     if len(idx) != dim:
         raise ValueError(f"index {idx} does not match dimension {dim}")
     return idx
@@ -55,17 +56,17 @@ def _box(offset, shape) -> tuple:
 
 
 def _ends(a: "SparseSeq") -> list:
-    """Box ends lo + shape of a sequence in Python ints: in int64 the end of a
-    box holding 2**63 - 1 wraps."""
-    return [o + n for o, n in zip(a.lo.tolist(), a.values.shape)]
+    """Box ends lo + shape of a sequence."""
+    return [o + n for o, n in zip(a.lo, a.values.shape)]
 
 
 class SparseSeq:
     """Finitely supported complex sequence on Z^m: values[j] is the entry at
     lo + j, over a box trimmed to the support, so two sequences are equal iff
-    their corners and arrays are.  The object behaves as an immutable vector:
-    +, -, and scalar * return new sequences; numpy scalars defer to them
-    (__array_ufunc__ = None) instead of reading a sequence as an array."""
+    their corners and arrays are; lo is a tuple of Python ints, like every
+    index.  The object behaves as an immutable vector: +, -, and scalar *
+    return new sequences; numpy scalars defer to them (__array_ufunc__ =
+    None) instead of reading a sequence as an array."""
 
     __slots__ = ("lo", "values")
     __array_ufunc__ = None
@@ -74,15 +75,14 @@ class SparseSeq:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         items = list(entries.items() if isinstance(entries, dict) else entries or ())
-        try:
-            idx = np.array([_key(k, dim) for k, _ in items], np.int64).reshape(-1, dim)
-        except OverflowError as exc:
-            raise ValueError(f"sequence index out of range: {exc}") from exc
-        lo = idx.min(axis=0) if len(idx) else np.zeros(dim, np.int64)
-        hi = idx.max(axis=0) if len(idx) else lo - 1
-        # box widths in Python ints: in int64 they wrap for indices far apart
-        values = _zeros([h + 1 - o for h, o in zip(hi.tolist(), lo.tolist())])
-        np.add.at(values, tuple((idx - lo).T), [complex(v) for _, v in items])
+        keys = [_key(k, dim) for k, _ in items]
+        axes = list(zip(*keys)) or [(0,)] * dim  # no entries: one zero cell at 0
+        lo = tuple(map(min, axes))
+        shape = [max(a) + 1 - o for a, o in zip(axes, lo)]
+        _check_int64(lo, shape)
+        values = _zeros(shape)
+        offsets = np.array(keys, np.int64).reshape(-1, dim) - lo
+        np.add.at(values, tuple(offsets.T), [complex(v) for _, v in items])
         self._store(lo, values)
 
     def _store(self, lo, values: np.ndarray) -> "SparseSeq":
@@ -91,10 +91,10 @@ class SparseSeq:
         hits = [np.logical_or.reduce(nonzero, axis=tuple(b for b in axes if b != a)).nonzero()[0]
                 for a in axes]
         if hits[0].size:
-            lo = lo + [h[0] for h in hits]
+            lo = tuple(o + int(h[0]) for o, h in zip(lo, hits))
             values = values[tuple(slice(h[0], h[-1] + 1) for h in hits)]
         else:  # an empty sequence gets the corner 0 and an empty box
-            lo, values = np.zeros(values.ndim, np.int64), values[(slice(0, 0),) * values.ndim]
+            lo, values = (0,) * values.ndim, values[(slice(0, 0),) * values.ndim]
         values.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "values", values)
@@ -129,13 +129,13 @@ class SparseSeq:
         return int(np.count_nonzero(self.values))
 
     def __getitem__(self, index) -> complex:
-        j = np.subtract(_key(index, self.dim), self.lo)
-        inside = np.all(j >= 0) and np.all(j < self.values.shape)
-        return complex(self.values[tuple(j)]) if inside else 0j
+        j = tuple(map(operator.sub, _key(index, self.dim), self.lo))
+        inside = all(0 <= i < n for i, n in zip(j, self.values.shape))
+        return complex(self.values[j]) if inside else 0j
 
     def __eq__(self, other):
         return isinstance(other, SparseSeq) and self.dim == other.dim and (
-            np.array_equal(self.lo, other.lo) and np.array_equal(self.values, other.values)
+            self.lo == other.lo and np.array_equal(self.values, other.values)
         )
 
     def __add__(self, other: "SparseSeq") -> "SparseSeq":
@@ -143,10 +143,10 @@ class SparseSeq:
             raise ValueError("dimension mismatch")
         if not (self.values.size and other.values.size):
             return self if self.values.size else other
-        lo = np.minimum(self.lo, other.lo)
-        out = _zeros([max(e, f) - o for e, f, o in zip(_ends(self), _ends(other), lo.tolist())])
+        lo = tuple(map(min, self.lo, other.lo))
+        out = _zeros([max(e, f) - o for e, f, o in zip(_ends(self), _ends(other), lo)])
         for seq in (self, other):
-            view = out[_box(seq.lo - lo, seq.values.shape)]
+            view = out[_box(map(operator.sub, seq.lo, lo), seq.values.shape)]
             view += seq.values
         return _from_array(lo, out)
 
@@ -157,6 +157,9 @@ class SparseSeq:
         return self + (-other)
 
     def __mul__(self, scalar) -> "SparseSeq":
+        # not a scalar: TypeError (np.ndim would read a sequence without end)
+        if isinstance(scalar, SparseSeq) or np.ndim(scalar):
+            return NotImplemented
         return _from_array(self.lo, scalar * self.values)
 
     __rmul__ = __mul__
@@ -186,9 +189,10 @@ def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:
     """Entrywise product a(n) * b(n)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    lo = np.maximum(a.lo, b.lo)
-    shape = [max(min(e, f) - o, 0) for e, f, o in zip(_ends(a), _ends(b), lo.tolist())]
-    product = a.values[_box(lo - a.lo, shape)] * b.values[_box(lo - b.lo, shape)]
+    lo = tuple(map(max, a.lo, b.lo))
+    shape = [max(min(e, f) - o, 0) for e, f, o in zip(_ends(a), _ends(b), lo)]
+    product = (a.values[_box(map(operator.sub, lo, a.lo), shape)]
+               * b.values[_box(map(operator.sub, lo, b.lo), shape)])
     return _from_array(lo, product)
 
 
@@ -225,9 +229,9 @@ def convolve(a: SparseSeq, b: SparseSeq) -> SparseSeq:
         raise ValueError("dimension mismatch")
     if not (a.values.size and b.values.size):
         return b if a.values.size else a
-    lo = [o + p for o, p in zip(a.lo.tolist(), b.lo.tolist())]  # Python ints: may leave int64
+    lo = tuple(map(operator.add, a.lo, b.lo))
     _check_int64(lo, [m + n - 1 for m, n in zip(a.values.shape, b.values.shape)])
-    return _from_array(np.array(lo, np.int64), _shifted_sum(a.values, b.values))
+    return _from_array(lo, _shifted_sum(a.values, b.values))
 
 
 def neumann_tail_bound(norm_x: float, q: float, degree: int) -> float:
@@ -266,9 +270,8 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     target = math.log(tol) + math.log1p(-(nx**p.q)) / p.q
     n = max(1, math.ceil(target / math.log(nx)) - 1)
     # x^j lies in the box j lo ... j hi, so all powers fit from min(0, n lo) to max(0, n hi)
-    x_lo, x_hi = x.lo.tolist(), [e - 1 for e in _ends(x)]
-    lo = [min(0, n * o) for o in x_lo]
-    shape = [max(0, n * h) + 1 - o for h, o in zip(x_hi, lo)]
+    lo = tuple(min(0, n * o) for o in x.lo)
+    shape = [max(0, n * (e - 1)) + 1 - o for e, o in zip(_ends(x), lo)]
     _check_int64(lo, shape)
     total = _zeros(shape)
     total[tuple(-o for o in lo)] = 1.0
@@ -279,10 +282,10 @@ def neumann_inverse(x: SparseSeq, p: QParams, tol: float = NEUMANN_TOL) -> Spars
     for j in range(1, n + 1):
         if j > 1:
             power = _shifted_sum(power, x_run)
-        start = np.ravel_multi_index([j * o - c for o, c in zip(x_lo, lo)], total.shape)
+        start = np.ravel_multi_index([j * o - c for o, c in zip(x.lo, lo)], total.shape)
         view = flat[start:start + power.size]
         view += power
-    return _from_array(np.array(lo, np.int64), total)
+    return _from_array(lo, total)
 
 
 def fourier_series_eval(a: SparseSeq, xi) -> complex:
@@ -385,7 +388,7 @@ def _invert_on_grid(a: SparseSeq, grid: int, decay_cutoff: float) -> tuple:
     coeff = np.fft.fftn(1.0 / samples) / grid**m
     coeff = np.where(np.abs(coeff) > decay_cutoff, coeff, 0)
     # fftshift puts index n at n + grid // 2, so the corner is -(grid // 2)
-    b = _from_array(np.full(m, -(grid // 2)), np.fft.fftshift(coeff))
+    b = _from_array((-(grid // 2),) * m, np.fft.fftshift(coeff))
     return b, qnorm(convolve(a, b) - SparseSeq.delta(m), QParams(1.0, 0.0))
 
 

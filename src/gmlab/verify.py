@@ -233,7 +233,7 @@ def suite_cb_algebra(N, p, rng):
 def _algebra_excess(A, B, p) -> float:
     """Violation of ||d_AB|| <= ||d_A|| ||d_B|| or of d_AB <= d_A * d_B."""
     dA, dB, dAB = (ma.diagonal_envelope(M) for M in (A, B, A @ B))
-    nA, nB, nAB = (lattice_qnorm(d, p.q, p.s) for d in (dA, dB, dAB))  # cb_norm of each
+    nA, nB, nAB = (lattice_qnorm(d, p) for d in (dA, dB, dAB))  # cb_norm of each
     return max(nAB - nA * nB, float(np.max(dAB - ma.envelope_convolve(dA, dB))))
 
 

@@ -109,4 +109,4 @@ def modulation_norm(sigma: np.ndarray, p: QParams, window: np.ndarray | None = N
         shifted = np.roll(window, z1, axis=0)[t[:, None], (t - t[:, None, None]) % N]
         V = np.fft.fft2(sigma * np.conj(shifted))
         np.maximum(sup_field, np.abs(V).max(axis=0), out=sup_field)
-    return lattice_qnorm(sup_field, p.q, p.s)
+    return lattice_qnorm(sup_field, p)

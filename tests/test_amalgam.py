@@ -300,3 +300,42 @@ def test_amalgam_norm_overflow_is_an_error():
     F = sample_field(bump_field, R=8, M=4)
     with pytest.raises(ValueError, match="not finite"):
         amalgam_norm(F, QParams(0.5, 400.0))  # used to return NaN: 0 * inf weight
+
+
+def test_refinement_gap_needs_an_even_sample_count():
+    F = sample_field(gaussian_field, R=2, M=5)
+    with pytest.raises(ValueError, match="samples per cell must be even to coarsen"):
+        refinement_gap(F, P1)
+
+
+def test_gl_invariance_check_refuses_a_non_square_map_and_a_zero_field():
+    F = sample_field(gaussian_field, R=2, M=4)
+    with pytest.raises(ValueError, match="Mmat must be 2x2"):
+        gl_invariance_check(F, np.eye(3), P1)
+    zero = SampledField(R=2, M=4, values=np.zeros_like(F.values))
+    with pytest.raises(ValueError, match="field is identically zero"):
+        gl_invariance_check(zero, np.eye(2), P1)
+
+
+def grid_csv(points, header="x,y,value"):
+    return header + "\n" + "".join(f"{x},{y},1\n" for x, y in points)
+
+
+AXIS4 = [i / 4 - 1 for i in range(8)]  # the standard grid of R = 1, M = 4
+
+
+@pytest.mark.parametrize("text, message", [
+    (grid_csv([(x, y) for x in AXIS4 for y in AXIS4], "u,v,w"), "must start with header 'x,y,value'"),
+    (grid_csv([(x, y) for x in range(8) for y in range(8)]), "not the standard \\[-R, R\\) grid"),
+    (grid_csv([(x, y) for x in AXIS4 for y in AXIS4[:-1]] + [(AXIS4[0], AXIS4[0])] * 8),
+     "does not hold every point of its grid once"),
+], ids=["header", "grid", "repeated"])
+def test_load_field_csv_refuses_what_is_not_one_standard_grid(tmp_path, text, message):
+    from gmlab.presets import load_field_csv
+
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_field_csv(str(path))
+    path.write_text(grid_csv([(x, y) for x in AXIS4 for y in AXIS4]))  # without the fault
+    assert load_field_csv(str(path)).values.shape == (8, 8)

@@ -38,7 +38,7 @@ P = QParams(0.5, 1.0)
 
 # Each takes one array over Z_N^2 (a symbol, an operator, an envelope or a field).
 FIELD_TAKERS = {
-    "lattice_qnorm": lambda a: lattice_qnorm(a, 0.5, 1),
+    "lattice_qnorm": lambda a: lattice_qnorm(a, QParams(0.5, 1)),
     "weyl_quantize": weyl_quantize,
     "weyl_dequantize": weyl_dequantize,
     "modulation_norm-symbol": lambda a: modulation_norm(a, P),
@@ -95,7 +95,7 @@ def test_the_guard_returns_n_and_names_a_non_square_array():
 
 EMPTY = {  # each takes an array of shape (0,) or (0, 0)
     "tf_shift": lambda a: tf_shift((1, 1), a),
-    "lattice_qnorm": lambda a: lattice_qnorm(a, 0.5, 1),
+    "lattice_qnorm": lambda a: lattice_qnorm(a, QParams(0.5, 1)),
     "envelope_csv": envelope_csv,
     "convolution_matrix": convolution_matrix,
     "weyl_quantize": weyl_quantize,

@@ -73,6 +73,12 @@ def test_metaplectic_does_not_import_weyl():
     assert "weyl" not in imported_modules("metaplectic")
 
 
+def test_matrix_algebra_imports_only_the_lattice_conventions():
+    # an envelope along the graph of chi is the diagonal envelope of the
+    # matrix with its columns reindexed by chi^-1, so no lattice map enters
+    assert imported_modules("matrix_algebra") == {"_lattice"}
+
+
 def test_the_cell_budget_is_compared_in_one_guard_and_one_doubling_condition():
     assert comparisons_reading("MAX_CELLS") == [("_lattice", "require_cells"),
                                                 ("seq_algebra", "invert_by_fourier")]
@@ -84,13 +90,12 @@ def test_the_parity_of_n_is_compared_only_in_the_modulus_rule():
 
 
 # Shape comparisons of arrays that are not over Z_N: a sampled field on
-# [-R, R]^2, a real 2 x 2 matrix, the 2 x 2 lattice map, a sequence box (in
-# two places), a frequency point, and the exact shapes of the JSON reader.
+# [-R, R]^2, a real 2 x 2 matrix, the 2 x 2 lattice map, a sequence box, a
+# frequency point, and the exact shapes of the JSON reader.
 NOT_OVER_Z_N = [
     ("amalgam", "__post_init__"),
     ("amalgam", "gl_invariance_check"),
     ("metaplectic", "_as_sympmat"),
-    ("seq_algebra", "__getitem__"),
     ("seq_algebra", "_check_int64"),
     ("seq_algebra", "fourier_series_eval"),
     ("serialize", "_pairs_from_json"),

@@ -462,3 +462,10 @@ def test_projective_uniqueness_exhaustive_n5():
 def test_require_symplectic_reduces_mod_n():
     chi = require_symplectic(np.array([[8, 7], [7, 8]]), 7)
     assert np.array_equal(chi, np.array([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("build", [word_matrix, build_metaplectic])
+def test_a_dilation_by_a_non_unit_is_refused(build):
+    # 3 divides 9, so t -> 3 t mod 9 is no permutation
+    with pytest.raises(ValueError, match="dilation factor 3 is not invertible mod 9"):
+        build([("dilate", 3)], 9)

@@ -187,3 +187,10 @@ def test_gaussian_window_normalization():
     for N in (5, 7, 11, 31):
         g = gaussian_window(N)
         assert N * np.sum(np.abs(g) ** 2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_stft_and_synthesize_refuse_mismatched_moduli():
+    with pytest.raises(ValueError, match="signal and window moduli differ"):
+        stft(np.ones(5), gaussian_window(7))
+    with pytest.raises(ValueError, match="coefficient field must be 7 x 7"):
+        synthesize(np.ones((5, 5)), gabor_system(gaussian_window(7)))

@@ -211,7 +211,7 @@ def shifted_loop_convolve(a, b):
     for index, v in small.items():
         box = tuple(slice(i - o, i - o + n) for i, o, n in zip(index, small.lo, big.values.shape))
         out[box] = out[box] + v * big.values
-    return a.lo + b.lo, out
+    return tuple(o + p for o, p in zip(a.lo, b.lo)), out
 
 
 def embedded(seq, lo, shape):
@@ -575,7 +575,7 @@ def test_quasi_norm_overflow_is_an_error_not_a_warning():
     with pytest.raises(ValueError, match="not finite"):
         qnorm_weighted(a, 1.0, 200.0)
     with pytest.raises(ValueError, match="not finite"):
-        lattice_qnorm(np.ones((5, 5)), 0.5, 1000.0)
+        lattice_qnorm(np.ones((5, 5)), QParams(0.5, 1000.0))
     assert weighted_qnorm(np.array([3.0, 4.0]), np.ones(2), 1.0) == 7.0
 
 
@@ -615,3 +615,48 @@ def test_numpy_scalar_times_a_sequence_is_the_scalar_product():
     src = os.path.dirname(os.path.dirname(gmlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
+
+
+@pytest.mark.parametrize("index", [1.5, (0.9, 1.2), np.array([1.0]), np.float64(2.0)])
+def test_an_index_that_is_not_integral_is_refused_not_truncated(index):
+    # int() once read unit(1.5) as a mass at 1 and a[(0.9, 1.2)] as a[(0, 1)]
+    dim = np.size(index)
+    with pytest.raises(TypeError):
+        SparseSeq.unit(index)
+    with pytest.raises(TypeError):
+        SparseSeq(dim)[index]
+    assert SparseSeq.unit(np.int64(2))[(2,)] == SparseSeq.unit(2)[np.array([2])] == 1.0
+
+
+@pytest.mark.parametrize("factor", [np.ones(5), np.array([2.0, 3.0]), [1, 2], (2.0,)])
+def test_only_a_scalar_multiplies_a_sequence(factor):
+    # numpy once broadcast the factor against the box array: unit(0) * ones(5)
+    # had 5 entries
+    x = SparseSeq.unit(0)
+    with pytest.raises(TypeError):
+        x * factor
+    with pytest.raises(TypeError):
+        factor * x
+    with pytest.raises(TypeError):
+        x * x
+    assert np.array(2.0) * x == x * 2 == SparseSeq.unit(0, 2.0)
+
+
+@pytest.mark.parametrize("seq", [
+    SparseSeq(1), SparseSeq(3), SparseSeq.delta(2), SparseSeq(2, {(-4, 7): 1.0, (2, -1): 1j}),
+    SparseSeq.unit(2**63 - 1), SparseSeq.delta(1) - SparseSeq.delta(1),
+    convolve(SparseSeq.unit((1, -2)), SparseSeq.unit((3, 3))),
+    pointwise_product(SparseSeq(1, {0: 1.0, 4: 2.0}), SparseSeq(1, {4: 3.0, 9: 1.0})),
+    neumann_inverse(0.25 * SparseSeq(2, {(-1, 1): 1.0, (2, 0): 1.0}), QParams(1.0)),
+    invert_by_fourier(DELTA1 - 0.5 * SparseSeq.unit(1)).seq,
+], ids=["empty1", "empty3", "delta", "two", "int64-top", "cancelled", "convolve",
+        "pointwise", "neumann", "fourier"])
+def test_a_corner_is_a_tuple_of_python_ints(seq):
+    assert type(seq.lo) is tuple and len(seq.lo) == seq.dim
+    assert all(type(o) is int for o in seq.lo)
+    support = [k for k, _ in seq.items()] or [(0,) * seq.dim]  # the empty one sits at 0
+    assert seq.lo == tuple(map(min, zip(*support)))
+
+
+def test_repr_names_the_dimension_and_the_support_size():
+    assert repr(SparseSeq(2, {(0, 1): 1.0, (3, 3): 2.0, (5, 5): 0.0})) == "SparseSeq(dim=2, nnz=2)"

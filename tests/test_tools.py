@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -80,6 +81,22 @@ def test_bench_files_name_committed_commands():
         assert os.path.isfile(os.path.join(ROOT, words[at])), bench
         if words[at] == "tools/ladder.py":
             assert words[at + 1:] and words[at + 1] in kinds, bench
+
+
+def test_same_outputs_tells_a_checkout_from_one_with_a_changed_byte(tmp_path):
+    tool = load_tool("same_outputs")
+    src = os.path.join(ROOT, "src")
+    for command in ("envelope --N 5", "seq-invert"):
+        assert tool.compare(command, src) == []
+    other = tmp_path / "src"
+    shutil.copytree(src, other, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    serialize = other / "gmlab" / "serialize.py"
+    text = serialize.read_text()
+    assert text.count("    return repr(float(x))\n") == 1  # the body of _fmt
+    serialize.write_text(text.replace("    return repr(float(x))\n", "    return repr(float(1))\n"))
+    assert tool.compare("envelope --N 5", other) == ["file envelope.csv"]
+    assert tool.compare("seq-invert", other) == []  # writes no CSV
+    assert not list(other.rglob("__pycache__"))
 
 
 # ---------------------------------------------------------------- calibrate's pseudo-inverse

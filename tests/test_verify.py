@@ -3,12 +3,14 @@ checks, monkeypatched into the namespace that the suite reads, makes it
 fail (or refuse to run) at N = 7, seed 1.  The dense draws of the cb
 suites keep the bits of the plain products and a bounded memory."""
 
+import ast
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmlab import GmlabError, QParams
+from gmlab import FourierInverse, GmlabError, QParams, VanishingFourierError
 from gmlab import amalgam, fio, matrix_algebra, metaplectic, verify
 
 P = QParams(0.5, 1.0)
@@ -24,6 +26,18 @@ def transposed_first(f):
 
 def transposed_result(f):
     return lambda *args: f(*args).T
+
+
+def accepting_vanishing_series(invert):
+    """invert_by_fourier that returns `a` itself where F a vanishes."""
+
+    def accept(a, *args, **kw):
+        try:
+            return invert(a, *args, **kw)
+        except VanishingFourierError:
+            return FourierInverse(seq=a, residual=0.0, decay_rate=0.0)
+
+    return accept
 
 
 # suite -> (namespace it reads, name there, original -> mutant); the comment
@@ -71,6 +85,9 @@ MUTANTS = {
 MORE_MUTANTS = [
     (verify.suite_cb_algebra, "halved", matrix_algebra, "envelope_convolve", scaled(0.5)),  # 1.44
     (verify.suite_cb_algebra, "transposed", matrix_algebra, "diagonal_envelope", transposed_result),  # 0.2
+    # its first mutant refuses to run; this one reaches the rejections it expects
+    (verify.suite_seq_fourier_inverse, "accepting", verify, "invert_by_fourier",
+     accepting_vanishing_series),  # 1.0
 ]
 
 
@@ -131,3 +148,12 @@ def test_decaying_draw_holds_its_result_and_one_real_array(traced_peak):
     prof = verify._decay_profile(31)
     peak = traced_peak(lambda: verify._decaying_draw(np.random.default_rng(0), prof))
     assert peak < 2 * 16 * prof.size
+
+
+def test_suite_tags_are_distinct():
+    # a suite's tag seeds its draws: two suites of one tag draw the same numbers
+    tree = ast.parse(Path(verify.__file__).read_text())
+    tags = [node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_suite"
+            and node.args and isinstance(node.args[0], ast.Constant)]
+    assert len(tags) == len(set(tags)) == len(verify.ALL_SUITES)

@@ -263,7 +263,7 @@ def test_modulation_norm_brute_force():
     window = np.outer(g, g)
     sigma = np.ones((N, N), complex)
     p = QParams(1.0, 0.0)
-    expected = lattice_qnorm(brute_modulation_sup(sigma, window), p.q, p.s)
+    expected = lattice_qnorm(brute_modulation_sup(sigma, window), p)
     assert modulation_norm(sigma, p, window) == pytest.approx(expected, rel=1e-10)
 
 
@@ -283,7 +283,7 @@ def test_modulation_norm_sup_field_matches_loop(rng, monkeypatch, N):
     sigma = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     window = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     fields = []
-    monkeypatch.setattr(weyl, "lattice_qnorm", lambda field, q, s: fields.append(field) or 0.0)
+    monkeypatch.setattr(weyl, "lattice_qnorm", lambda field, p: fields.append(field) or 0.0)
     modulation_norm(sigma, QParams(0.5, 1.0), window)
     assert np.array_equal(fields[0], loop_modulation_sup(sigma, window))
 
@@ -341,3 +341,12 @@ def test_gabor_matrix_norm_is_the_operator_norm(rng, N):
     T = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     dense = np.linalg.norm(gabor_matrix(T, gabor_system(window)), 2)
     assert np.linalg.norm(T, 2) == pytest.approx(dense, rel=1e-12)
+
+
+def test_mismatched_moduli_are_refused():
+    with pytest.raises(ValueError, match="signal moduli differ"):
+        wigner(np.ones(5), np.ones(7))
+    with pytest.raises(ValueError, match="operator matrix and Gabor system moduli differ"):
+        gabor_matrix(np.eye(5), gabor_system(gaussian_window(7)))
+    with pytest.raises(ValueError, match="window must match the symbol shape"):
+        modulation_norm(np.ones((5, 5)), QParams(1.0), np.ones((7, 7)))
