@@ -219,19 +219,19 @@ def _workers(N: int) -> int:
 
 def _fan_out(calls) -> None:
     """Run the first call here and each other on a thread of its own, then
-    raise the first exception any of them raised."""
+    raise the first call's exception, or else the first a thread raised."""
     errors = []
 
-    def run(call):
+    def run(call, keep=errors.append):
         try:
             call()
         except BaseException as exc:  # raised again below
-            errors.append(exc)
+            keep(exc)
 
     threads = [threading.Thread(target=run, args=(call,)) for call in calls[1:]]
     for thread in threads:
         thread.start()
-    run(calls[0])
+    run(calls[0], partial(errors.insert, 0))
     for thread in threads:
         thread.join()
     if errors:

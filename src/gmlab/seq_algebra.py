@@ -101,6 +101,7 @@ class SparseSeq:
         return self
 
     dim = property(lambda self: self.values.ndim, doc="m of Z^m, the number of axes of values")
+    __iter__ = None  # [] answers every index, so iteration (and numpy) would never end
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeq is immutable")
@@ -157,8 +158,7 @@ class SparseSeq:
         return self + (-other)
 
     def __mul__(self, scalar) -> "SparseSeq":
-        # not a scalar: TypeError (np.ndim would read a sequence without end)
-        if isinstance(scalar, SparseSeq) or np.ndim(scalar):
+        if np.ndim(scalar):  # not a scalar: TypeError
             return NotImplemented
         return _from_array(self.lo, scalar * self.values)
 

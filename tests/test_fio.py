@@ -252,6 +252,22 @@ def test_an_exception_in_a_worker_comes_out_of_envelope(monkeypatch, pretend_cor
     assert threading.active_count() == threads
 
 
+def test_the_main_calls_exception_wins_over_a_workers():
+    # the main call fails after the worker has
+    failed = threading.Event()
+
+    def worker():
+        failed.set()
+        raise RuntimeError("worker failed")
+
+    def main():
+        failed.wait(5)
+        raise ValueError("main failed")
+
+    with pytest.raises(ValueError, match="main failed"):
+        fio._fan_out([main, worker])
+
+
 def test_envelope_never_builds_the_gabor_matrix(rng, traced_peak, pretend_cores):
     # the dense N^2 x N^2 Gabor matrix is 52 MiB at N = 43, and its factor T P
     # alone is 16 N^3 bytes (11 MiB at N = 89).  Each worker of the envelope

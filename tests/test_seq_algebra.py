@@ -642,6 +642,14 @@ def test_only_a_scalar_multiplies_a_sequence(factor):
     assert np.array(2.0) * x == x * 2 == SparseSeq.unit(0, 2.0)
 
 
+@pytest.mark.parametrize("read", [list, iter, np.asarray, np.ndim, lambda s: np.array([s])],
+                         ids=["list", "iter", "asarray", "ndim", "array-of"])
+def test_a_sequence_is_not_iterable(read):
+    # __getitem__ answers every index, so each of these once ran without end
+    with pytest.raises(TypeError):
+        read(SparseSeq.unit(0))
+
+
 @pytest.mark.parametrize("seq", [
     SparseSeq(1), SparseSeq(3), SparseSeq.delta(2), SparseSeq(2, {(-4, 7): 1.0, (2, -1): 1j}),
     SparseSeq.unit(2**63 - 1), SparseSeq.delta(1) - SparseSeq.delta(1),

@@ -99,6 +99,23 @@ def test_same_outputs_tells_a_checkout_from_one_with_a_changed_byte(tmp_path):
     assert not list(other.rglob("__pycache__"))
 
 
+def test_same_outputs_replays_the_fio_large_rounds(tmp_path):
+    # 6 operations a round: at N = 61 two envelopes (one along the identity),
+    # compose and invert, at N = 43 an envelope and its invert
+    commands = load_tool("same_outputs").fio_large_rounds(tmp_path)
+    assert len(commands) == 12
+    args = [shlex.split(command) for command in commands]
+    for seed in ("1", "2"):
+        mine = [a for a in args if a[a.index("--window") + 1].startswith(str(tmp_path / seed))]
+        assert sorted(a[0] for a in mine) == ["compose"] + ["envelope"] * 3 + ["invert"] * 2
+        assert [a[a.index("--chi") + 1] for a in mine if a[2] == "61"].count("1,0,0,1") >= 1
+    for a in args:
+        for option in ("--window", "--symbol", "--config"):
+            if option in a:
+                assert os.path.isfile(a[a.index(option) + 1])
+        assert ("--config" in a) == (a[0] == "compose")
+
+
 # ---------------------------------------------------------------- calibrate's pseudo-inverse
 
 
