@@ -3,7 +3,8 @@ exponent pair (q, s) of every weighted lq class (QParams); the modulus, odd and
 at least 3 (require_modulus); the side N of every array over Z_N (side,
 matrix_side); the cell budget (MAX_CELLS, require_cells); h = (N+1)/2 (half_inverse);
 centered representatives mod N; the root of unity omega**n, read from the table
-of the N roots; the weight (1 + |z|)**s and the weighted lq quasi-norm."""
+of the N roots; the radius |z|, the weight (1 + r)**s of a radius r and the
+weighted lq quasi-norm."""
 
 import math
 from dataclasses import dataclass
@@ -92,28 +93,22 @@ def square_points(axis) -> np.ndarray:
     return points
 
 
-def centered_points(N) -> np.ndarray:
-    """(N, N, 2) array of the centered lattice points of Z_N^2."""
-    return square_points(centered(np.arange(N), N))
-
-
 def radius(points) -> np.ndarray:
     """Euclidean norm over the last axis of an (..., m) point array: hypot
     folded from 0 (sqrt(sum z_i^2) differs in the last bit)."""
     return np.hypot.reduce(points, axis=-1, initial=0.0)
 
 
-def weight(points, s) -> np.ndarray:
-    """Weight (1 + |z|)**s, for any real s, at each point z of an (..., m)
-    point array; a weight beyond float range is infinite (weighted_qnorm
-    rejects it)."""
+def weight(r, s) -> np.ndarray:
+    """Weight (1 + r)**s, for any real s, at each radius r = |z| (radius);
+    a weight beyond float range is infinite (weighted_qnorm rejects it)."""
     with np.errstate(over="ignore"):
-        return (1.0 + radius(points)) ** s
+        return (1.0 + r) ** s
 
 
 def centered_radius(N):
     """(N, N) array of Euclidean norms of the centered lattice points."""
-    return radius(centered_points(N))
+    return radius(square_points(centered(np.arange(N), N)))
 
 
 def weighted_qnorm(values, weight, q):
@@ -130,4 +125,4 @@ def lattice_qnorm(values, p: QParams):
     """Weighted quasi-norm (sum values**q * (1+|mu|)**(s*q))**(1/q), (q, s) = p,
     of a nonnegative (N, N) field on the centered representatives mu of Z_N^2."""
     values = np.asarray(values, dtype=float)
-    return weighted_qnorm(values, weight(centered_points(side(values, "field")), p.s), p.q)
+    return weighted_qnorm(values, weight(centered_radius(side(values, "field")), p.s), p.q)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import QParams, require_cells, square_points, weight, weighted_qnorm
+from ._lattice import QParams, radius, require_cells, square_points, weight, weighted_qnorm
 from .errors import BOUND_SLACK, SINGULAR_DET, ToleranceError
 
 
@@ -89,7 +89,7 @@ def cell_maxima(F: SampledField) -> np.ndarray:
 def amalgam_norm(F: SampledField, p: QParams) -> float:
     """Weighted lq sum of cell maxima; the sampled amalgam quasi-norm."""
     lam = square_points(np.arange(-F.R, F.R))
-    return weighted_qnorm(cell_maxima(F), weight(lam, p.s), p.q)
+    return weighted_qnorm(cell_maxima(F), weight(radius(lam), p.s), p.q)
 
 
 def refinement_gap(F: SampledField, p: QParams) -> float:

@@ -244,9 +244,9 @@ def cmd_envelope(cfg: argparse.Namespace) -> int:
 
 def cmd_compose(cfg: argparse.Namespace) -> int:
     rng, sys_ = _seeded_system(cfg)
-    symbol2 = cfg.symbol if cfg.symbol2 is None else cfg.symbol2
-    T1 = fio.fio_operator(resolve_symbol(cfg.symbol, cfg.N, rng), cfg.chi)
-    T2 = fio.fio_operator(resolve_symbol(symbol2, cfg.N, rng), cfg.chi2)
+    sigma = resolve_symbol(cfg.symbol, cfg.N, rng)
+    sigma2 = sigma if cfg.symbol2 is None else resolve_symbol(cfg.symbol2, cfg.N, rng)
+    T1, T2 = fio.fio_operator(sigma, cfg.chi), fio.fio_operator(sigma2, cfg.chi2)
     rep, ratio, env = fio.compose_check(T1, cfg.chi, T2, cfg.chi2, sys_, cfg.qparams)
     datasets = [("composite_envelope", serialize.envelope_csv(env.values))]
     emit_report(cfg, _nulled({**asdict(rep), "quasi_norm_ratio": ratio}), datasets)

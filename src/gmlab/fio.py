@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from ._lattice import QParams, centered_points, centered_radius, side, weight, weighted_qnorm
+from ._lattice import QParams, centered_radius, side, weight, weighted_qnorm
 from .errors import COND_TOL, NotInvertibleError
 from .metaplectic import (
     metaplectic_operator,
@@ -243,7 +243,7 @@ def fio_report(env: FioEnvelope, p: QParams) -> FioReport:
     h = np.asarray(env.values, dtype=float)
     N = side(h, "envelope")
     radius = centered_radius(N)
-    w = weight(centered_points(N), p.s)
+    w = weight(radius, p.s)
     quasi_norm = weighted_qnorm(h, w, p.q)
     mass = h**p.q * w**p.q  # finite, as its sum is
     total = mass.sum()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import MAX_CELLS, QParams, require_cells, weight, weighted_qnorm
+from ._lattice import MAX_CELLS, QParams, radius, require_cells, weight, weighted_qnorm
 from .errors import (
     BOUND_SLACK,
     DECAY_CUTOFF,
@@ -182,7 +182,7 @@ def qnorm_weighted(a: SparseSeq, q: float, s: float) -> float:
     """Weighted quasi-norm (sum |a(n)|^q (1+|n|)^(s q))**(1/q) for any q > 0
     and any real s, so that Hoelder can pair the weight v_s with v_-s."""
     idx, vals = a._nonzeros()
-    return weighted_qnorm(np.abs(vals), weight(idx, s), q)
+    return weighted_qnorm(np.abs(vals), weight(radius(idx), s), q)
 
 
 def pointwise_product(a: SparseSeq, b: SparseSeq) -> SparseSeq:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gmlab
-from gmlab import cli, fio, seq_algebra, serialize, verify
+from gmlab import amalgam, cli, fio, seq_algebra, serialize, verify
 from gmlab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_INVERTIBLE,
@@ -213,6 +213,28 @@ def test_compose_reports_ratio(tmp_path):
     )
     assert code == EXIT_OK
     assert np.isfinite(read_report(out)["results"]["quasi_norm_ratio"])
+
+
+def test_compose_without_symbol2_reuses_the_first_symbol(tmp_path, monkeypatch):
+    # resolving `random` again would draw another symbol for T2
+    factors = []
+    compose_check = fio.compose_check
+
+    def recorded(T1, chi1, T2, chi2, sys, p):
+        factors.append((T1, T2))
+        return compose_check(T1, chi1, T2, chi2, sys, p)
+
+    monkeypatch.setattr(fio, "compose_check", recorded)
+    chi2 = [[0, 1], [6, 0]]
+    for config in ({}, {"chi2": chi2}):
+        cfg = write(tmp_path / "c.json", config)
+        args = ["compose", "--N", "7", "--symbol", "random", "--seed", "1", "--config", cfg]
+        assert main([*args, "--out", str(tmp_path / "o")]) == EXIT_OK
+    sigma = resolve_symbol("random", 7, np.random.default_rng(1))  # the gaussian window draws nothing
+    T = fio.fio_operator(sigma, np.eye(2, dtype=int))
+    assert [np.array_equal(T1, T) for T1, _ in factors] == [True, True]
+    assert np.array_equal(factors[0][1], T)
+    assert np.array_equal(factors[1][1], fio.fio_operator(sigma, chi2))
 
 
 def test_amalgam_command(tmp_path):
@@ -567,6 +589,9 @@ PROBES = {
     "N-overflow": (["envelope"], '{"N": 1e400}', "N must be a finite int64, got inf"),
     "seed-overflow": (["envelope"], '{"seed": 1e400}', "seed must be a finite int64, got inf"),
     "symbol2-number": (["compose"], {"symbol2": 0}, "unknown symbol2 preset 0"),
+    "chi-flat": (["envelope"], {"chi": [1, 0, 0, 1]}, "chi must be a 2x2 matrix [[a, b], [c, d]]"),
+    "config-list": (["envelope"], "[1, 2]", "config file must hold a JSON object"),
+    "config-malformed": (["envelope"], '{"N": 5', "is not valid JSON"),
     "unknown-key": (["seq-invert"], {"gird": 64}, "unknown config key 'gird'"),
     "matrices-number": (["amalgam"], {"matrices": 5}, "matrices must be a list of 2x2"),
     "window-numbers": (["envelope", "--window", "tmp/w.json"], {}, "window file must be"),
@@ -626,6 +651,31 @@ def test_config_shared_by_commands(tmp_path):
                                                    "cond_tol": 1e10}
 
 
+def test_a_non_string_out_is_config_error(tmp_path, capsys, monkeypatch):
+    # without --out, the config file's value is the one read
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path / "c.json", {"out": 0})
+    assert main(["envelope", "--N", "5", "--config", cfg]) == EXIT_CONFIG
+    assert config_error_detail(capsys) == "out must be a string, got 0"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: gml ")
+
+
+def test_a_violated_covering_bound_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(amalgam, "_covering_multiplicity", lambda pts, R, M: 0)  # bound 0
+    out = tmp_path / "o"
+    cfg = write(tmp_path / "c.json", {"R": 2, "samples_per_cell": 4})
+    assert main(["amalgam", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "tolerance"
+    assert err["detail"].startswith("covering bound violated: ratio^q = ")
+    assert not out.exists()
+
+
 def test_bad_flag_is_one_line_config_error(capsys):
     assert main(["envelope", "--N", "7.5"]) == EXIT_CONFIG
     assert "--N" in config_error_detail(capsys)
@@ -639,6 +689,10 @@ def test_bad_gaussian_width_is_config_error(tmp_path, capsys, spec):
     assert main(["envelope", "--N", "5", "--window", spec, "--out", str(out)]) == EXIT_CONFIG
     assert "gaussian" in config_error_detail(capsys)
     assert not out.exists()
+
+
+def test_gaussian_width_preset_is_the_gaussian_of_that_width():
+    assert np.array_equal(resolve_window("gaussian:2", 7, None), gmlab.gaussian_window(7, 2.0))
 
 
 @pytest.mark.parametrize("width", ["abc", ""])

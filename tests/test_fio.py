@@ -223,6 +223,18 @@ def test_envelope_workers_are_the_cores_blas_leaves_idle(pretend_cores, openblas
     assert counts == [workers]
 
 
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_envelope_workers_count_the_cpus_without_an_affinity_mask(monkeypatch, pretend_cores,
+                                                                   cpus, workers):
+    # os.sched_getaffinity is Linux-only; elsewhere os.cpu_count() counts the cores
+    N = 61
+    counts = pretend_cores(6)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    envelope(np.eye(N), IDENTITY, gabor_system(gaussian_window(N)))
+    assert counts == [workers]
+
+
 def test_envelope_runs_no_more_workers_than_panels(monkeypatch, pretend_cores):
     counts = pretend_cores(8)
     monkeypatch.setattr(fio, "_WORKERS_BYTES", 2**30)  # the panels, not the budget, bound them

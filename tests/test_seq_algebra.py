@@ -39,24 +39,24 @@ def weight_eval(index, s):
 
 
 def test_weight_at_origin_is_one():
-    assert weight((0, 0), 3.0) == 1.0
+    assert weight(radius((0, 0)), 3.0) == 1.0
 
 
 def test_weight_pythagorean():
-    assert weight((3, 4), 1.0) == pytest.approx(6.0, abs=1e-14)
+    assert weight(radius((3, 4)), 1.0) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_weight_three_dim():
     # (1 + sqrt(5))^2 evaluated independently
     expected = (1.0 + math.sqrt(5.0)) ** 2
-    assert weight((1, 0, 2), 2.0) == pytest.approx(expected, rel=1e-14)
+    assert weight(radius((1, 0, 2)), 2.0) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(10.47213595499958, rel=1e-12)
 
 
 def test_weight_of_negative_order_is_the_reciprocal():
-    points = np.array([[0, 0], [3, 4], [-7, 2], [40, -33]])
-    assert_allclose(weight(points, -1.5), 1.0 / weight(points, 1.5), rtol=1e-15)
-    assert np.all(weight(points, -1.5) <= 1.0)
+    r = radius(np.array([[0, 0], [3, 4], [-7, 2], [40, -33]]))
+    assert_allclose(weight(r, -1.5), 1.0 / weight(r, 1.5), rtol=1e-15)
+    assert np.all(weight(r, -1.5) <= 1.0)
 
 
 @given(
@@ -66,7 +66,7 @@ def test_weight_of_negative_order_is_the_reciprocal():
 )
 def test_weight_submultiplicative(lam, mu, s):
     total = tuple(a + b for a, b in zip(lam, mu))
-    assert weight(total, s) <= weight(lam, s) * weight(mu, s) * (1 + 1e-12)
+    assert weight(radius(total), s) <= weight(radius(lam), s) * weight(radius(mu), s) * (1 + 1e-12)
 
 
 def test_weight_radius_is_hypot_bit_for_bit():
@@ -78,10 +78,10 @@ def test_weight_radius_is_hypot_bit_for_bit():
 
     for N in range(5, 128, 2):
         axis = centered(np.arange(N), N)
-        assert weight(square_points(axis), 1.7).tobytes() == hypot_weight(axis, 1.7).tobytes()
+        assert weight(radius(square_points(axis)), 1.7).tobytes() == hypot_weight(axis, 1.7).tobytes()
     for R in (1, 4, 8, 40, 64):
         axis = np.arange(-R, R)
-        assert weight(square_points(axis), 2.0).tobytes() == hypot_weight(axis, 2.0).tobytes()
+        assert weight(radius(square_points(axis)), 2.0).tobytes() == hypot_weight(axis, 2.0).tobytes()
     points = np.random.default_rng(7).integers(-3000, 3001, size=(4000, 3)).astype(float)
     for m in (1, 2, 3):
         reduced = np.hypot.reduce(points[:, :m], axis=-1, initial=0.0)
@@ -90,14 +90,14 @@ def test_weight_radius_is_hypot_bit_for_bit():
 
 def test_weight_in_one_dimension_is_one_plus_modulus():
     n = np.arange(-3000, 3001)
-    assert np.array_equal(weight(n[:, None], 1.0), 1.0 + np.abs(n))
+    assert np.array_equal(weight(radius(n[:, None]), 1.0), 1.0 + np.abs(n))
 
 
 @pytest.mark.filterwarnings("error")
 def test_weight_beyond_float_range_is_infinite():
-    assert weight((300,), 200.0) == math.inf
-    assert weight((0,), 1e6) == 1.0
-    assert weight((300, 0), -200.0) == 0.0
+    assert weight(radius((300,)), 200.0) == math.inf
+    assert weight(radius((0,)), 1e6) == 1.0
+    assert weight(radius((300, 0)), -200.0) == 0.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,8 @@ import math
 import os
 import shlex
 import shutil
+import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -114,6 +116,66 @@ def test_same_outputs_replays_the_fio_large_rounds(tmp_path):
             if option in a:
                 assert os.path.isfile(a[a.index(option) + 1])
         assert ("--config" in a) == (a[0] == "compose")
+
+
+SYNTHETIC = textwrap.dedent('''\
+    """A module with a refusal, a method, a console entry and a main guard."""
+    import sys
+
+
+    def half(x):
+        """Half of x."""
+        if x < 0:
+            raise ValueError(x)
+        return x / 2
+
+
+    class Box:
+        def size(self):
+            return 1
+
+
+    def entry():
+        sys.exit(0)
+
+
+    if __name__ == "__main__":
+        entry()
+''')
+
+
+def test_unexecuted_is_the_statements_minus_the_traced_lines(tmp_path):
+    tool = load_tool("unexecuted")
+    assert tool.statements(SYNTHETIC) == {
+        2: (), 5: (), 7: ("half",), 8: ("half",), 9: ("half",), 12: (), 13: ("Box",),
+        14: ("Box", "size"), 17: (), 18: ("entry",), 21: (), 22: ("__main__",),
+    }
+    (tmp_path / "mod.py").write_text(SYNTHETIC)
+    spec = importlib.util.spec_from_file_location("synthetic_mod", tmp_path / "mod.py")
+    module = importlib.util.module_from_spec(spec)
+
+    def run(method=False):
+        spec.loader.exec_module(module)
+        if method:  # on a thread started while tracing
+            thread = threading.Thread(target=module.Box().size)
+            thread.start()
+            thread.join()
+        return module.half(4)
+
+    for method, missed in ((False, [8, 14, 18, 22]), (True, [8, 18, 22])):
+        result, hits = tool.collect(lambda: run(method), tmp_path)
+        assert result == 2.0
+        assert [line for _, line, _ in tool.unexecuted(tmp_path, hits)] == missed
+    assert [name for *_, name in tool.unexecuted(tmp_path, hits)] == [
+        "mod.half", "mod.entry", "mod.__main__"]
+
+
+def test_unexecuted_allows_only_code_that_exists():
+    tool = load_tool("unexecuted")
+    names = {".".join((path.stem, *scope))
+             for path in tool.PACKAGE.glob("*.py")
+             for scope in tool.statements(path.read_text()).values()}
+    assert set(tool.ALLOWED) <= names
 
 
 # ---------------------------------------------------------------- calibrate's pseudo-inverse
